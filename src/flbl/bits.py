@@ -1,6 +1,17 @@
-"""LSB-first bit stream helpers with separate payload/framing accounting."""
+"""LSB-first bit stream helpers with separate payload/framing accounting.
+
+`BitWriter.write_fields` packs a group of (value, width) fields in one
+call and `BitReader.read_fields` is its mirror: it reads the same group
+of widths back in one call.  Both work on bounded chunks of the stream,
+so a group of any length costs time linear in its bits.
+"""
 
 from __future__ import annotations
+
+# A writer flushes whole bytes once this many bits are pending.
+_CHUNK = 1024
+# Both sides pack or split at most this many fields in one int.
+_SPLIT = 64
 
 
 class BitWriter:
@@ -11,49 +22,46 @@ class BitWriter:
         self.payload_bits = 0
         self.framing_bits = 0
 
-    def _push(self, value: int, width: int):
-        if width == 0:
-            return
-        if value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit {width} bits")
-        cur = self.cur | (value << self.curbits)
-        bits = self.curbits + width
-        if bits >= 8:
-            nbytes = bits >> 3
-            self.buf += (cur & ((1 << (nbytes * 8)) - 1)).to_bytes(nbytes, "little")
-            cur >>= nbytes * 8
-            bits &= 7
+    def _push(self, fields) -> int:
+        """Append a sequence of (value, width) fields; return their total
+        width.  On an oversized value nothing is written."""
+        buf = self.buf
+        start = len(buf)
+        cur = self.cur
+        bits = self.curbits
+        for i in range(0, len(fields), _SPLIT):
+            acc = 0
+            off = 0
+            for value, width in fields[i:i + _SPLIT]:
+                if value >> width:  # also true for every negative value
+                    del buf[start:]
+                    raise ValueError(f"value {value} does not fit {width} bits")
+                acc |= value << off
+                off += width
+            cur |= acc << bits
+            bits += off
+            if bits >= _CHUNK:
+                nbytes = bits >> 3
+                buf += (cur & ((1 << (nbytes << 3)) - 1)).to_bytes(nbytes, "little")
+                cur >>= nbytes << 3
+                bits &= 7
+        total = (len(buf) - start) * 8 + bits - self.curbits
         self.cur = cur
         self.curbits = bits
+        return total
 
     def write(self, value: int, width: int):
-        self.payload_bits += width
-        self._push(value, width)
+        self.payload_bits += self._push(((value, width),))
 
     def write_fields(self, fields):
-        """Compose many (value, width) payload fields into one push."""
-        acc = 0
-        off = 0
-        for value, width in fields:
-            if value < 0 or value >> width:
-                raise ValueError(f"value {value} does not fit {width} bits")
-            acc |= value << off
-            off += width
-        self.payload_bits += off
-        self._push(acc, off)
+        """Write a sequence of (value, width) payload fields in one call."""
+        self.payload_bits += self._push(fields)
 
     def write_framing(self, value: int, width: int):
-        self.framing_bits += width
-        self._push(value, width)
-
-    def write_flag(self, flag: bool):
-        self.write(1 if flag else 0, 1)
+        self.framing_bits += self._push(((value, width),))
 
     def getvalue(self) -> bytes:
-        out = bytes(self.buf)
-        if self.curbits:
-            out += bytes([self.cur & 0xFF])
-        return out
+        return bytes(self.buf) + self.cur.to_bytes((self.curbits + 7) >> 3, "little")
 
     @property
     def total_bits(self) -> int:
@@ -64,20 +72,29 @@ class BitReader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.nbits = len(data) * 8
 
     def read(self, width: int) -> int:
-        if width == 0:
-            return 0
-        out = 0
-        got = 0
-        while got < width:
-            byte_i, bit_i = divmod(self.pos, 8)
-            take = min(8 - bit_i, width - got)
-            chunk = (self.data[byte_i] >> bit_i) & ((1 << take) - 1)
-            out |= chunk << got
-            got += take
-            self.pos += take
-        return out
+        return self.read_fields((width,))[0]
 
-    def read_flag(self) -> bool:
-        return bool(self.read(1))
+    def read_fields(self, widths) -> list[int]:
+        """Read back, in one call, the group of fields one `write_fields`
+        call wrote, given the sequence of their widths."""
+        pos = self.pos
+        end = pos + sum(widths)
+        if end > self.nbits:
+            raise ValueError(f"read of {end - pos} bits at bit {pos} runs past "
+                             f"the {self.nbits}-bit payload")
+        data = self.data
+        out = []
+        append = out.append
+        for i in range(0, len(widths), _SPLIT):
+            part = widths[i:i + _SPLIT]
+            hi = pos + sum(part)
+            window = int.from_bytes(data[pos >> 3:(hi + 7) >> 3], "little") >> (pos & 7)
+            for width in part:
+                append(window & ((1 << width) - 1))
+                window >>= width
+            pos = hi
+        self.pos = end
+        return out

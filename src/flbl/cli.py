@@ -74,6 +74,37 @@ def _parse_ids(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def _read_labels(path: str) -> LF.LabelFile:
+    try:
+        return LF.read_label_file(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_PARSE)
+
+
+def _fault_error(lf: LF.LabelFile, fault_ids: list[int]) -> str | None:
+    m = lf.meta.m
+    seen = set()
+    for e in fault_ids:
+        if not 0 <= e < m:
+            return f"fault id {e} is not an edge id (the file has {m} edges)"
+        if e in seen:
+            return f"fault id {e} is given more than once"
+        seen.add(e)
+    if len(fault_ids) > lf.meta.f:
+        return f"{len(fault_ids)} faults exceed the built f={lf.meta.f}"
+    return None
+
+
+def _parse_pair(text: str, lf: LF.LabelFile):
+    """(s, t, label of s, label of t) for one `--pair s,t`."""
+    try:
+        s, t = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--pair expects two comma-separated vertex ids, got {text!r}") from None
+    return s, t, LF.decode_vertex_label(lf, s), LF.decode_vertex_label(lf, t)
+
+
 def _run_query(lf: LF.LabelFile, fault_ids: list[int]):
     records = {e: LF.decode_edge(lf, e) for e in fault_ids}
     if lf.scheme == LF.SCHEME_SIMPLE:
@@ -86,26 +117,26 @@ def _run_query(lf: LF.LabelFile, fault_ids: list[int]):
 
 
 def cmd_query(args) -> int:
-    lf = LF.read_label_file(args.labels)
+    lf = _read_labels(args.labels)
     try:
         fault_ids = _parse_ids(args.fail)
     except ValueError:
         print("error: --fail expects comma-separated edge ids", file=sys.stderr)
         return EXIT_PARSE
-    if len(fault_ids) > lf.meta.f:
-        print(
-            f"error: {len(fault_ids)} faults exceed the built f={lf.meta.f}",
-            file=sys.stderr,
-        )
+    problem = _fault_error(lf, fault_ids)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_FAULTS
+    try:
+        pairs = [_parse_pair(text, lf) for text in args.pair]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     result = _run_query(lf, fault_ids)
     if args.count:
         print(result.component_count())
         return 0
-    for pair in args.pair:
-        s, t = (int(x) for x in pair.split(","))
-        ls = LF.decode_vertex_label(lf, s)
-        lt = LF.decode_vertex_label(lf, t)
+    for s, t, ls, lt in pairs:
         verdict = "connected" if result.connected(ls, lt) else "disconnected"
         print(f"{s},{t}: {verdict}")
     return 0
@@ -113,7 +144,11 @@ def cmd_query(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load(args.graph)
-    lf = LF.read_label_file(args.labels)
+    lf = _read_labels(args.labels)
+    if (g.n, g.m) != (lf.meta.n, lf.meta.m):
+        print(f"error: the label file is for a graph with n={lf.meta.n}, "
+              f"m={lf.meta.m}, not n={g.n}, m={g.m}", file=sys.stderr)
+        return EXIT_PARSE
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.trials):

@@ -190,13 +190,6 @@ def reduce_degree3(g: Graph) -> Degree3Reduction:
         base[v] = next_id
         d = g.degree(v)
         next_id += d if d >= 3 else 1
-    # attachment vertex for the k-th incident edge of v (adjacency order)
-    slot: dict[tuple[int, int], int] = {}
-    for v in range(g.n):
-        d = g.degree(v)
-        for k, (_, eid) in enumerate(g.adjacency[v]):
-            if d >= 3:
-                slot[(v, k)] = base[v] + k
     new_edges: list[tuple[int, int]] = []
     # original edges keep ids 0..m-1
     attach: list[list[int]] = [[] for _ in range(g.m)]

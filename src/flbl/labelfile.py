@@ -3,23 +3,33 @@
 Layout (little-endian): magic "FLBL", version u16, scheme u8, n u32,
 aux_n u32, m u32, f u32, h u16, phi num/den u32, certified u8,
 par_bits u8, c u8, B u8, jcols u8, seed u64, component-root array
-(u32 count + u32 each), then n vertex payloads and m edge payloads,
-each a u32 bit length followed by byte-padded data.  Reported label
-sizes are payload bits; length prefixes, byte padding, and union-type
-discriminator flags count as framing.
+(u32 count + u32 each), vertex map (u8 flag, then n u32 if set), then
+n vertex payloads and m edge payloads, each a u32 bit length and a u32
+byte length followed by byte-padded data.  A file that ends early is
+rejected with ValueError.  Reported label sizes are payload bits; length
+prefixes, byte padding, and union-type discriminator flags count as
+framing.
+
+Each edge codec writes its label as groups of fields (a header, a
+section header, one reveal entry with its shares, one block record, one
+whole edge list) with `BitWriter.write_fields`, and its decoder reads
+the same groups back with `BitReader.read_fields`.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 from .bits import BitReader, BitWriter
 from .codeshares import CodeShare
 from .labels_rand import RandEdgeLabel, RandMeta, _bits
-from .labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel
-from .labels_sqrt import BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection
+from .labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel, cap_edges
+from .labels_sqrt import BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection, _radius
 
 MAGIC = b"FLBL"
 VERSION = 1
@@ -32,116 +42,116 @@ SCHEME_RAND_SHORT = 4
 
 @dataclass
 class Widths:
+    """Field widths of one label file, derived once from its header."""
+
     pos: int
     unit: int
     h: int
     par: int
     m: int
     pre: int
+    cap: int                   # scheme-1 segment-list count
+    j: int                     # scheme-2 scale index
+    j_max: int
+    rand: tuple[int, ...]      # scheme-3/4 edge fields after the flag
 
     @staticmethod
     def of(meta: SchemeMeta) -> "Widths":
         pos = max(1, (3 * meta.aux_n).bit_length())
+        pre = _bits(meta.aux_n)
+        _, j_max = _radius(meta)
+        rand = ()
+        if isinstance(meta, RandMeta):
+            rand = (pre, pre, meta.sk0_bits)
+            if meta.short:
+                rand += (meta.B * meta.jcols * meta.sig_seed().uid_bits,)
         return Widths(
             pos=pos,
             unit=pos + 2,
             h=max(1, meta.h.bit_length()),
             par=meta.par_bits,
             m=max(1, meta.width_m.bit_length()),
-            pre=_bits(meta.aux_n),
+            pre=pre,
+            cap=max(1, cap_edges(meta.f, meta.phi).bit_length()),
+            j=max(1, j_max.bit_length()),
+            j_max=j_max,
+            rand=rand,
         )
 
 
-def _w_opt_pos(w: BitWriter, val: int | None, bits: int):
-    w.write_flag(val is not None)
-    if val is not None:
-        w.write(val, bits)
+def _opt_fields(after_v, before_v, bits: int) -> list[tuple[int, int]]:
+    """The four optional positions of a section: a presence flag each,
+    followed by the position when present."""
+    out = []
+    for o in (0, 1):
+        for val in (after_v[o], before_v[o]):
+            out += ((0, 1),) if val is None else ((1, 1), (val, bits))
+    return out
 
 
-def _r_opt_pos(r: BitReader, bits: int) -> int | None:
-    if r.read_flag():
-        return r.read(bits)
-    return None
+def _read_opts(r: BitReader, bits: int):
+    """Mirror of `_opt_fields`: the (after_v, before_v) pair."""
+    av0, bv0, av1, bv1 = (r.read(bits) if r.read(1) else None for _ in range(4))
+    return (av0, av1), (bv0, bv1)
+
+
+def _name_fields(names, wd: Widths) -> list[tuple[int, int]]:
+    out = []
+    for (a, b, k) in names:
+        out += ((a, wd.pos), (b, wd.pos), (k, wd.par))
+    return out
+
+
+def _read_names(r: BitReader, wd: Widths, cnt: int) -> list[tuple[int, int, int]]:
+    """Mirror of `_name_fields` for `cnt` edge names."""
+    vals = r.read_fields((wd.pos, wd.pos, wd.par) * cnt)
+    return list(zip(vals[0::3], vals[1::3], vals[2::3]))
 
 
 # -- scheme 1 ---------------------------------------------------------------
 
 
 def encode_simple_edge(lab: SimpleEdgeLabel, wd: Widths, meta: SchemeMeta) -> BitWriter:
-    from .labels_simple import cap_edges
-
-    cap = cap_edges(meta.f, meta.phi)
-    capbits = max(1, cap.bit_length())
     w = BitWriter()
     w.write_framing(1 if lab.is_tree else 0, 1)
-    w.write(lab.pos_u, wd.pos)
-    w.write(lab.pos_v, wd.pos)
-    w.write(lab.par, wd.par)
+    head = [(lab.pos_u, wd.pos), (lab.pos_v, wd.pos), (lab.par, wd.par)]
+    if lab.is_tree:
+        head += [(lab.level, wd.h), (lab.pos_down, wd.pos), (lab.pos_up, wd.pos)]
+    w.write_fields(head)
     if not lab.is_tree:
         return w
-    w.write(lab.level, wd.h)
-    w.write(lab.pos_down, wd.pos)
-    w.write(lab.pos_up, wd.pos)
     for ell in range(lab.level, meta.h + 1):
         sec = lab.sections[ell]
-        w.write(sec.tree_root, wd.pos)
-        w.write(sec.span_end, wd.pos)
-        w.write(sec.last_vertex, wd.pos)
-        for o in (0, 1):
-            _w_opt_pos(w, sec.after_v[o], wd.pos)
-            _w_opt_pos(w, sec.before_v[o], wd.pos)
+        w.write_fields([(sec.tree_root, wd.pos), (sec.span_end, wd.pos),
+                        (sec.last_vertex, wd.pos)]
+                       + _opt_fields(sec.after_v, sec.before_v, wd.pos))
         for seg in sec.segments:
-            w.write_flag(seg.truncated)
-            w.write(len(seg.entries), capbits)
-            for (a, b, k) in seg.entries:
-                w.write(a, wd.pos)
-                w.write(b, wd.pos)
-                w.write(k, wd.par)
+            w.write_fields([(1 if seg.truncated else 0, 1), (len(seg.entries), wd.cap)]
+                           + _name_fields(seg.entries, wd))
     return w
 
 
 def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeLabel:
-    from .labels_simple import cap_edges
-
-    cap = cap_edges(meta.f, meta.phi)
-    capbits = max(1, cap.bit_length())
     r = BitReader(data)
-    is_tree = r.read_flag()
-    pos_u = r.read(wd.pos)
-    pos_v = r.read(wd.pos)
-    par = r.read(wd.par)
+    is_tree, pos_u, pos_v, par = r.read_fields((1, wd.pos, wd.pos, wd.par))
     if not is_tree:
         return SimpleEdgeLabel(pos_u=pos_u, pos_v=pos_v, par=par, is_tree=False)
-    level = r.read(wd.h)
-    pos_down = r.read(wd.pos)
-    pos_up = r.read(wd.pos)
+    level, pos_down, pos_up = r.read_fields((wd.h, wd.pos, wd.pos))
     lab = SimpleEdgeLabel(
         pos_u=pos_u, pos_v=pos_v, par=par, is_tree=True, level=level,
         pos_down=pos_down, pos_up=pos_up,
     )
     for ell in range(level, meta.h + 1):
-        tree_root = r.read(wd.pos)
-        span_end = r.read(wd.pos)
-        last_vertex = r.read(wd.pos)
-        av, bv = [], []
-        for o in (0, 1):
-            av.append(_r_opt_pos(r, wd.pos))
-            bv.append(_r_opt_pos(r, wd.pos))
+        tree_root, span_end, last_vertex = r.read_fields((wd.pos, wd.pos, wd.pos))
+        after_v, before_v = _read_opts(r, wd.pos)
         segs = []
         for _ in range(3):
-            truncated = r.read_flag()
-            cnt = r.read(capbits)
-            entries = []
-            for _ in range(cnt):
-                a = r.read(wd.pos)
-                b = r.read(wd.pos)
-                k = r.read(wd.par)
-                entries.append((a, b, k))
-            segs.append(SegmentList(entries=entries, truncated=truncated))
+            truncated, cnt = r.read_fields((1, wd.cap))
+            segs.append(SegmentList(entries=_read_names(r, wd, cnt),
+                                    truncated=bool(truncated)))
         lab.sections[ell] = LevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
-            after_v=(av[0], av[1]), before_v=(bv[0], bv[1]),
-            segments=(segs[0], segs[1], segs[2]),
+            after_v=after_v, before_v=before_v, segments=tuple(segs),
         )
     return lab
 
@@ -149,34 +159,26 @@ def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeL
 # -- scheme 2 ---------------------------------------------------------------
 
 
-def _sqrt_params(meta: SchemeMeta) -> tuple[int, int]:
-    from .labels_sqrt import _radius
-
-    return _radius(meta)
-
-
-def _near_block_ids(sec_unit_down: int, sec_unit_up: int, j: int, nblocks: int) -> list[int]:
-    out = set()
-    for unit in (sec_unit_down, sec_unit_up):
-        cont = unit >> j
-        for blk in (cont - 1, cont, cont + 1):
-            if 0 <= blk < nblocks:
-                out.add(blk)
-    return sorted(out)
+def _near_blocks(sec: SqrtLevelSection, j_max: int):
+    """(scale, sorted ids of the blocks containing or next to either
+    oriented occurrence) for every scale a tree-edge section stores."""
+    W = 1 << (max(sec.w_real, 1) - 1).bit_length()
+    for j in range(min(j_max, W.bit_length() - 1) + 1):
+        out = set()
+        for unit in (sec.unit_down, sec.unit_up):
+            cont = unit >> j
+            out.update(blk for blk in (cont - 1, cont, cont + 1) if 0 <= blk < W >> j)
+        yield j, sorted(out)
 
 
 def encode_sqrt_edge(lab: SqrtEdgeLabel, wd: Widths, meta: SchemeMeta) -> BitWriter:
-    r_, j_max = _sqrt_params(meta)
-    jbits = max(1, j_max.bit_length())
     w = BitWriter()
     w.write_framing(1 if lab.is_tree else 0, 1)
-    w.write(lab.pos_u, wd.pos)
-    w.write(lab.pos_v, wd.pos)
-    w.write(lab.par, wd.par)
-    w.write(lab.level, wd.h)
+    head = [(lab.pos_u, wd.pos), (lab.pos_v, wd.pos), (lab.par, wd.par),
+            (lab.level, wd.h)]
     if lab.is_tree:
-        w.write(lab.pos_down, wd.pos)
-        w.write(lab.pos_up, wd.pos)
+        head += [(lab.pos_down, wd.pos), (lab.pos_up, wd.pos)]
+    w.write_fields(head)
     for ell in range(lab.level, meta.h + 1):
         sec = lab.sections[ell]
         w.write_fields((
@@ -186,110 +188,63 @@ def encode_sqrt_edge(lab: SqrtEdgeLabel, wd: Widths, meta: SchemeMeta) -> BitWri
         ))
         for ent in sec.reveal:
             a, b, k = ent.name
-            fields = [
-                (a, wd.pos), (b, wd.pos), (k, wd.par),
-                (ent.unit_a, wd.unit), (ent.unit_b, wd.unit),
-                (len(ent.shares), jbits + 2),
-            ]
+            fields = [(a, wd.pos), (b, wd.pos), (k, wd.par),
+                      (ent.unit_a, wd.unit), (ent.unit_b, wd.unit),
+                      (len(ent.shares), wd.j + 2)]
             for (j, side), sh in sorted(ent.shares.items()):
-                fields += [(j, jbits), (side, 1), (sh.index, wd.m),
-                           (sh.a, 61), (sh.b, 61)]
+                fields += ((j, wd.j), (side, 1), (sh.index, wd.m),
+                           (sh.a, 61), (sh.b, 61))
             w.write_fields(fields)
-        if lab.is_tree:
-            for o in (0, 1):
-                _w_opt_pos(w, sec.after_v[o], wd.pos)
-                _w_opt_pos(w, sec.before_v[o], wd.pos)
-            w.write(sec.unit_down, wd.unit)
-            w.write(sec.unit_up, wd.unit)
-            W = 1 << (max(sec.w_real, 1) - 1).bit_length()
-            j_top = min(j_max, W.bit_length() - 1)
-            for j in range(j_top + 1):
-                blocks = _near_block_ids(sec.unit_down, sec.unit_up, j, W >> j)
-                per = sec.near.get(j, {})
-                for blk in blocks:
-                    rec = per[blk]
-                    fields = [(rec.lge, wd.m),
-                              (1 if rec.edges is not None else 0, 1)]
-                    if rec.edges is not None:
-                        fields.append((len(rec.edges), wd.m))
-                        for (a, b, k) in rec.edges:
-                            fields += [(a, wd.pos), (b, wd.pos), (k, wd.par)]
-                    w.write_fields(fields)
+        if not lab.is_tree:
+            continue
+        w.write_fields(_opt_fields(sec.after_v, sec.before_v, wd.pos)
+                       + [(sec.unit_down, wd.unit), (sec.unit_up, wd.unit)])
+        for j, blocks in _near_blocks(sec, wd.j_max):
+            per = sec.near.get(j, {})
+            for blk in blocks:
+                rec = per[blk]
+                fields = [(rec.lge, wd.m), (1 if rec.edges is not None else 0, 1)]
+                if rec.edges is not None:
+                    fields.append((len(rec.edges), wd.m))
+                    fields += _name_fields(rec.edges, wd)
+                w.write_fields(fields)
     return w
 
 
 def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel:
-    r_, j_max = _sqrt_params(meta)
-    jbits = max(1, j_max.bit_length())
     r = BitReader(data)
-    is_tree = r.read_flag()
-    pos_u = r.read(wd.pos)
-    pos_v = r.read(wd.pos)
-    par = r.read(wd.par)
-    level = r.read(wd.h)
+    is_tree, pos_u, pos_v, par, level = r.read_fields((1, wd.pos, wd.pos, wd.par, wd.h))
     lab = SqrtEdgeLabel(
-        pos_u=pos_u, pos_v=pos_v, par=par, is_tree=is_tree, level=level,
+        pos_u=pos_u, pos_v=pos_v, par=par, is_tree=bool(is_tree), level=level,
     )
     if is_tree:
-        lab.pos_down = r.read(wd.pos)
-        lab.pos_up = r.read(wd.pos)
+        lab.pos_down, lab.pos_up = r.read_fields((wd.pos, wd.pos))
+    sec_w = (wd.pos, wd.pos, wd.pos, wd.unit, wd.m)
+    entry_w = (wd.pos, wd.pos, wd.par, wd.unit, wd.unit, wd.j + 2)
+    share_w = (wd.j, 1, wd.m, 61, 61)
     for ell in range(level, meta.h + 1):
-        tree_root = r.read(wd.pos)
-        span_end = r.read(wd.pos)
-        last_vertex = r.read(wd.pos)
-        w_real = r.read(wd.unit)
-        nrev = r.read(wd.m)
+        tree_root, span_end, last_vertex, w_real, nrev = r.read_fields(sec_w)
         reveal = []
         for _ in range(nrev):
-            a = r.read(wd.pos)
-            b = r.read(wd.pos)
-            k = r.read(wd.par)
-            ua = r.read(wd.unit)
-            ub = r.read(wd.unit)
-            nsh = r.read(jbits + 2)
-            shares = {}
-            for _ in range(nsh):
-                j = r.read(jbits)
-                side = r.read(1)
-                idx = r.read(wd.m)
-                sa = r.read(61)
-                sb = r.read(61)
-                shares[(j, side)] = CodeShare(idx, sa, sb)
+            a, b, k, ua, ub, nsh = r.read_fields(entry_w)
+            rows = iter(r.read_fields(share_w * nsh))
+            shares = {(j, side): CodeShare(idx, sa, sb)
+                      for j, side, idx, sa, sb in zip(rows, rows, rows, rows, rows)}
             reveal.append(RevealEntry(name=(a, b, k), unit_a=ua, unit_b=ub, shares=shares))
         sec = SqrtLevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
             w_real=w_real, reveal=reveal,
         )
         if is_tree:
-            av, bv = [], []
-            for o in (0, 1):
-                av.append(_r_opt_pos(r, wd.pos))
-                bv.append(_r_opt_pos(r, wd.pos))
-            sec.after_v = (av[0], av[1])
-            sec.before_v = (bv[0], bv[1])
-            sec.unit_down = r.read(wd.unit)
-            sec.unit_up = r.read(wd.unit)
-            W = 1 << (max(w_real, 1) - 1).bit_length()
-            j_top = min(j_max, W.bit_length() - 1)
-            near: dict[int, dict[int, BlockRecord]] = {}
-            for j in range(j_top + 1):
-                blocks = _near_block_ids(sec.unit_down, sec.unit_up, j, W >> j)
+            sec.after_v, sec.before_v = _read_opts(r, wd.pos)
+            sec.unit_down, sec.unit_up = r.read_fields((wd.unit, wd.unit))
+            for j, blocks in _near_blocks(sec, wd.j_max):
                 per = {}
                 for blk in blocks:
-                    lge = r.read(wd.m)
-                    has_edges = r.read_flag()
-                    edges = None
-                    if has_edges:
-                        cnt = r.read(wd.m)
-                        edges = []
-                        for _ in range(cnt):
-                            a = r.read(wd.pos)
-                            b = r.read(wd.pos)
-                            k = r.read(wd.par)
-                            edges.append((a, b, k))
+                    lge, has_edges = r.read_fields((wd.m, 1))
+                    edges = _read_names(r, wd, r.read(wd.m)) if has_edges else None
                     per[blk] = BlockRecord(lge=lge, edges=edges)
-                near[j] = per
-            sec.near = near
+                sec.near[j] = per
         lab.sections[ell] = sec
     return lab
 
@@ -300,26 +255,14 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
 def encode_rand_edge(lab: RandEdgeLabel, wd: Widths, meta: RandMeta) -> BitWriter:
     w = BitWriter()
     w.write_framing(1 if lab.is_tree else 0, 1)
-    w.write(lab.lo, wd.pre)
-    w.write(lab.hi, wd.pre)
-    w.write(lab.sk0, meta.sk0_bits)
-    if meta.short:
-        sig_bits = meta.sig_seed().uid_bits
-        w.write(lab.skmat, meta.B * meta.jcols * sig_bits)
+    w.write_fields(tuple(zip((lab.lo, lab.hi, lab.sk0, lab.skmat), wd.rand)))
     return w
 
 
 def decode_rand_edge(data: bytes, wd: Widths, meta: RandMeta) -> RandEdgeLabel:
-    r = BitReader(data)
-    is_tree = r.read_flag()
-    lo = r.read(wd.pre)
-    hi = r.read(wd.pre)
-    sk0 = r.read(meta.sk0_bits)
-    skmat = 0
-    if meta.short:
-        sig_bits = meta.sig_seed().uid_bits
-        skmat = r.read(meta.B * meta.jcols * sig_bits)
-    return RandEdgeLabel(is_tree=is_tree, lo=lo, hi=hi, sk0=sk0, skmat=skmat)
+    is_tree, lo, hi, sk0, *skmat = BitReader(data).read_fields((1,) + wd.rand)
+    return RandEdgeLabel(is_tree=bool(is_tree), lo=lo, hi=hi, sk0=sk0,
+                         skmat=skmat[0] if skmat else 0)
 
 
 # -- container ---------------------------------------------------------------
@@ -334,38 +277,36 @@ class LabelFile:
     edge_payloads: list[bytes]
     edge_bits: list[int]
 
+    @cached_property
+    def widths(self) -> Widths:
+        return Widths.of(self.meta)
 
-def _encode_vertex(scheme: int, vlab, wd: Widths) -> BitWriter:
-    w = BitWriter()
+
+def _vertex_widths(scheme: int, wd: Widths) -> tuple[int, ...]:
+    """A tour position (schemes 1-2) or a (pre, pre) pair (schemes 3-4)."""
     if scheme in (SCHEME_SIMPLE, SCHEME_SQRT):
-        w.write(vlab, wd.pos)
-    else:
-        w.write(vlab[0], wd.pre)
-        w.write(vlab[1], wd.pre)
-    return w
+        return (wd.pos,)
+    return (wd.pre, wd.pre)
 
 
 def decode_vertex(scheme: int, data: bytes, wd: Widths):
-    r = BitReader(data)
-    if scheme in (SCHEME_SIMPLE, SCHEME_SQRT):
-        return r.read(wd.pos)
-    return (r.read(wd.pre), r.read(wd.pre))
+    vals = BitReader(data).read_fields(_vertex_widths(scheme, wd))
+    return vals[0] if len(vals) == 1 else tuple(vals)
 
 
 def make_label_file(scheme: int, meta: SchemeMeta, vertex_labels, edge_labels) -> LabelFile:
     wd = Widths.of(meta)
+    vwidths = _vertex_widths(scheme, wd)
     vp, vb, ep, eb = [], [], [], []
     for vlab in vertex_labels:
-        w = _encode_vertex(scheme, vlab, wd)
+        w = BitWriter()
+        w.write_fields(tuple(zip((vlab,) if len(vwidths) == 1 else vlab, vwidths)))
         vp.append(w.getvalue())
         vb.append(w.payload_bits)
+    encode = {SCHEME_SIMPLE: encode_simple_edge,
+              SCHEME_SQRT: encode_sqrt_edge}.get(scheme, encode_rand_edge)
     for lab in edge_labels:
-        if scheme == SCHEME_SIMPLE:
-            w = encode_simple_edge(lab, wd, meta)
-        elif scheme == SCHEME_SQRT:
-            w = encode_sqrt_edge(lab, wd, meta)
-        else:
-            w = encode_rand_edge(lab, wd, meta)
+        w = encode(lab, wd, meta)
         ep.append(w.getvalue())
         eb.append(w.payload_bits)
     return LabelFile(
@@ -376,108 +317,93 @@ def make_label_file(scheme: int, meta: SchemeMeta, vertex_labels, edge_labels) -
 
 def write_label_file(path: str, lf: LabelFile):
     meta = lf.meta
-    is_rand = isinstance(meta, RandMeta)
+    vm = meta.vertex_map
+    head = (
+        MAGIC
+        + struct.pack("<HBIIIIIH", VERSION, lf.scheme, meta.n, meta.aux_n,
+                      meta.m, meta.width_m, meta.f, meta.h)
+        + struct.pack("<IIBBBBBQI", meta.phi.numerator, meta.phi.denominator,
+                      1 if meta.certified else 0, meta.par_bits,
+                      getattr(meta, "c", 0) or 0, getattr(meta, "B", 0) or 0,
+                      getattr(meta, "jcols", 0) or 0, meta.seed or 0,
+                      len(meta.comp_roots))
+        + struct.pack(f"<{len(meta.comp_roots)}I", *meta.comp_roots)
+        + (struct.pack(f"<B{len(vm)}I", 1, *vm) if vm is not None else b"\0")
+    )
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HBIIIIIH", VERSION, lf.scheme, meta.n, meta.aux_n,
-                             meta.m, meta.width_m, meta.f, meta.h))
-        fh.write(struct.pack("<IIB", meta.phi.numerator, meta.phi.denominator,
-                             1 if meta.certified else 0))
-        fh.write(struct.pack("<BBBB", meta.par_bits,
-                             getattr(meta, "c", 0) or 0,
-                             getattr(meta, "B", 0) or 0,
-                             getattr(meta, "jcols", 0) or 0))
-        fh.write(struct.pack("<Q", meta.seed or 0))
-        fh.write(struct.pack("<I", len(meta.comp_roots)))
-        for root in meta.comp_roots:
-            fh.write(struct.pack("<I", root))
-        vm = meta.vertex_map
-        fh.write(struct.pack("<B", 1 if vm is not None else 0))
-        if vm is not None:
-            for v in vm:
-                fh.write(struct.pack("<I", v))
-        for bits, payload in zip(lf.vertex_bits, lf.vertex_payloads):
-            fh.write(struct.pack("<I", bits))
-            fh.write(struct.pack("<I", len(payload)))
+        fh.write(head)
+        for bits, payload in zip(chain(lf.vertex_bits, lf.edge_bits),
+                                 chain(lf.vertex_payloads, lf.edge_payloads)):
+            fh.write(struct.pack("<II", bits, len(payload)))
             fh.write(payload)
-        for bits, payload in zip(lf.edge_bits, lf.edge_payloads):
-            fh.write(struct.pack("<I", bits))
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
+
+
+class _Cursor:
+    """Reads a label file front to back without holding all of it; a read
+    past the end of the file is a truncation."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def take(self, size: int, what: str) -> bytes:
+        if size > self.left:
+            raise ValueError(f"truncated label file: {what} is cut short")
+        self.left -= size
+        return self.fh.read(size)
+
+    def unpack(self, fmt: str, what: str = "the header") -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def payloads(self, count: int, kind: str) -> tuple[list[bytes], list[int]]:
+        """`count` payloads, each a u32 bit length, a u32 byte length and
+        its bytes."""
+        payloads, bits = [], []
+        for i in range(count):
+            what = f"{kind} {i} of {count}"
+            nbits, ln = self.unpack("<II", what)
+            payloads.append(self.take(ln, what))
+            bits.append(nbits)
+        return payloads, bits
 
 
 def read_label_file(path: str) -> LabelFile:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ValueError("not a label file (bad magic)")
-    off = 4
-    version, scheme, n, aux_n, m, aux_m, f, h = struct.unpack_from("<HBIIIIIH", raw, off)
-    off += struct.calcsize("<HBIIIIIH")
-    if version != VERSION:
-        raise ValueError(f"unsupported label file version {version}")
-    num, den, cert = struct.unpack_from("<IIB", raw, off)
-    off += struct.calcsize("<IIB")
-    par_bits, c, B, jcols = struct.unpack_from("<BBBB", raw, off)
-    off += 4
-    (seed,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    (nroots,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    roots = []
-    for _ in range(nroots):
-        (root,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        roots.append(root)
-    (has_vm,) = struct.unpack_from("<B", raw, off)
-    off += 1
-    vm = None
-    if has_vm:
-        vm = []
-        for _ in range(n):
-            (x,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            vm.append(x)
-    if scheme in (SCHEME_RAND_LONG, SCHEME_RAND_SHORT):
-        meta = RandMeta(
-            n=n, aux_n=aux_n, m=m, f=f, phi=Fraction(num, den), h=h,
-            comp_roots=roots, par_bits=par_bits, seed=seed, vertex_map=vm,
-            certified=bool(cert), aux_m=aux_m,
-            c=c, short=(scheme == SCHEME_RAND_SHORT), B=B, jcols=jcols,
-        )
-    else:
-        meta = SchemeMeta(
-            n=n, aux_n=aux_n, m=m, f=f, phi=Fraction(num, den), h=h,
-            comp_roots=roots, par_bits=par_bits, seed=seed, vertex_map=vm,
-            certified=bool(cert), aux_m=aux_m,
-        )
-    vp, vb, ep, eb = [], [], [], []
-    for _ in range(n):
-        bits, ln = struct.unpack_from("<II", raw, off)
-        off += 8
-        vp.append(raw[off:off + ln])
-        off += ln
-        vb.append(bits)
-    for _ in range(m):
-        bits, ln = struct.unpack_from("<II", raw, off)
-        off += 8
-        ep.append(raw[off:off + ln])
-        off += ln
-        eb.append(bits)
+        cur = _Cursor(fh)
+        if cur.take(4, "the header") != MAGIC:
+            raise ValueError("not a label file (bad magic)")
+        version, scheme, n, aux_n, m, aux_m, f, h = cur.unpack("<HBIIIIIH")
+        if version != VERSION:
+            raise ValueError(f"unsupported label file version {version}")
+        num, den, cert, par_bits, c, B, jcols, seed, nroots = cur.unpack("<IIBBBBBQI")
+        roots = cur.unpack(f"<{nroots}I")
+        (has_vm,) = cur.unpack("<B")
+        vm = list(cur.unpack(f"<{n}I")) if has_vm else None
+        common = dict(n=n, aux_n=aux_n, m=m, f=f, phi=Fraction(num, den), h=h,
+                      comp_roots=list(roots), par_bits=par_bits, seed=seed,
+                      vertex_map=vm, certified=bool(cert), aux_m=aux_m)
+        if scheme in (SCHEME_RAND_LONG, SCHEME_RAND_SHORT):
+            meta = RandMeta(**common, c=c, short=(scheme == SCHEME_RAND_SHORT),
+                            B=B, jcols=jcols)
+        else:
+            meta = SchemeMeta(**common)
+        vp, vb = cur.payloads(n, "vertex label")
+        ep, eb = cur.payloads(m, "edge label")
     return LabelFile(scheme=scheme, meta=meta, vertex_payloads=vp,
                      vertex_bits=vb, edge_payloads=ep, edge_bits=eb)
 
 
 def decode_edge(lf: LabelFile, eid: int):
-    wd = Widths.of(lf.meta)
-    data = lf.edge_payloads[eid]
-    if lf.scheme == SCHEME_SIMPLE:
-        return decode_simple_edge(data, wd, lf.meta)
-    if lf.scheme == SCHEME_SQRT:
-        return decode_sqrt_edge(data, wd, lf.meta)
-    return decode_rand_edge(data, wd, lf.meta)
+    m = len(lf.edge_payloads)
+    if not 0 <= eid < m:
+        raise ValueError(f"edge id {eid} is out of range (the file has {m} edges)")
+    decode = {SCHEME_SIMPLE: decode_simple_edge,
+              SCHEME_SQRT: decode_sqrt_edge}.get(lf.scheme, decode_rand_edge)
+    return decode(lf.edge_payloads[eid], lf.widths, lf.meta)
 
 
 def decode_vertex_label(lf: LabelFile, v: int):
-    wd = Widths.of(lf.meta)
-    return decode_vertex(lf.scheme, lf.vertex_payloads[v], wd)
+    n = len(lf.vertex_payloads)
+    if not 0 <= v < n:
+        raise ValueError(f"vertex id {v} is out of range (the file has {n} vertices)")
+    return decode_vertex(lf.scheme, lf.vertex_payloads[v], lf.widths)

@@ -193,3 +193,55 @@ def test_edgeless_graph_scheme1_works(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["query", str(out), "--fail", "", "--count"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def _built_p4(tmp_path, capsys, f="2"):
+    gpath = tmp_path / "p4.txt"
+    gpath.write_text(P4)
+    out = tmp_path / "p4.flbl"
+    assert run_cli(["build", str(gpath), "--scheme", "1", "--f", f,
+                    "-o", str(out)]) == 0
+    capsys.readouterr()
+    return gpath, out
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("fail", ["-1", "3", "0,99", "0,0", "2,1,2"])
+def test_bad_fault_ids_exit_code(tmp_path, capsys, fail):
+    # P4 has edges 0..2; f=2 so "0,0" is not caught by the budget first
+    _, out = _built_p4(tmp_path, capsys)
+    assert run_cli(["query", str(out), f"--fail={fail}", "--count"]) == 4
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("pair", ["0,4", "-1,2", "0", "0,1,2", "a,b", ""])
+def test_bad_pair_exit_code(tmp_path, capsys, pair):
+    _, out = _built_p4(tmp_path, capsys)
+    assert run_cli(["query", str(out), "--fail", "1", "--pair", "0,3",
+                    f"--pair={pair}"]) == 1
+    _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("keep", [30, -1])
+def test_truncated_label_file_exit_code(tmp_path, capsys, keep):
+    # a cut inside the header, and one inside the last edge payload
+    gpath, out = _built_p4(tmp_path, capsys)
+    out.write_bytes(out.read_bytes()[:keep])
+    assert run_cli(["query", str(out), "--fail", "1", "--count"]) == 1
+    assert "truncated label file" in _one_line_error(capsys)
+    assert run_cli(["verify", str(gpath), str(out), "--trials", "5"]) == 1
+    assert "truncated label file" in _one_line_error(capsys)
+
+
+def test_verify_rejects_other_graph(tmp_path, capsys):
+    _, out = _built_p4(tmp_path, capsys)
+    other = tmp_path / "t.txt"
+    other.write_text(TRIANGLE_PENDANT)
+    assert run_cli(["verify", str(other), str(out), "--trials", "5"]) == 1
+    _one_line_error(capsys)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbl import codeshares
 from flbl import labelfile as LF
@@ -40,6 +42,114 @@ def test_bitwriter_rejects_overflow():
     w = BitWriter()
     with pytest.raises(ValueError):
         w.write(4, 2)
+
+
+# widths around the 61-bit shares, the 64-bit word and long sketch fields
+WIDTHS = st.one_of(st.sampled_from([0, 1, 61, 64, 65, 1001]),
+                   st.integers(0, 70), st.integers(1000, 1300))
+
+
+@st.composite
+def fields(draw):
+    width = draw(WIDTHS)
+    return draw(st.integers(0, (1 << width) - 1)), width
+
+
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), fields()),
+    st.tuples(st.just("framing"), fields()),
+    st.tuples(st.just("fields"), st.lists(fields(), max_size=200)),
+), max_size=25)
+
+
+@settings(deadline=None, max_examples=150)
+@given(OPS, st.data())
+def test_codec_mixed_round_trip(ops, data):
+    w = BitWriter()
+    flat = []
+    payload = framing = 0
+    for kind, arg in ops:
+        group = arg if kind == "fields" else [arg]
+        if kind == "write":
+            w.write(*arg)
+        elif kind == "framing":
+            w.write_framing(*arg)
+        else:
+            w.write_fields(arg)
+        flat += group
+        width = sum(wd for _, wd in group)
+        if kind == "framing":
+            framing += width
+        else:
+            payload += width
+    assert (w.payload_bits, w.framing_bits) == (payload, framing)
+    raw = w.getvalue()
+    assert len(raw) == (payload + framing + 7) // 8
+    # read back in a grouping of its own, with both read and read_fields
+    r = BitReader(raw)
+    got = []
+    i = 0
+    while i < len(flat):
+        left = len(flat) - i
+        k = data.draw(st.one_of(st.just(left), st.integers(1, left)))
+        if k == 1 and data.draw(st.booleans()):
+            got.append(r.read(flat[i][1]))
+        else:
+            got += r.read_fields([wd for _, wd in flat[i:i + k]])
+        i += k
+    assert got == [v for v, _ in flat]
+    assert r.pos == payload + framing
+    spare = len(raw) * 8 - r.pos
+    with pytest.raises(ValueError):
+        r.read(spare + 1)
+    with pytest.raises(ValueError):
+        r.read_fields([spare, 1])
+    assert r.pos == payload + framing
+
+
+@settings(deadline=None)
+@given(st.lists(fields(), max_size=20), st.lists(fields(), max_size=20), WIDTHS,
+       st.integers(0, 1 << 70), st.booleans())
+def test_write_fields_rejects_oversized_value(before, prefix, width, extra, negative):
+    bad = -1 - extra if negative else (1 << width) + extra
+    w = BitWriter()
+    w.write_fields(before)
+    raw = w.getvalue()
+    with pytest.raises(ValueError):
+        # a filler long enough that the writer flushes bytes before the bad field
+        w.write_fields(prefix + [(1, 1000)] * 70 + [(bad, width), (1, 1)])
+    with pytest.raises(ValueError):
+        w.write(bad, width)
+    # a rejected group leaves nothing behind
+    assert w.getvalue() == raw
+    assert w.payload_bits == sum(wd for _, wd in before)
+    w.write(1, 1)
+    r = BitReader(w.getvalue())
+    assert r.read_fields([wd for _, wd in before] + [1]) == [v for v, _ in before] + [1]
+
+
+def test_long_groups_round_trip():
+    # groups far longer than one reader span or one writer chunk
+    rng = random.Random(3)
+    for widths in ([rng.choice((0, 1, 20, 61, 64, 65)) for _ in range(700)],
+                   [rng.randrange(1000, 1300) for _ in range(40)]):
+        group = [(rng.getrandbits(wd), wd) for wd in widths]
+        w = BitWriter()
+        w.write(1, 3)
+        w.write_fields(group)
+        r = BitReader(w.getvalue())
+        assert r.read(3) == 1
+        assert r.read_fields(widths) == [v for v, _ in group]
+
+
+def test_reader_past_end_is_value_error():
+    r = BitReader(b"\xff")
+    assert r.read_fields([3, 5]) == [7, 31]
+    with pytest.raises(ValueError):
+        r.read(1)
+    assert BitReader(b"").read(0) == 0
+    with pytest.raises(ValueError):
+        BitReader(b"\x01\x02").read_fields([8, 8, 1])
 
 
 def test_payload_vs_framing_accounting():
@@ -107,3 +217,37 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(ValueError):
         LF.read_label_file(str(path))
+
+
+def _scheme1_file(tmp_path):
+    g = random_connected(random.Random(5), 9, 0.5)
+    path = tmp_path / "labels.flbl"
+    LF.write_label_file(str(path), to_label_file(build_scheme(g, 1, 2)))
+    return path
+
+
+@pytest.mark.parametrize("cut", ["header", "payload", "whole-label", "length"])
+def test_truncated_file_rejected(tmp_path, cut):
+    path = _scheme1_file(tmp_path)
+    raw = path.read_bytes()
+    lf = LF.read_label_file(str(path))
+    last = len(lf.edge_payloads[-1])
+    if cut == "length":
+        # the last payload claims 4 GiB: rejected without reading it
+        at = len(raw) - last - 4
+        raw = raw[:at] + b"\xff\xff\xff\xff" + raw[at + 4:]
+    keep = {"header": 20, "payload": len(raw) - 1,
+            "whole-label": len(raw) - last - 8, "length": len(raw)}[cut]
+    path.write_bytes(raw[:keep])
+    with pytest.raises(ValueError, match="truncated label file"):
+        LF.read_label_file(str(path))
+
+
+def test_decode_rejects_out_of_range_ids(tmp_path):
+    lf = LF.read_label_file(str(_scheme1_file(tmp_path)))
+    for eid in (-1, lf.meta.m):
+        with pytest.raises(ValueError):
+            LF.decode_edge(lf, eid)
+    for v in (-1, lf.meta.n):
+        with pytest.raises(ValueError):
+            LF.decode_vertex_label(lf, v)
