@@ -47,6 +47,11 @@ def _sparse40():
 
 # name -> (graph maker, scheme, f, phi_mode, seed, label post-processing)
 CASES = {
+    # heuristic hierarchy above the exact cap, exact below it; 7 levels with
+    # 181, 124, 78, 53, 36, 22, 1 trees, and the heuristic finder accepts 3
+    # adjacent-pair cuts (counted on this build), so the pair stage of
+    # hierarchy._HeuristicCutFinder and the per-tree label build both run
+    "s1-cubic200-auto": (lambda: random_regular3(200, 11), 1, 16, "auto", 0, None),
     "s1-exact-n14": (lambda: random_connected(random.Random(3), 14, 0.3), 1, 2, "exact", 0, None),
     "s1-cubic60": (lambda: random_regular3(60, 5), 1, 4, "heuristic", 0, None),
     "s2-n7": (lambda: random_connected(random.Random(4), 7, 0.4), 2, 2, "auto", 0, None),
@@ -58,6 +63,7 @@ CASES = {
 }
 
 GOLDEN = {
+    's1-cubic200-auto': ('c3c8b5197c80a508d02cc2e88145be83eb763923fc6b642abcb981c3159cdf62', '47c459571b0eb563860b383b78c98e9351be7bf50a4d03c4ea210ea980c8de7e'),
     's1-cubic60': ('0f6c22ce50be74171586e04a720c22b2cfeab635fa302b56a6c3e6254ebdf9f9', 'b6b5dc43850c833edf2330b2a906d3a4c223b7e6a24cd39d2c1c2995aa64e795'),
     's1-exact-n14': ('dcd2e47babc92d95c9a2025d1bb908a1c3e1c80655cb8c78148c89043af1ea11', 'a45445dea023cbe598d804a6ee697deb428f24169f42f40b6355edf7ccac011c'),
     's2-n7': ('4fe2df374803984620e4576aad461f23b18ac7cffe1e89f77938bd8f287f8948', '49a79a27a438edc76a55e047a50536af205b609675de743f33bfa2faded64ff5'),
