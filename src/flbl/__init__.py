@@ -35,7 +35,6 @@ from .euler import (
     EulerFrame,
     WeightedTour,
     ball,
-    build_frame,
     dyadic_cover,
     tours_for_level,
 )

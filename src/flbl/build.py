@@ -51,7 +51,7 @@ def build_scheme(g: Graph, scheme: int, f: int, phi_mode: str = "auto",
         meta.aux_m = red.reduced.m
         meta.vertex_map = list(red.vertex_map)
         vl = [vl3[red.vertex_map[v]] for v in range(g.n)]
-        labels = [labels3[red.edge_map[e]] for e in range(g.m)]
+        labels = labels3[:g.m]  # original edges keep their ids
         return BuildResult(scheme, vl, labels, meta, hier.h, hier.phi, hier.certified)
     if scheme == LF.SCHEME_RAND_LONG:
         vl, labels, meta = build_rand_long(g, f, seed=seed)

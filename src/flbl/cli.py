@@ -205,8 +205,18 @@ def cmd_stats(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one `error:` line and exit EXIT_BAD_FLAGS, not
+    argparse's 2, which is the size-cap code; subcommand parsers inherit
+    this class."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_BAD_FLAGS)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="flbl",
         description="fault-tolerant connectivity labels for undirected graphs",
     )

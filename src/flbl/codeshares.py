@@ -160,14 +160,3 @@ def decode(shares: list[CodeShare], k: int, d: int = 2) -> list[int]:
         out.append(coeffs[t_i].a)
         out.append(coeffs[t_i].b)
     return out[:k]
-
-
-def pack_edge(pos_u: int, pos_v: int) -> int:
-    """Pack two 30-bit tour positions into one field symbol."""
-    if pos_u >= (1 << 30) or pos_v >= (1 << 30):
-        raise ValueError("tour position exceeds 30 bits")
-    return (pos_u << 30) | pos_v
-
-
-def unpack_edge(symbol: int) -> tuple[int, int]:
-    return symbol >> 30, symbol & ((1 << 30) - 1)

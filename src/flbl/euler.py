@@ -224,10 +224,6 @@ class EulerFrame:
         return got
 
 
-def build_frame(g: Graph, levels: EdgeLevelAssignment) -> EulerFrame:
-    return EulerFrame(g, levels)
-
-
 class WeightedTour:
     """Weights, unit indices, and dyadic partitions for one level tree.
 

@@ -172,18 +172,16 @@ class Degree3Reduction:
 
     Vertices of degree <= 2 are kept verbatim (a 1- or 2-cycle would be
     degenerate); connectivity under mapped faults is preserved either way.
+    Original edges keep their ids in the reduced graph.
     """
 
     reduced: Graph
-    edge_map: tuple[int, ...]    # original edge id -> reduced edge id
     vertex_map: tuple[int, ...]  # original vertex id -> representative reduced vertex
 
 
 def reduce_degree3(g: Graph) -> Degree3Reduction:
     """Replace each vertex of degree >= 3 by a cycle of its degree, attaching
     each incident edge to a distinct cycle vertex.  Max degree becomes 3."""
-    if g.m == 0:
-        raise ValueError("reduce_degree3 requires a graph with at least one edge")
     next_id = 0
     base: list[int] = [0] * g.n   # first reduced id for each original vertex
     for v in range(g.n):
@@ -207,11 +205,7 @@ def reduce_degree3(g: Graph) -> Degree3Reduction:
             for k in range(d):
                 new_edges.append((base[v] + k, base[v] + (k + 1) % d))
     reduced = Graph(next_id, tuple(new_edges))
-    return Degree3Reduction(
-        reduced=reduced,
-        edge_map=tuple(range(g.m)),
-        vertex_map=tuple(base),
-    )
+    return Degree3Reduction(reduced=reduced, vertex_map=tuple(base))
 
 
 def oracle_components(g: Graph, faults: FaultSet) -> list[list[int]]:

@@ -41,10 +41,10 @@ class DisconnectedError(ValueError):
 # edge expansion
 
 
-def _cut_tables(g: Graph):
-    """crossing[mask] and per-vertex membership table for all cuts S with
-    vertex 0 in S (masks over vertices 1..n-1; vertex 0 implicit)."""
-    n, m = g.n, g.m
+def _cut_crossings(g: Graph) -> np.ndarray:
+    """crossing[mask] for all cuts S with vertex 0 in S (masks over
+    vertices 1..n-1; vertex 0 implicit)."""
+    n = g.n
     nmasks = 1 << (n - 1)
     masks = np.arange(nmasks, dtype=np.int64)
     # in_s[v] over all masks; vertex 0 always in S
@@ -55,7 +55,22 @@ def _cut_tables(g: Graph):
     crossing = np.zeros(nmasks, dtype=np.int64)
     for (u, v) in g.edges:
         crossing += in_s[u] != in_s[v]
-    return in_s, crossing
+    return crossing
+
+
+def _violating_masks(crossing: np.ndarray, degx: list[int], phi: Fraction) -> np.ndarray:
+    """bad[mask]: the cut violates phi-expansion of the X-degrees degx."""
+    # X-volume of every S, indexed as in _cut_crossings: appending vertex v
+    # (bit v - 1, the highest so far) doubles the table, O(2^n) in all
+    vol_s = np.array(degx[:1], dtype=np.int64)
+    for d in degx[1:]:
+        vol_s = np.concatenate((vol_s, vol_s + d))
+    total = sum(degx)
+    minvol = np.minimum(vol_s, total - vol_s)
+    # violation: crossing < phi * minvol, in exact rational arithmetic
+    bad = crossing * phi.denominator < minvol * phi.numerator
+    bad[-1] = False  # mask with S = V is not a cut
+    return bad
 
 
 def _mask_vertices(mask: int, n: int) -> list[int]:
@@ -88,16 +103,8 @@ def verify_edge_expanding(
         u, v = g.edges[eid]
         degx[u] += 1
         degx[v] += 1
-    in_s, crossing = _cut_tables(g)
-    degx_arr = np.array(degx, dtype=np.int64)
-    vol_s = np.zeros(in_s.shape[1], dtype=np.int64)
-    for v in range(n):
-        vol_s += in_s[v] * degx_arr[v]
-    total = int(degx_arr.sum())
-    minvol = np.minimum(vol_s, total - vol_s)
-    # violation: crossing < phi * minvol, in exact rational arithmetic
-    bad = crossing * phi.denominator < minvol * phi.numerator
-    bad[-1] = False  # mask with S = V is not a cut
+    crossing = _cut_crossings(g)
+    bad = _violating_masks(crossing, degx, phi)
     if not bad.any():
         return True, None
     idx = np.nonzero(bad)[0]
@@ -109,35 +116,25 @@ def verify_edge_expanding(
 
 
 def _violating_cut_exact(g: Graph, degx: list[int], phi: Fraction,
-                         tables=None) -> list[int] | None:
+                         crossing: np.ndarray) -> list[int] | None:
     """Best violating cut for the separator loop (exact enumeration).
 
     Returns the chosen side S (|S| <= n/2 preferred) minimizing crossing
     then lexicographically smallest, or None when X is phi-expanding.
+    crossing is _cut_crossings(g), computed once per separator.
     """
     n = g.n
     if n <= 1:
         return None
-    in_s, crossing = tables if tables is not None else _cut_tables(g)
-    degx_arr = np.array(degx, dtype=np.int64)
-    nmasks = in_s.shape[1]
-    vol_s = np.zeros(nmasks, dtype=np.int64)
-    for v in range(n):
-        vol_s += in_s[v] * degx_arr[v]
-    total = int(degx_arr.sum())
-    minvol = np.minimum(vol_s, total - vol_s)
-    bad = crossing * phi.denominator < minvol * phi.numerator
-    bad[-1] = False
+    bad = _violating_masks(crossing, degx, phi)
     if not bad.any():
         return None
-    idx = np.nonzero(bad)[0].tolist()
-    mincross = min(int(crossing[mk]) for mk in idx)
+    mincross = crossing[bad].min()
     cands = []
-    for mk in idx:
-        if int(crossing[mk]) != mincross:
-            continue
+    for mk in np.nonzero(bad & (crossing == mincross))[0].tolist():
         side = _mask_vertices(mk, n)
-        other = [v for v in range(n) if v not in set(side)]
+        sset = set(side)
+        other = [v for v in range(n) if v not in sset]
         # keep the smaller side; ties resolved lexicographically
         if len(side) < len(other):
             cands.append(side)
@@ -202,13 +199,12 @@ class _HeuristicCutFinder:
             return list(range(n))
 
     def _check(self, side: set[int], degx: list[int], total: int) -> bool:
-        """Exact violation test for one candidate cut."""
+        """Exact violation test for one candidate cut; counts the crossing
+        edges from the adjacency of the side, O(its degree sum)."""
         if not side or len(side) >= self.g.n:
             return False
-        cross = 0
-        for (u, v) in self.g.edges:
-            if (u in side) != (v in side):
-                cross += 1
+        adj = self.g.adjacency
+        cross = sum(1 for v in side for w, _ in adj[v] if w not in side)
         vol = sum(degx[v] for v in side)
         mv = min(vol, total - vol)
         return cross * self.phi.denominator < mv * self.phi.numerator
@@ -332,30 +328,29 @@ def edge_separator(g: Graph, mode: str = "exact") -> set[int]:
         degx[u] += 1
         degx[v] += 1
     if mode == "exact":
-        tables = _cut_tables(g) if g.n > 1 else None
+        crossing = _cut_crossings(g) if g.n > 1 else None
         finder = None
     else:
         finder = _HeuristicCutFinder(g, phi)
-        tables = None
-    eid_by_pair: dict[tuple[int, int], list[int]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        eid_by_pair.setdefault((min(u, v), max(u, v)), []).append(eid)
     while True:
         if mode == "exact":
-            side = _violating_cut_exact(g, degx, phi, tables)
+            side = _violating_cut_exact(g, degx, phi, crossing)
         else:
             side = finder.find(degx)
         if side is None:
             return X
+        # X loses the edges inside the side and gains the crossing ones,
+        # all found from the side's adjacency
         sset = set(side)
         removed = []
         added = []
-        for eid, (u, v) in enumerate(g.edges):
-            iu, iv = u in sset, v in sset
-            if iu and iv and eid in X:
-                removed.append(eid)
-            elif iu != iv and eid not in X:
-                added.append(eid)
+        for u in side:
+            for v, eid in g.adjacency[u]:
+                if v not in sset:
+                    if eid not in X:
+                        added.append(eid)
+                elif u < v and eid in X:
+                    removed.append(eid)
         if len(removed) <= len(added):
             # cannot happen for a genuinely violating cut; guards the loop
             raise AssertionError("edge separator update failed to shrink X")
@@ -387,9 +382,6 @@ class EdgeLevelAssignment:
     phi: Fraction
     certified: bool
 
-    def edges_at(self, ell: int) -> list[int]:
-        return [e for e, lv in enumerate(self.level) if lv == ell]
-
 
 def build_edge_hierarchy(g: Graph, mode: str = "exact") -> EdgeLevelAssignment:
     """Top-down recursive construction: E_h <- separator, recurse on the
@@ -408,28 +400,40 @@ def build_edge_hierarchy(g: Graph, mode: str = "exact") -> EdgeLevelAssignment:
     depths: dict[int, int] = {}
     all_exact = True
 
-    def rec(verts: list[int], depth: int):
+    def split(pairs, uf: UnionFind, verts: list[int], eids: list[int]):
+        """Groups of uf as (vertices, ascending ids of the edges inside)."""
+        inside: dict[int, list[int]] = {}
+        for (u, v), eid in zip(pairs, eids):
+            r = uf.find(u)
+            if r == uf.find(v):
+                inside.setdefault(r, []).append(eid)
+        return [([verts[i] for i in grp], inside[uf.find(grp[0])])
+                for grp in uf.groups() if len(grp) > 1]
+
+    def rec(verts: list[int], eids: list[int], depth: int):
+        # the subgraph induced by verts, whose edges are exactly eids
         nonlocal all_exact
-        sub, vmap, emap = g.induced(verts)
-        if sub.m == 0:
-            return
+        idx = {v: i for i, v in enumerate(verts)}
+        edges = g.edges
+        sub = Graph(len(verts), tuple((idx[edges[e][0]], idx[edges[e][1]]) for e in eids))
         md = sep_mode(sub.n)
         if md != "exact":
             all_exact = False
         X = edge_separator(sub, mode=md)
         for se in X:
-            depths[emap[se]] = depth
-        rest = [se for se in range(sub.m) if se not in X]
+            depths[eids[se]] = depth
         uf = UnionFind(sub.n)
-        for se in rest:
-            u, v = sub.edges[se]
-            uf.union(u, v)
-        for grp in uf.groups():
-            if len(grp) > 1:
-                rec([vmap[i] for i in grp], depth + 1)
+        for se, (u, v) in enumerate(sub.edges):
+            if se not in X:
+                uf.union(u, v)
+        for child in split(sub.edges, uf, verts, eids):
+            rec(*child, depth + 1)
 
-    for comp in _components(g):
-        rec(comp, 0)
+    uf = UnionFind(g.n)
+    for (u, v) in g.edges:
+        uf.union(u, v)
+    for comp in split(g.edges, uf, list(range(g.n)), list(range(g.m))):
+        rec(*comp, 0)
     if g.m:
         maxd = max(depths.values())
         h = maxd + 1

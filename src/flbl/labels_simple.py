@@ -105,9 +105,9 @@ class SchemeMeta:
         return self.aux_m or self.m
 
 
-def _incident_events(frame: EulerFrame, ell: int):
-    """Per level tree: sorted (position, edge id) events for level-l
-    non-tree edges, one event per incident endpoint."""
+def _incident_events(frame: EulerFrame, ell: int, names: list[EdgeName]):
+    """Per level tree: the positions and edge names of its level-l non-tree
+    edge events, one per incident endpoint, in (position, edge id) order."""
     g = frame.graph
     by_tree: dict[int, list[tuple[int, int]]] = {}
     tree_of = frame.tree_assignment(ell)
@@ -117,29 +117,28 @@ def _incident_events(frame: EulerFrame, ell: int):
         evs = by_tree.setdefault(tid, [])
         evs.append((frame.pos_vertex[u], eid))
         evs.append((frame.pos_vertex[v], eid))
-    for evs in by_tree.values():
+    out = {}
+    for tid, evs in by_tree.items():
         evs.sort()
-    return by_tree
+        out[tid] = ([p for p, _ in evs], [names[e] for _, e in evs])
+    return out
 
 
-def _segment_list(events, lo, hi, cap, names) -> SegmentList:
-    """First-incidence capped edge list for tour range (lo, hi)."""
-    i = bisect_left(events, (lo + 1, -1))
-    seen: set[int] = set()
-    out: list[EdgeName] = []
-    truncated = False
-    while i < len(events):
-        pos, eid = events[i]
-        if pos >= hi:
-            break
-        if eid not in seen:
-            seen.add(eid)
-            if len(out) >= cap:
-                truncated = True
-                break
-            out.append(names[eid])
-        i += 1
-    return SegmentList(entries=out, truncated=truncated)
+def _segment_list(ev_pos, ev_name, lo, hi, cap) -> SegmentList:
+    """First-incidence capped edge list for tour range (lo, hi).
+
+    ev_pos / ev_name are one tree's events from _incident_events.
+    An edge's first event sits at its name's min position, so the event
+    at p repeats an edge already listed exactly when lo < name[0] < p.
+    cap + 1 distinct edges have at most 2(cap + 1) events, so no event
+    past those can enter the list.
+    """
+    i = bisect_right(ev_pos, lo)
+    j = min(bisect_left(ev_pos, hi), i + 2 * cap + 2)
+    out = [nm for p, nm in zip(ev_pos[i:j], ev_name[i:j]) if not lo < nm[0] < p]
+    if len(out) > cap:
+        return SegmentList(entries=out[:cap], truncated=True)
+    return SegmentList(entries=out, truncated=False)
 
 
 def build_simple_labels(
@@ -170,13 +169,18 @@ def build_simple_labels(
             pos_up=frame.pos_oedge[(child, par_v)],
         )
         labels.append(lab)
-    # per-level sections, computed tree by tree
+    # per-level sections, computed tree by tree over each tree's own edges
+    tree_edges = sorted(frame.tstar)
     for ell in range(1, hier.h + 1):
-        events_by_tree = _incident_events(frame, ell)
+        events_by_tree = _incident_events(frame, ell, names)
         tree_of = frame.tree_assignment(ell)
+        edges_by_tree: dict[int, list[int]] = {}
+        for eid in tree_edges:
+            if hier.level[eid] <= ell:
+                edges_by_tree.setdefault(tree_of[g.edges[eid][0]], []).append(eid)
         for tid, tree in frame.trees_at(ell).items():
             vert_positions = [p for p in tree.positions if frame.tour[p][0] == "v"]
-            events = events_by_tree.get(tid, [])
+            ev_pos, ev_name = events_by_tree.get(tid, ([], []))
             span_start, span_end = tree.span
 
             def near(pos):
@@ -185,16 +189,14 @@ def build_simple_labels(
                 before = vert_positions[i - 1] if i > 0 else None
                 return after, before
 
-            for eid in frame.tstar:
-                if hier.level[eid] > ell or tree_of[g.edges[eid][0]] != tid:
-                    continue
+            for eid in edges_by_tree.get(tid, ()):
                 lab = labels[eid]
                 a_d, b_d = near(lab.pos_down)
                 a_u, b_u = near(lab.pos_up)
                 segs = (
-                    _segment_list(events, span_start - 1, lab.pos_down, cap, names),
-                    _segment_list(events, lab.pos_down, lab.pos_up, cap, names),
-                    _segment_list(events, lab.pos_up, span_end + 1, cap, names),
+                    _segment_list(ev_pos, ev_name, span_start - 1, lab.pos_down, cap),
+                    _segment_list(ev_pos, ev_name, lab.pos_down, lab.pos_up, cap),
+                    _segment_list(ev_pos, ev_name, lab.pos_up, span_end + 1, cap),
                 )
                 lab.sections[ell] = LevelSection(
                     tree_root=tid,

@@ -175,13 +175,23 @@ def test_env_override_nexact(tmp_path, monkeypatch, capsys):
     assert code == 2
 
 
-def test_edgeless_graph_scheme2_clean_error(tmp_path, capsys):
+def test_edgeless_graph_both_schemes(tmp_path, capsys):
+    # with no edges every vertex is its own component (the oracle's answer)
     gpath = tmp_path / "e.txt"
-    gpath.write_text("2 0\n")
-    out = tmp_path / "e.flbl"
-    assert run_cli(["build", str(gpath), "--scheme", "2", "--f", "1",
-                    "-o", str(out)]) == 3
-    assert "error" in capsys.readouterr().err
+    gpath.write_text("3 0\n")
+    for scheme in ("1", "2"):
+        out = tmp_path / f"e{scheme}.flbl"
+        assert run_cli(["build", str(gpath), "--scheme", scheme, "--f", "1",
+                        "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(["query", str(out), "--count"]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+        assert run_cli(["query", str(out), "--pair", "0,1", "--pair", "2,2",
+                        "--pair", "1,2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0,1: disconnected", "2,2: connected", "1,2: disconnected"]
+        assert run_cli(["verify", str(gpath), str(out), "--trials", "20"]) == 0
+        assert "mismatches=0" in capsys.readouterr().out
 
 
 def test_edgeless_graph_scheme1_works(tmp_path, capsys):
@@ -226,6 +236,18 @@ def test_bad_pair_exit_code(tmp_path, capsys, pair):
                     f"--pair={pair}"]) == 1
     _one_line_error(capsys)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["query", "L", "--pair", "-1,2"],
+    ["query", "L", "--bogus"],
+    ["build", "g.txt", "--scheme", "9", "--f", "1", "-o", "x.flbl"],
+    ["build", "g.txt", "--scheme", "1", "--f", "1"],
+], ids=["pair-without-equals", "unknown-flag", "bad-scheme", "missing-output"])
+def test_usage_error_exit_code(capsys, args):
+    # argparse's own exit code 2 is the documented size-cap code
+    assert run_cli(args) == 3
+    _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("keep", [30, -1])

@@ -9,8 +9,6 @@ from flbl.codeshares import (
     CodeShare,
     decode,
     encode,
-    pack_edge,
-    unpack_edge,
 )
 
 
@@ -86,9 +84,3 @@ def test_share_wire_format():
     raw = sh.to_bytes()
     assert len(raw) == 20  # 32 + 64 + 64 bits little-endian
     assert CodeShare.from_bytes(raw) == sh
-
-
-def test_pack_unpack_edge():
-    assert unpack_edge(pack_edge(12345, 678)) == (12345, 678)
-    with pytest.raises(ValueError):
-        pack_edge(1 << 30, 0)

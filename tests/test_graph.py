@@ -129,7 +129,7 @@ def test_reduce_k4_connectivity_under_all_single_faults():
                 orig = oracle_connected(g, FaultSet.of([eid], g), s, t)
                 mapped = oracle_connected(
                     red.reduced,
-                    FaultSet.of([red.edge_map[eid]], red.reduced),
+                    FaultSet.of([eid], red.reduced),
                     red.vertex_map[s],
                     red.vertex_map[t],
                 )
@@ -157,7 +157,7 @@ def test_reduce_preserves_connectivity_random_faults():
             orig = oracle_connected(g, FaultSet.of(fa, g), s, t)
             mapped = oracle_connected(
                 red.reduced,
-                FaultSet.of([red.edge_map[e] for e in fa], red.reduced),
+                FaultSet.of(fa, red.reduced),
                 red.vertex_map[s],
                 red.vertex_map[t],
             )

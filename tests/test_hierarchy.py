@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbl.graph import Graph, UnionFind, load_graph
 from flbl.hierarchy import (
     DisconnectedError,
     SizeCapError,
+    _HeuristicCutFinder,
     build_edge_hierarchy,
     build_vertex_hierarchy,
     edge_separator,
@@ -125,6 +128,37 @@ def test_hierarchy_heuristic_mode_runs():
     assert not hier.certified
     assert hier.h <= math.ceil(math.log2(g.n))
     assert all(lv >= 1 for lv in hier.level)
+
+
+@st.composite
+def multigraph_and_side(draw):
+    """A multigraph with parallel edges (and possibly isolated vertices)
+    plus a proper nonempty candidate side."""
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=30))
+    # repeat some edges so parallel edges are common
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    side = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return Graph(n, tuple(edges)), side
+
+
+@settings(deadline=None, max_examples=80)
+@given(multigraph_and_side())
+def test_heuristic_check_matches_edge_scan(case):
+    g, side = case
+    finder = _HeuristicCutFinder(g, HALF)
+    cross = sum(1 for (u, v) in g.edges if (u in side) != (v in side))
+    # X-degrees that put the violation threshold at exactly `cross`:
+    # min volume 2c + 1 violates iff crossing <= c, 2c iff crossing < c
+    a, b = min(side), min(set(range(g.n)) - side)
+    for vol, want in ((2 * cross + 1, True), (2 * cross, False)):
+        degx = [0] * g.n
+        degx[a] = degx[b] = vol
+        assert finder._check(side, degx, 2 * vol) is want
+    assert not finder._check(set(), degx, 2 * vol)
+    assert not finder._check(set(range(g.n)), degx, 2 * vol)
 
 
 def test_export_format():
