@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbl import labelfile as LF
 from flbl.build import build_scheme, to_label_file
@@ -9,6 +11,7 @@ from flbl.euler import EulerFrame
 from flbl.graph import FaultSet, Graph, UnionFind, oracle_components
 from flbl.hierarchy import build_edge_hierarchy
 from flbl.labels_simple import (
+    _segment_list,
     build_simple_labels,
     cap_edges,
     query_simple,
@@ -214,6 +217,51 @@ def test_serializer_round_trip_random():
         for eid in range(g.m):
             dec = LF.decode_simple_edge(lf.edge_payloads[eid], wd, res.meta)
             assert dec == res.edge_labels[eid]
+
+
+def _segment_list_reference(events, lo, hi, cap, names):
+    """First-incidence capped list by a scan of every event with a seen set."""
+    out, seen = [], set()
+    for pos, eid in events:
+        if not lo < pos < hi or eid in seen:
+            continue
+        seen.add(eid)
+        if len(out) == cap:
+            return out, True
+        out.append(names[eid])
+    return out, False
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_segment_list_matches_seen_set_scan(data):
+    # few positions, so many edges share an endpoint as at a tour vertex
+    npos = data.draw(st.integers(2, 30))
+    names, events = [], []
+    for eid in range(data.draw(st.integers(0, 25))):
+        a = data.draw(st.integers(0, npos - 2))
+        # short edges too, whose two events are often next to each other
+        b = data.draw(st.integers(a + 1, min(a + 2, npos - 1)) | st.integers(a + 1, npos - 1))
+        names.append((a, b, eid))
+        events += [(a, eid), (b, eid)]
+    events.sort()
+    lo = data.draw(st.integers(-1, npos))
+    hi = data.draw(st.integers(lo, npos + 1))
+    cap = data.draw(st.integers(1, 8))
+    got = _segment_list([p for p, _ in events], [names[e] for _, e in events], lo, hi, cap)
+    assert (got.entries, got.truncated) == _segment_list_reference(events, lo, hi, cap, names)
+
+
+def test_segment_list_adjacent_event_pairs():
+    # each edge's two events are adjacent, so cap edges fill 2 cap events
+    # and only the next edge's event shows that the list is truncated
+    names = [(2 * e, 2 * e + 1, 0) for e in range(4)]
+    ev_pos, ev_name = list(range(8)), [names[p // 2] for p in range(8)]
+    for cap in (1, 2, 3):
+        got = _segment_list(ev_pos, ev_name, -1, 8, cap)
+        assert got.entries == names[:cap] and got.truncated
+    got = _segment_list(ev_pos, ev_name, -1, 8, 4)
+    assert got.entries == names and not got.truncated
 
 
 def test_oversized_fault_set_rejected():
