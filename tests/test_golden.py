@@ -5,7 +5,8 @@ fixed-seed hierarchies, so every build is reproducible), writes the
 label file, reads it back and decodes every vertex and edge record.
 It pins two SHA-256 digests per case: one of the file bytes and one of
 the `repr` of every decoded record.  A codec or build change that keeps
-both is byte- and record-identical.
+both is byte- and record-identical.  The scheme-2 cases also pin one
+digest of query answers read from the file (see `QUERY_CASES`).
 
 Run `PYTHONPATH=src python tests/test_golden.py` to print the current
 digests.
@@ -24,6 +25,7 @@ from flbl import labelfile as LF
 from flbl.build import build_scheme
 from flbl.graph import Graph
 from flbl.labels_rand import _bits
+from flbl.labels_sqrt import query_sqrt
 from test_acceptance import random_connected, random_connected_sparse, random_regular3
 
 
@@ -74,7 +76,22 @@ GOLDEN = {
 }
 
 
-def digests(name: str, tmp_dir: Path) -> tuple[str, str]:
+# Scheme-2 cases whose query answers are pinned too: QUERY_SETS seeded
+# fault sets with 0 <= |F| <= f each, hashed as (component_count(),
+# connected() of every vertex pair, case3_fired) per set.  On the
+# noneblocks case the list runs codeshares.decode 375 times and marks
+# case 3 41 times (counted on this build); the plain case stores every
+# block's edge list, so it reaches neither.
+QUERY_CASES = ("s2-sparse40", "s2-sparse40-noneblocks")
+QUERY_SETS = 40
+
+GOLDEN_QUERIES = {
+    's2-sparse40': 'bb2b3e4b3b9eb433a64793ed4defba80ce9376b138a03aba87bfb04f653b1d02',
+    's2-sparse40-noneblocks': '0be03241b81d3bd2918fefbffd8dbb6932a76bb84c5dc4fd5fbd006b46ad31b0',
+}
+
+
+def _write(name: str, tmp_dir: Path) -> Path:
     make, scheme, f, mode, seed, post = CASES[name]
     g: Graph = make()
     res = build_scheme(g, scheme, f, phi_mode=mode, seed=seed)
@@ -83,6 +100,11 @@ def digests(name: str, tmp_dir: Path) -> tuple[str, str]:
     path = tmp_dir / f"{name}.flbl"
     LF.write_label_file(str(path), LF.make_label_file(
         res.scheme, res.meta, res.vertex_labels, res.edge_labels))
+    return path
+
+
+def digests(name: str, tmp_dir: Path) -> tuple[str, str]:
+    path = _write(name, tmp_dir)
     file_sha = hashlib.sha256(path.read_bytes()).hexdigest()
     lf = LF.read_label_file(str(path))
     h = hashlib.sha256()
@@ -93,9 +115,28 @@ def digests(name: str, tmp_dir: Path) -> tuple[str, str]:
     return file_sha, h.hexdigest()
 
 
+def query_digest(name: str, tmp_dir: Path) -> str:
+    lf = LF.read_label_file(str(_write(name, tmp_dir)))
+    meta = lf.meta
+    verts = [LF.decode_vertex_label(lf, v) for v in range(meta.n)]
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    for _ in range(QUERY_SETS):
+        faults = rng.sample(range(meta.m), rng.randint(0, meta.f))
+        res = query_sqrt({e: LF.decode_edge(lf, e) for e in faults}, None, None, meta)
+        pairs = [res.connected(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]]
+        h.update(repr((res.component_count(), pairs, res.case3_fired)).encode() + b"\n")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", QUERY_CASES)
+def test_golden_query_digest(name, tmp_path):
+    assert query_digest(name, tmp_path) == GOLDEN_QUERIES[name]
 
 
 if __name__ == "__main__":
@@ -104,3 +145,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             print(f"    {case!r}: {digests(case, Path(tmp))!r},")
+        for case in QUERY_CASES:
+            print(f"    {case!r}: {query_digest(case, Path(tmp))!r},")
