@@ -3,7 +3,8 @@
 `BitWriter.write_fields` packs a group of (value, width) fields in one
 call and `BitReader.read_fields` is its mirror: it reads the same group
 of widths back in one call.  Both work on bounded chunks of the stream,
-so a group of any length costs time linear in its bits.
+so a group of any length costs time linear in its bits.  `BitReader.skip`
+moves past a span that is read later from its start position.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ class BitReader:
 
     def read(self, width: int) -> int:
         return self.read_fields((width,))[0]
+
+    def skip(self, width: int) -> int:
+        """Move past `width` bits without reading them and return the
+        position they start at.  Bounds-checked like `read_fields`."""
+        pos = self.pos
+        if pos + width > self.nbits:
+            raise ValueError(f"skip of {width} bits at bit {pos} runs past "
+                             f"the {self.nbits}-bit payload")
+        self.pos = pos + width
+        return pos
 
     def read_fields(self, widths) -> list[int]:
         """Read back, in one call, the group of fields one `write_fields`

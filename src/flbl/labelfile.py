@@ -13,7 +13,11 @@ framing.
 Each edge codec writes its label as groups of fields (a header, a
 section header, one reveal entry with its shares, one block record, one
 whole edge list) with `BitWriter.write_fields`, and its decoder reads
-the same groups back with `BitReader.read_fields`.
+the same groups back with `BitReader.read_fields`.  The scheme-2 decoder
+skips the two large, rarely read parts, the share rows of each reveal
+entry and the edge list of each block record, and reads them on first
+use (`_Rows`); the skip is bounds-checked, so a payload cut short or a
+row count that claims more rows than remain fails at decode.
 """
 
 from __future__ import annotations
@@ -102,10 +106,75 @@ def _name_fields(names, wd: Widths) -> list[tuple[int, int]]:
     return out
 
 
+def _names(vals: list[int]) -> list[tuple[int, int, int]]:
+    """Edge names from the flat fields `_name_fields` wrote."""
+    return list(zip(vals[0::3], vals[1::3], vals[2::3]))
+
+
 def _read_names(r: BitReader, wd: Widths, cnt: int) -> list[tuple[int, int, int]]:
     """Mirror of `_name_fields` for `cnt` edge names."""
-    vals = r.read_fields((wd.pos, wd.pos, wd.par) * cnt)
-    return list(zip(vals[0::3], vals[1::3], vals[2::3]))
+    return _names(r.read_fields((wd.pos, wd.pos, wd.par) * cnt))
+
+
+def _shares(vals: list[int]) -> dict[tuple[int, int], CodeShare]:
+    """A reveal entry's (scale, side) -> share dict from its flat rows."""
+    rows = iter(vals)
+    return {(j, side): CodeShare(idx, sa, sb)
+            for j, side, idx, sa, sb in zip(rows, rows, rows, rows, rows)}
+
+
+class _Rows:
+    """`cnt` rows of `widths` fields each, starting at bit `at` of a
+    payload, read on first use and then kept.  It stands for the dict or
+    list that `make` builds from the fields: equal to it, iterated, sized
+    and printed like it, with its other methods (`get`, `items`, ...)
+    passed through.  The decoder has already skipped the rows with a
+    bounds-checked `BitReader.skip`, so the first use cannot fail."""
+
+    __slots__ = ("data", "at", "cnt", "widths", "make", "_value")
+
+    def __init__(self, data: bytes, at: int, cnt: int, widths: tuple[int, ...], make):
+        self.data = data
+        self.at = at
+        self.cnt = cnt
+        self.widths = widths
+        self.make = make
+        self._value = None
+
+    @property
+    def value(self):
+        if self._value is None:
+            r = BitReader(self.data)
+            r.pos = self.at
+            self._value = self.make(r.read_fields(self.widths * self.cnt))
+        return self._value
+
+    def __getattr__(self, attr):
+        if attr.startswith("_"):  # an unset slot, or copy/pickle probing
+            raise AttributeError(attr)
+        return getattr(self.value, attr)
+
+    def __eq__(self, other):
+        return self.value == (other.value if isinstance(other, _Rows) else other)
+
+    __hash__ = None
+
+    def __len__(self):
+        return len(self.value)
+
+    def __iter__(self):
+        return iter(self.value)
+
+    def __getitem__(self, key):
+        return self.value[key]
+
+    def __repr__(self):
+        return repr(self.value)
+
+
+def _skip_rows(r: BitReader, cnt: int, widths: tuple[int, ...], make) -> _Rows:
+    """Move `r` past `cnt` rows of `widths` and return them unread."""
+    return _Rows(r.data, r.skip(sum(widths) * cnt), cnt, widths, make)
 
 
 # -- scheme 1 ---------------------------------------------------------------
@@ -222,15 +291,14 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
     sec_w = (wd.pos, wd.pos, wd.pos, wd.unit, wd.m)
     entry_w = (wd.pos, wd.pos, wd.par, wd.unit, wd.unit, wd.j + 2)
     share_w = (wd.j, 1, wd.m, 61, 61)
+    name_w = (wd.pos, wd.pos, wd.par)
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex, w_real, nrev = r.read_fields(sec_w)
         reveal = []
         for _ in range(nrev):
             a, b, k, ua, ub, nsh = r.read_fields(entry_w)
-            rows = iter(r.read_fields(share_w * nsh))
-            shares = {(j, side): CodeShare(idx, sa, sb)
-                      for j, side, idx, sa, sb in zip(rows, rows, rows, rows, rows)}
-            reveal.append(RevealEntry(name=(a, b, k), unit_a=ua, unit_b=ub, shares=shares))
+            reveal.append(RevealEntry(name=(a, b, k), unit_a=ua, unit_b=ub,
+                                      shares=_skip_rows(r, nsh, share_w, _shares)))
         sec = SqrtLevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
             w_real=w_real, reveal=reveal,
@@ -242,7 +310,9 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
                 per = {}
                 for blk in blocks:
                     lge, has_edges = r.read_fields((wd.m, 1))
-                    edges = _read_names(r, wd, r.read(wd.m)) if has_edges else None
+                    edges = None
+                    if has_edges:
+                        edges = _skip_rows(r, r.read(wd.m), name_w, _names)
                     per[blk] = BlockRecord(lge=lge, edges=edges)
                 sec.near[j] = per
         lab.sections[ell] = sec

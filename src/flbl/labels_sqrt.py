@@ -420,12 +420,6 @@ def query_sqrt(
                 for j, per in sec.near.items():
                     for blk, rec in per.items():
                         block_recs[(j, blk)] = rec
-            # shares revealed per block
-            shares_by_block: dict[tuple[int, int], dict[int, CodeShare]] = {}
-            for ent in reveal.values():
-                for (j, side), sh in ent.shares.items():
-                    blk = (ent.unit_a if side == 0 else ent.unit_b) >> j
-                    shares_by_block.setdefault((j, blk), {})[sh.index] = sh
 
             # pool of known surviving level-l edges
             pool: dict[EdgeName, tuple[int, int]] = {}
@@ -452,7 +446,7 @@ def query_sqrt(
                         for nm in rec.edges:
                             pool.setdefault(nm, (nm[0], nm[1]))
                     else:
-                        got = shares_by_block.get((j, blk), {})
+                        got = _block_shares(reveal.values(), j, blk)
                         need = (rec.lge + 1) // 2
                         if len(got) >= need:
                             syms = codeshares.decode(list(got.values()), rec.lge)
@@ -488,6 +482,20 @@ def query_sqrt(
     if keep_levels:
         res.levels = snapshots
     return res
+
+
+def _block_shares(entries, j: int, blk: int) -> dict[int, CodeShare]:
+    """index -> share of block `blk` at scale `j`, from the revealed
+    entries whose endpoint unit on that side lies in the block; an entry's
+    shares are read only when one of its units does."""
+    got: dict[int, CodeShare] = {}
+    for ent in entries:
+        for side, unit in ((0, ent.unit_a), (1, ent.unit_b)):
+            if unit >> j == blk:
+                sh = ent.shares.get((j, side))
+                if sh is not None:
+                    got[sh.index] = sh
+    return got
 
 
 def dyadic_cover_arith(a: int, b: int, j_top: int) -> list[tuple[int, int]]:

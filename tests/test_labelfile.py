@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -11,6 +12,7 @@ from flbl.bits import BitReader, BitWriter
 from flbl.build import build_scheme, to_label_file
 from flbl.graph import Graph, UnionFind
 from flbl.labels_rand import _bits
+from test_golden import _none_blocks, _sparse40
 
 
 def random_connected(rng, n, p):
@@ -152,6 +154,30 @@ def test_reader_past_end_is_value_error():
         BitReader(b"\x01\x02").read_fields([8, 8, 1])
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.lists(fields(), max_size=80), st.integers(0, 7), st.data())
+def test_skip_then_read_matches_one_read(group, lead, data):
+    w = BitWriter()
+    w.write(0, lead)
+    w.write_fields(group)
+    raw = w.getvalue()
+    widths = [wd for _, wd in group]
+    whole = BitReader(raw)
+    whole.skip(lead)
+    values = whole.read_fields(widths)
+    k = data.draw(st.integers(0, len(group)))
+    r = BitReader(raw)
+    assert r.skip(lead) == 0
+    assert r.skip(sum(widths[:k])) == lead
+    assert r.read_fields(widths[k:]) == values[k:]
+    # a skip past the payload raises and moves nothing
+    spare = len(raw) * 8 - r.pos
+    with pytest.raises(ValueError):
+        r.skip(spare + 1)
+    assert r.pos == lead + sum(widths)
+    assert r.skip(spare) == lead + sum(widths)
+
+
 def test_payload_vs_framing_accounting():
     w = BitWriter()
     w.write(5, 3)
@@ -251,3 +277,96 @@ def test_decode_rejects_out_of_range_ids(tmp_path):
     for v in (-1, lf.meta.n):
         with pytest.raises(ValueError):
             LF.decode_vertex_label(lf, v)
+
+
+@pytest.fixture(scope="module")
+def sqrt_noneblocks():
+    """A scheme-2 build with both stored and count-only block records."""
+    res = _none_blocks(build_scheme(_sparse40(), 2, 4, phi_mode="heuristic"))
+    return res, to_label_file(res)
+
+
+def _row_spans(lab):
+    """(rows, bit width of their count field) of every lazily read share
+    or edge list of a decoded scheme-2 label."""
+    for sec in lab.sections.values():
+        for ent in sec.reveal:
+            yield ent.shares, "shares"
+        for per in sec.near.values():
+            for rec in per.values():
+                if rec.edges is not None:
+                    yield rec.edges, "edges"
+
+
+def test_sqrt_decoded_records_equal_built(sqrt_noneblocks):
+    res, lf = sqrt_noneblocks
+    for eid, built in enumerate(res.edge_labels):
+        lab = LF.decode_edge(lf, eid)
+        assert lab == built and built == lab
+        assert repr(lab) == repr(built)
+    lab = LF.decode_edge(lf, 0)
+    spans = [rows for rows, _ in _row_spans(lab)]
+    assert spans and all(isinstance(rows, LF._Rows) for rows in spans)
+    for rows in spans:
+        assert len(rows) == rows.cnt
+        assert list(rows) == list(rows.value)
+
+
+def _set_field(payload: bytes, at: int, width: int, value: int) -> bytes:
+    word = int.from_bytes(payload, "little")
+    word &= ~(((1 << width) - 1) << at)
+    return (word | value << at).to_bytes(len(payload), "little")
+
+
+def _claim(payload: bytes, rows) -> int:
+    """The smallest row count that runs past the payload."""
+    return (len(payload) * 8 - rows.at) // sum(rows.widths) + 1
+
+
+def _payload_spans(lf, keep, count=20):
+    """(edge id, payload, rows, count-field width) for the first `count`
+    share spans and `count` edge spans that `keep` accepts."""
+    wd = lf.widths
+    seen = {"shares": 0, "edges": 0}
+    for eid, payload in enumerate(lf.edge_payloads):
+        for rows, kind in _row_spans(LF.decode_edge(lf, eid)):
+            width = wd.j + 2 if kind == "shares" else wd.m
+            if seen[kind] < count and keep(payload, rows, width):
+                seen[kind] += 1
+                yield eid, payload, rows, width
+    assert all(seen.values())
+
+
+def _decode_payload(lf, eid, payload):
+    payloads = list(lf.edge_payloads)
+    payloads[eid] = payload
+    return LF.decode_edge(dataclasses.replace(lf, edge_payloads=payloads), eid)
+
+
+def test_sqrt_payload_cut_in_rows_fails_at_decode(sqrt_noneblocks):
+    _, lf = sqrt_noneblocks
+    # rows that end the payload, so no later field can catch the cut
+    def last_rows(payload, rows, width):
+        end = rows.at + rows.cnt * sum(rows.widths)
+        return end - rows.at > 8 and end > len(payload) * 8 - 8
+
+    for eid, payload, rows, _ in _payload_spans(lf, last_rows):
+        end = rows.at + rows.cnt * sum(rows.widths)
+        cut = (end - 1) // 8
+        assert rows.at < cut * 8 < end
+        with pytest.raises(ValueError):
+            _decode_payload(lf, eid, payload[:cut])
+
+
+def test_sqrt_row_count_past_payload_fails_at_decode(sqrt_noneblocks):
+    _, lf = sqrt_noneblocks
+    # the (scale+2)-bit share count reaches past the payload only for
+    # entries near its end
+    fits = lambda payload, rows, width: _claim(payload, rows) < 1 << width
+    for eid, payload, rows, width in _payload_spans(lf, fits):
+        claim = _claim(payload, rows)
+        bad = _set_field(payload, rows.at - width, width, claim)
+        with pytest.raises(ValueError):
+            _decode_payload(lf, eid, bad)
+        # the field located is the count: rewriting the true one is a no-op
+        assert _set_field(payload, rows.at - width, width, rows.cnt) == payload
