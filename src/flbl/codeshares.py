@@ -57,16 +57,8 @@ class F2:
             self.a * other.b + self.b * other.a,
         )
 
-    def inverse(self) -> "F2":
-        d = (self.a * self.a - NONRESIDUE * self.b * self.b) % Q
-        if d == 0:
-            raise ZeroDivisionError("inverse of zero in GF(q^2)")
-        di = _inv(d)
-        return F2(self.a * di, -self.b * di)
-
 
 ZERO = F2(0)
-ONE = F2(1)
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,8 @@ def encode(message: list[int], d: int = 2) -> list[CodeShare]:
 
 def decode(shares: list[CodeShare], k: int, d: int = 2) -> list[int]:
     """Recover the message from at least ceil(k/d) distinct shares by
-    Lagrange interpolation over GF(q^2)."""
+    Lagrange interpolation over GF(q^2) through the ceil(k/d) lowest
+    share indices, in O(k^2) field operations."""
     if d != 2:
         raise ValueError("only d=2 is supported")
     if k == 0:
@@ -133,30 +126,28 @@ def decode(shares: list[CodeShare], k: int, d: int = 2) -> list[int]:
     if len(seen) < t:
         raise ValueError(f"need {t} distinct shares to decode, got {len(seen)}")
     pts = sorted(seen.items())[:t]
-    xs = [F2(i) for i, _ in pts]
-    ys = [F2(a, b) for _, (a, b) in pts]
-    # interpolate coefficients of the degree-(t-1) polynomial
-    coeffs = [ZERO] * t
-    for j in range(t):
-        # numerator polynomial prod_{i != j} (x - x_i), scaled by 1/denominator
-        denom = ONE
-        for i in range(t):
-            if i != j:
-                denom = denom * (xs[j] - xs[i])
-        scale = ys[j] * denom.inverse()
-        basis = [ONE]
-        for i in range(t):
-            if i == j:
-                continue
-            nxt = [ZERO] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                nxt[p + 1] = nxt[p + 1] + c
-                nxt[p] = nxt[p] - c * xs[i]
-            basis = nxt
-        for p, c in enumerate(basis):
-            coeffs[p] = coeffs[p] + c * scale
+    # The nodes are integers, so the master polynomial prod (x - x_i) and
+    # the node weights 1 / prod_{i != j} (x_j - x_i) lie in GF(q); each
+    # basis polynomial is the master divided by (x - x_j), synthetically.
+    master = [1]  # lowest degree first
+    for x, _ in pts:
+        master = [(up - x * c) % Q for up, c in zip([0] + master, master + [0])]
+    ca = [0] * t
+    cb = [0] * t
+    for x, (a, b) in pts:
+        w = 1
+        for x2, _ in pts:
+            if x2 != x:
+                w = w * (x - x2) % Q
+        w = _inv(w)
+        sa, sb = a * w % Q, b * w % Q
+        c = 1  # quotient coefficients, highest degree first
+        for p in range(t - 1, -1, -1):
+            ca[p] += c * sa
+            cb[p] += c * sb
+            c = (master[p] + x * c) % Q
     out = []
-    for t_i in range(t):
-        out.append(coeffs[t_i].a)
-        out.append(coeffs[t_i].b)
+    for p in range(t):
+        out.append(ca[p] % Q)
+        out.append(cb[p] % Q)
     return out[:k]

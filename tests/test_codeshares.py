@@ -2,10 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbl.codeshares import (
+    F2,
     NONRESIDUE,
     Q,
+    ZERO,
     CodeShare,
     decode,
     encode,
@@ -84,3 +88,97 @@ def test_share_wire_format():
     raw = sh.to_bytes()
     assert len(raw) == 20  # 32 + 64 + 64 bits little-endian
     assert CodeShare.from_bytes(raw) == sh
+
+
+ONE = F2(1)
+
+
+def _inverse(z):
+    d = (z.a * z.a - NONRESIDUE * z.b * z.b) % Q
+    di = pow(d, Q - 2, Q)
+    return F2(z.a * di, -z.b * di)
+
+
+def lagrange_decode(shares, k):
+    """Oracle: the cubic-time decoder that builds every Lagrange basis
+    polynomial in GF(q^2), with the same checks and the same choice of
+    the ceil(k/2) lowest share indices as `decode`."""
+    if k == 0:
+        return []
+    t = (k + 1) // 2
+    seen = {}
+    for sh in shares:
+        if not (1 <= sh.index <= k):
+            raise ValueError(f"share index {sh.index} out of range 1..{k}")
+        if sh.index in seen and seen[sh.index] != (sh.a, sh.b):
+            raise ValueError(f"conflicting duplicate share index {sh.index}")
+        seen[sh.index] = (sh.a, sh.b)
+    if len(seen) < t:
+        raise ValueError(f"need {t} distinct shares to decode, got {len(seen)}")
+    pts = sorted(seen.items())[:t]
+    xs = [F2(i) for i, _ in pts]
+    ys = [F2(a, b) for _, (a, b) in pts]
+    coeffs = [ZERO] * t
+    for j in range(t):
+        denom = ONE
+        for i in range(t):
+            if i != j:
+                denom = denom * (xs[j] - xs[i])
+        scale = ys[j] * _inverse(denom)
+        basis = [ONE]
+        for i in range(t):
+            if i == j:
+                continue
+            nxt = [ZERO] * (len(basis) + 1)
+            for p, c in enumerate(basis):
+                nxt[p + 1] = nxt[p + 1] + c
+                nxt[p] = nxt[p] - c * xs[i]
+            basis = nxt
+        for p, c in enumerate(basis):
+            coeffs[p] = coeffs[p] + c * scale
+    out = []
+    for c in coeffs:
+        out += [c.a, c.b]
+    return out[:k]
+
+
+def _outcome(fn, shares, k):
+    try:
+        return fn(shares, k)
+    except ValueError as exc:
+        return str(exc)
+
+
+# field values on both sides of q, including the 61-bit all-ones Q itself
+FIELD = st.one_of(st.integers(0, Q), st.sampled_from([0, 1, Q - 1, Q]))
+
+
+@st.composite
+def share_lists(draw):
+    """(shares, k): a random multiset of a message's shares, some with
+    corrupted values, sometimes with a conflicting duplicate or an index
+    out of range."""
+    k = draw(st.integers(1, 80))
+    shares = encode(draw(st.lists(st.integers(0, Q - 1), min_size=k, max_size=k)))
+    # enough distinct shares to decode in most cases, then some repeats
+    count = draw(st.one_of(st.integers((k + 1) // 2, k), st.integers(0, k)))
+    picks = draw(st.permutations(range(k)))[:count]
+    if picks:
+        picks += draw(st.lists(st.sampled_from(picks), max_size=5))
+    bad = draw(st.sets(st.integers(0, k - 1), max_size=4))
+    fake = {i: CodeShare(i + 1, draw(FIELD), draw(FIELD)) for i in sorted(bad)}
+    out = [fake.get(i, shares[i]) for i in picks]
+    extra = draw(st.sampled_from(["none"] * 6 + ["conflict", "range"]))
+    if extra == "conflict" and out:
+        sh = draw(st.sampled_from(out))
+        out.insert(draw(st.integers(0, len(out))), CodeShare(sh.index, sh.a ^ 1, sh.b))
+    elif extra == "range":
+        out.append(CodeShare(draw(st.sampled_from([0, k + 1])), 0, 0))
+    return draw(st.permutations(out)), k
+
+
+@settings(deadline=None, max_examples=150)
+@given(share_lists())
+def test_decode_matches_lagrange_oracle(case):
+    shares, k = case
+    assert _outcome(decode, shares, k) == _outcome(lagrange_decode, shares, k)
