@@ -22,8 +22,8 @@ from .labels_simple import (
     QueryResult,
     SchemeMeta,
     TreePartition,
+    _merge_giants,
     edge_names,
-    volume_exceeds,
 )
 
 POS_BITS = 29
@@ -473,7 +473,7 @@ def query_sqrt(
                     root_i = grp.uf.find(i)
                     weight_ev[root_i] = weight_ev.get(root_i, 0) + wgt
             extra = {grp.uf.find(i) for i in marked}
-            _merge_giants_sqrt(grp, weight_ev, extra, meta, new_records, route)
+            _merge_giants(grp, weight_ev, meta, new_records, route, extra_giants=extra)
         recorded.extend(new_records)
         if keep_levels:
             snapshots.update({(ell, tr): grp for tr, grp in groups.items()})
@@ -510,27 +510,3 @@ def dyadic_cover_arith(a: int, b: int, j_top: int) -> list[tuple[int, int]]:
         cur += 1 << j
     return out
 
-
-def _merge_giants_sqrt(grp: TreePartition, weight_ev: dict[int, int],
-                       extra: set[int], meta: SchemeMeta, new_records, route):
-    while True:
-        agg: dict[int, int] = {}
-        for rt, c in weight_ev.items():
-            rr = grp.uf.find(rt)
-            agg[rr] = agg.get(rr, 0) + c
-        giants = {rt for rt, c in agg.items() if volume_exceeds(c, meta.f, meta.phi)}
-        giants |= {grp.uf.find(rt) for rt in extra}
-        if len(giants) <= 1:
-            return
-        giants = sorted(giants)
-        base = giants[0]
-        base_rep = grp.part_rep_vertex(base)
-        merged = False
-        for rt in giants[1:]:
-            rep = grp.part_rep_vertex(rt)
-            if grp.uf.union(base, rt):
-                merged = True
-                if base_rep is not None and rep is not None:
-                    new_records.append((base_rep, rep, route))
-        if not merged:
-            return
