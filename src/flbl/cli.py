@@ -28,9 +28,26 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return load_graph(fh.read())
+    except UnicodeDecodeError as exc:
+        print(f"error: {path} is not graph text: byte {exc.start} is not UTF-8",
+              file=sys.stderr)
+        sys.exit(EXIT_PARSE)
     except (OSError, GraphParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
+
+
+def _build(g, scheme: int, f: int, args):
+    """build_scheme; a size-cap hit exits EXIT_SIZE_CAP and a graph the
+    build rejects exits EXIT_BAD_FLAGS."""
+    try:
+        return build_scheme(g, scheme, f, phi_mode=args.phi_mode, seed=args.seed)
+    except SizeCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_SIZE_CAP)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_BAD_FLAGS)
 
 
 def cmd_build(args) -> int:
@@ -47,15 +64,7 @@ def cmd_build(args) -> int:
             file=sys.stderr,
         )
         scheme = LF.SCHEME_RAND_LONG
-    mode = args.phi_mode
-    try:
-        res = build_scheme(g, scheme, f, phi_mode=mode, seed=args.seed)
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+    res = _build(g, scheme, f, args)
     lf = to_label_file(res)
     LF.write_label_file(args.output, lf)
     bits = lf.edge_bits or [0]
@@ -133,12 +142,11 @@ def cmd_query(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     result = _run_query(lf, fault_ids)
-    if args.count:
-        print(result.component_count())
-        return 0
     for s, t, ls, lt in pairs:
         verdict = "connected" if result.connected(ls, lt) else "disconnected"
         print(f"{s},{t}: {verdict}")
+    if args.count:
+        print(result.component_count())
     return 0
 
 
@@ -174,11 +182,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    paths = sorted(
-        os.path.join(args.corpus, p)
-        for p in os.listdir(args.corpus)
-        if not p.startswith(".")
-    )
+    try:
+        names = os.listdir(args.corpus)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    paths = sorted(os.path.join(args.corpus, p) for p in names if not p.startswith("."))
     try:
         f_values = _parse_ids(args.f_range)
     except ValueError:
@@ -192,10 +201,7 @@ def cmd_stats(args) -> int:
         total = 0
         count = 0
         for path in paths:
-            g = _load(path)
-            res = build_scheme(g, args.scheme, f, phi_mode=args.phi_mode,
-                               seed=args.seed)
-            lf = to_label_file(res)
+            lf = to_label_file(_build(_load(path), args.scheme, f, args))
             if lf.edge_bits:
                 maxb = max(maxb, max(lf.edge_bits))
                 total += sum(lf.edge_bits)

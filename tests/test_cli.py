@@ -267,3 +267,47 @@ def test_verify_rejects_other_graph(tmp_path, capsys):
     other.write_text(TRIANGLE_PENDANT)
     assert run_cli(["verify", str(other), str(out), "--trials", "5"]) == 1
     _one_line_error(capsys)
+
+
+def test_query_count_with_pairs(tmp_path, capsys):
+    # the pair answers come first, then the count
+    _, out = _built_p4(tmp_path, capsys)
+    assert run_cli(["query", str(out), "--fail=0,1", "--count", "--pair=0,3",
+                    "--pair=2,3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0,3: disconnected", "2,3: connected", "3"]
+
+
+def test_binary_graph_text_exit_code(tmp_path, capsys):
+    # `verify` with its two arguments swapped reads the label file as graph text
+    gpath, out = _built_p4(tmp_path, capsys)
+    assert run_cli(["verify", str(out), str(gpath), "--trials", "5"]) == 1
+    assert "is not graph text" in _one_line_error(capsys)
+    junk = tmp_path / "junk.txt"
+    junk.write_bytes(b"4 3\n0 1\n\xff\xfe\n")
+    assert run_cli(["build", str(junk), "--scheme", "1", "--f", "1",
+                    "-o", str(tmp_path / "j.flbl")]) == 1
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("corpus", ["missing", "file"])
+def test_stats_bad_corpus_exit_code(tmp_path, capsys, corpus):
+    path = tmp_path / corpus
+    if corpus == "file":
+        path.write_text(P4)
+    assert run_cli(["stats", str(path), "--scheme", "1", "--f-range", "1"]) == 1
+    _one_line_error(capsys)
+
+
+def test_stats_size_cap_exit_code(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    n = 24
+    (corpus / "path.txt").write_text(
+        f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    assert run_cli(["stats", str(corpus), "--scheme", "1", "--f-range", "1",
+                    "--phi-mode", "exact"]) == 2
+    _one_line_error(capsys)
+    # a build that rejects the graph exits 3, as in `build`
+    assert run_cli(["stats", str(corpus), "--scheme", "4", "--f-range", "1"]) == 3
+    _one_line_error(capsys)
