@@ -107,13 +107,9 @@ def _name_fields(names, wd: Widths) -> list[tuple[int, int]]:
 
 
 def _names(vals: list[int]) -> list[tuple[int, int, int]]:
-    """Edge names from the flat fields `_name_fields` wrote."""
+    """Edge names from the flat fields `_name_fields` wrote, read with
+    widths (pos, pos, par) per name."""
     return list(zip(vals[0::3], vals[1::3], vals[2::3]))
-
-
-def _read_names(r: BitReader, wd: Widths, cnt: int) -> list[tuple[int, int, int]]:
-    """Mirror of `_name_fields` for `cnt` edge names."""
-    return _names(r.read_fields((wd.pos, wd.pos, wd.par) * cnt))
 
 
 def _shares(vals: list[int]) -> dict[tuple[int, int], CodeShare]:
@@ -165,9 +161,6 @@ class _Rows:
     def __iter__(self):
         return iter(self.value)
 
-    def __getitem__(self, key):
-        return self.value[key]
-
     def __repr__(self):
         return repr(self.value)
 
@@ -210,13 +203,14 @@ def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeL
         pos_u=pos_u, pos_v=pos_v, par=par, is_tree=True, level=level,
         pos_down=pos_down, pos_up=pos_up,
     )
+    name_w = (wd.pos, wd.pos, wd.par)
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex = r.read_fields((wd.pos, wd.pos, wd.pos))
         after_v, before_v = _read_opts(r, wd.pos)
         segs = []
         for _ in range(3):
             truncated, cnt = r.read_fields((1, wd.cap))
-            segs.append(SegmentList(entries=_read_names(r, wd, cnt),
+            segs.append(SegmentList(entries=_names(r.read_fields(name_w * cnt)),
                                     truncated=bool(truncated)))
         lab.sections[ell] = LevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
