@@ -5,8 +5,8 @@ fixed-seed hierarchies, so every build is reproducible), writes the
 label file, reads it back and decodes every vertex and edge record.
 It pins two SHA-256 digests per case: one of the file bytes and one of
 the `repr` of every decoded record.  A codec or build change that keeps
-both is byte- and record-identical.  The scheme-2 cases also pin one
-digest of query answers read from the file (see `QUERY_CASES`).
+both is byte- and record-identical.  Every case also pins one digest
+of query answers read from the file (see `QUERY_CASES`).
 
 Run `PYTHONPATH=src python tests/test_golden.py` to print the current
 digests.
@@ -23,9 +23,9 @@ import pytest
 
 from flbl import labelfile as LF
 from flbl.build import build_scheme
+from flbl.cli import _run_query
 from flbl.graph import Graph
 from flbl.labels_rand import _bits
-from flbl.labels_sqrt import query_sqrt
 from test_acceptance import random_connected, random_connected_sparse, random_regular3
 
 
@@ -76,18 +76,26 @@ GOLDEN = {
 }
 
 
-# Scheme-2 cases whose query answers are pinned too: QUERY_SETS seeded
-# fault sets with 0 <= |F| <= f each, hashed as (component_count(),
-# connected() of every vertex pair, case3_fired) per set.  On the
-# noneblocks case the list runs codeshares.decode 375 times and marks
-# case 3 41 times (counted on this build); the plain case stores every
-# block's edge list, so it reaches neither.
-QUERY_CASES = ("s2-sparse40", "s2-sparse40-noneblocks")
+# Cases whose query answers are pinned too: QUERY_SETS seeded fault
+# sets with 0 <= |F| <= f each, answered by the query `flbl query` runs
+# for the file's scheme and hashed as (component_count(), connected() of
+# every vertex pair, case3_fired) per set; schemes 3-4 have no case 3 and
+# hash an empty list there.  On the s2-sparse40-noneblocks case the list
+# runs codeshares.decode 375 times and marks case 3 41 times (counted on
+# this build); s2-sparse40 stores every block's edge list, so it reaches
+# neither.
+QUERY_CASES = tuple(sorted(CASES))
 QUERY_SETS = 40
 
 GOLDEN_QUERIES = {
+    's1-cubic200-auto': '18102accf1c017943d508ec2c793056fb648440035e9372c3e96c01f3c04a0ed',
+    's1-cubic60': 'b395a2d0f56d12f0881de7fbd263d0e4bf047e1f622dad3fe08f3acd0f985139',
+    's1-exact-n14': 'e18a5fd6432886f06e16bda7e592ac8ecfa521a20025471104d6be7acd3aaaf5',
+    's2-n7': 'd2d4df2d377cb1ed9e745bb4b56bd1945f61601e55a41794f354ea13e145d5f0',
     's2-sparse40': 'bb2b3e4b3b9eb433a64793ed4defba80ce9376b138a03aba87bfb04f653b1d02',
     's2-sparse40-noneblocks': '0be03241b81d3bd2918fefbffd8dbb6932a76bb84c5dc4fd5fbd006b46ad31b0',
+    's3-n10': 'cbd249be11d7cde3e78f67425b209325af105acc59278b3363f2d9a8a1095e89',
+    's4-n24': '15f40f06b9fdfcc14a88c9c8bfa902cd9527ac9d33b1f9f7e845b0e34858f865',
 }
 
 
@@ -123,9 +131,10 @@ def query_digest(name: str, tmp_dir: Path) -> str:
     h = hashlib.sha256()
     for _ in range(QUERY_SETS):
         faults = rng.sample(range(meta.m), rng.randint(0, meta.f))
-        res = query_sqrt({e: LF.decode_edge(lf, e) for e in faults}, None, None, meta)
+        res = _run_query(lf, faults)
         pairs = [res.connected(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]]
-        h.update(repr((res.component_count(), pairs, res.case3_fired)).encode() + b"\n")
+        case3 = getattr(res, "case3_fired", [])
+        h.update(repr((res.component_count(), pairs, case3)).encode() + b"\n")
     return h.hexdigest()
 
 
