@@ -5,6 +5,10 @@ call and `BitReader.read_fields` is its mirror: it reads the same group
 of widths back in one call.  Both work on bounded chunks of the stream,
 so a group of any length costs time linear in its bits.  `BitReader.skip`
 moves past a span that is read later from its start position.
+
+The stream is LSB-first, so the pair `pack_fields(fields)` written as one
+field gives the same bits as writing `fields`: a group that recurs can be
+packed once and written many times.
 """
 
 from __future__ import annotations
@@ -13,6 +17,20 @@ from __future__ import annotations
 _CHUNK = 1024
 # Both sides pack or split at most this many fields in one int.
 _SPLIT = 64
+
+
+def pack_fields(fields) -> tuple[int, int]:
+    """The (value, width) pair of a group of (value, width) fields, packed
+    LSB-first.  A value that does not fit its width, or is negative,
+    raises ValueError."""
+    acc = 0
+    off = 0
+    for value, width in fields:
+        if value >> width:  # also true for every negative value
+            raise ValueError(f"value {value} does not fit {width} bits")
+        acc |= value << off
+        off += width
+    return acc, off
 
 
 class BitWriter:
@@ -31,14 +49,11 @@ class BitWriter:
         cur = self.cur
         bits = self.curbits
         for i in range(0, len(fields), _SPLIT):
-            acc = 0
-            off = 0
-            for value, width in fields[i:i + _SPLIT]:
-                if value >> width:  # also true for every negative value
-                    del buf[start:]
-                    raise ValueError(f"value {value} does not fit {width} bits")
-                acc |= value << off
-                off += width
+            try:
+                acc, off = pack_fields(fields[i:i + _SPLIT])
+            except ValueError:
+                del buf[start:]
+                raise
             cur |= acc << bits
             bits += off
             if bits >= _CHUNK:

@@ -10,10 +10,16 @@ rejected with ValueError.  Reported label sizes are payload bits; length
 prefixes, byte padding, and union-type discriminator flags count as
 framing.
 
-Each edge codec writes its label as groups of fields (a header, a
-section header, one reveal entry with its shares, one block record, one
-whole edge list) with `BitWriter.write_fields`, and its decoder reads
-the same groups back with `BitReader.read_fields`.  The scheme-2 decoder
+Each edge encoder writes its label as one `BitWriter.write_fields`
+group, and its decoder reads it back in groups (a header, a section
+header, one reveal entry with its shares, one block record, one whole
+edge list) with `BitReader.read_fields`.  The stream is LSB-first, so a
+record written as the one (value, width) field `bits.pack_fields` makes
+of it gives the same bits as its fields.  Scheme-2 labels share their
+reveal entries and block records (the build makes each once per tree),
+and an edge name recurs in many lists; `make_label_file` packs each
+shared record and each edge name once per file and writes that field
+into every label that holds it.  The scheme-2 decoder
 skips the two large, rarely read parts, the share rows of each reveal
 entry and the edge list of each block record, and reads them on first
 use (`_Rows`); the skip is bounds-checked, so a payload cut short or a
@@ -26,10 +32,10 @@ import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 
-from .bits import BitReader, BitWriter
+from .bits import BitReader, BitWriter, pack_fields
 from .codeshares import CodeShare
 from .labels_rand import RandEdgeLabel, RandMeta, _bits
 from .labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel, cap_edges
@@ -99,11 +105,27 @@ def _read_opts(r: BitReader, bits: int):
     return (av0, av1), (bv0, bv1)
 
 
-def _name_fields(names, wd: Widths) -> list[tuple[int, int]]:
+def _name_fields(names, wd: Widths, memo: dict) -> list[tuple[int, int]]:
+    """One field of width 2·pos + par per edge name: its (pos, pos, par)
+    fields, packed on the name's first use in the file."""
     out = []
-    for (a, b, k) in names:
-        out += ((a, wd.pos), (b, wd.pos), (k, wd.par))
+    for nm in names:
+        field = memo.get(nm)
+        if field is None:
+            a, b, k = nm
+            field = memo[nm] = pack_fields(((a, wd.pos), (b, wd.pos), (k, wd.par)))
+        out.append(field)
     return out
+
+
+def _packed(memo: dict, rec, fields_of, wd: Widths) -> tuple[int, int]:
+    """`rec` as one field, packed from `fields_of(rec, wd, memo)` on its
+    first use in the file.  The memo is keyed by id(rec) and keeps rec,
+    so no id is reused while the memo lives."""
+    hit = memo.get(id(rec))
+    if hit is None:
+        hit = memo[id(rec)] = (rec, pack_fields(fields_of(rec, wd, memo)))
+    return hit[1]
 
 
 def _names(vals: list[int]) -> list[tuple[int, int, int]]:
@@ -173,23 +195,22 @@ def _skip_rows(r: BitReader, cnt: int, widths: tuple[int, ...], make) -> _Rows:
 # -- scheme 1 ---------------------------------------------------------------
 
 
-def encode_simple_edge(lab: SimpleEdgeLabel, wd: Widths, meta: SchemeMeta) -> BitWriter:
+def encode_simple_edge(lab: SimpleEdgeLabel, wd: Widths, meta: SchemeMeta,
+                       memo: dict) -> BitWriter:
     w = BitWriter()
     w.write_framing(1 if lab.is_tree else 0, 1)
-    head = [(lab.pos_u, wd.pos), (lab.pos_v, wd.pos), (lab.par, wd.par)]
+    fields = [(lab.pos_u, wd.pos), (lab.pos_v, wd.pos), (lab.par, wd.par)]
     if lab.is_tree:
-        head += [(lab.level, wd.h), (lab.pos_down, wd.pos), (lab.pos_up, wd.pos)]
-    w.write_fields(head)
-    if not lab.is_tree:
-        return w
-    for ell in range(lab.level, meta.h + 1):
-        sec = lab.sections[ell]
-        w.write_fields([(sec.tree_root, wd.pos), (sec.span_end, wd.pos),
-                        (sec.last_vertex, wd.pos)]
-                       + _opt_fields(sec.after_v, sec.before_v, wd.pos))
-        for seg in sec.segments:
-            w.write_fields([(1 if seg.truncated else 0, 1), (len(seg.entries), wd.cap)]
-                           + _name_fields(seg.entries, wd))
+        fields += [(lab.level, wd.h), (lab.pos_down, wd.pos), (lab.pos_up, wd.pos)]
+        for ell in range(lab.level, meta.h + 1):
+            sec = lab.sections[ell]
+            fields += [(sec.tree_root, wd.pos), (sec.span_end, wd.pos),
+                       (sec.last_vertex, wd.pos)]
+            fields += _opt_fields(sec.after_v, sec.before_v, wd.pos)
+            for seg in sec.segments:
+                fields += [(1 if seg.truncated else 0, 1), (len(seg.entries), wd.cap)]
+                fields += _name_fields(seg.entries, wd, memo)
+    w.write_fields(fields)
     return w
 
 
@@ -234,43 +255,42 @@ def _near_blocks(sec: SqrtLevelSection, j_max: int):
         yield j, sorted(out)
 
 
-def encode_sqrt_edge(lab: SqrtEdgeLabel, wd: Widths, meta: SchemeMeta) -> BitWriter:
+def _entry_fields(ent: RevealEntry, wd: Widths, memo: dict) -> list[tuple[int, int]]:
+    fields = _name_fields((ent.name,), wd, memo)
+    fields += [(ent.unit_a, wd.unit), (ent.unit_b, wd.unit), (len(ent.shares), wd.j + 2)]
+    for (j, side), sh in sorted(ent.shares.items()):
+        fields += ((j, wd.j), (side, 1), (sh.index, wd.m), (sh.a, 61), (sh.b, 61))
+    return fields
+
+
+def _block_fields(rec: BlockRecord, wd: Widths, memo: dict) -> list[tuple[int, int]]:
+    if rec.edges is None:
+        return [(rec.lge, wd.m), (0, 1)]
+    return [(rec.lge, wd.m), (1, 1), (len(rec.edges), wd.m)] + _name_fields(rec.edges, wd, memo)
+
+
+def encode_sqrt_edge(lab: SqrtEdgeLabel, wd: Widths, meta: SchemeMeta,
+                     memo: dict) -> BitWriter:
     w = BitWriter()
     w.write_framing(1 if lab.is_tree else 0, 1)
-    head = [(lab.pos_u, wd.pos), (lab.pos_v, wd.pos), (lab.par, wd.par),
-            (lab.level, wd.h)]
+    fields = [(lab.pos_u, wd.pos), (lab.pos_v, wd.pos), (lab.par, wd.par),
+              (lab.level, wd.h)]
     if lab.is_tree:
-        head += [(lab.pos_down, wd.pos), (lab.pos_up, wd.pos)]
-    w.write_fields(head)
+        fields += [(lab.pos_down, wd.pos), (lab.pos_up, wd.pos)]
     for ell in range(lab.level, meta.h + 1):
         sec = lab.sections[ell]
-        w.write_fields((
-            (sec.tree_root, wd.pos), (sec.span_end, wd.pos),
-            (sec.last_vertex, wd.pos), (sec.w_real, wd.unit),
-            (len(sec.reveal), wd.m),
-        ))
-        for ent in sec.reveal:
-            a, b, k = ent.name
-            fields = [(a, wd.pos), (b, wd.pos), (k, wd.par),
-                      (ent.unit_a, wd.unit), (ent.unit_b, wd.unit),
-                      (len(ent.shares), wd.j + 2)]
-            for (j, side), sh in sorted(ent.shares.items()):
-                fields += ((j, wd.j), (side, 1), (sh.index, wd.m),
-                           (sh.a, 61), (sh.b, 61))
-            w.write_fields(fields)
+        fields += [(sec.tree_root, wd.pos), (sec.span_end, wd.pos),
+                   (sec.last_vertex, wd.pos), (sec.w_real, wd.unit),
+                   (len(sec.reveal), wd.m)]
+        fields += [_packed(memo, ent, _entry_fields, wd) for ent in sec.reveal]
         if not lab.is_tree:
             continue
-        w.write_fields(_opt_fields(sec.after_v, sec.before_v, wd.pos)
-                       + [(sec.unit_down, wd.unit), (sec.unit_up, wd.unit)])
+        fields += _opt_fields(sec.after_v, sec.before_v, wd.pos)
+        fields += [(sec.unit_down, wd.unit), (sec.unit_up, wd.unit)]
         for j, blocks in _near_blocks(sec, wd.j_max):
             per = sec.near.get(j, {})
-            for blk in blocks:
-                rec = per[blk]
-                fields = [(rec.lge, wd.m), (1 if rec.edges is not None else 0, 1)]
-                if rec.edges is not None:
-                    fields.append((len(rec.edges), wd.m))
-                    fields += _name_fields(rec.edges, wd)
-                w.write_fields(fields)
+            fields += [_packed(memo, per[blk], _block_fields, wd) for blk in blocks]
+    w.write_fields(fields)
     return w
 
 
@@ -367,8 +387,11 @@ def make_label_file(scheme: int, meta: SchemeMeta, vertex_labels, edge_labels) -
         w.write_fields(tuple(zip((vlab,) if len(vwidths) == 1 else vlab, vwidths)))
         vp.append(w.getvalue())
         vb.append(w.payload_bits)
-    encode = {SCHEME_SIMPLE: encode_simple_edge,
-              SCHEME_SQRT: encode_sqrt_edge}.get(scheme, encode_rand_edge)
+    # The packed fields of the records and edge names the labels share:
+    # id(record) -> (record, field) and edge name -> field.
+    memo: dict = {}
+    encode = {SCHEME_SIMPLE: partial(encode_simple_edge, memo=memo),
+              SCHEME_SQRT: partial(encode_sqrt_edge, memo=memo)}.get(scheme, encode_rand_edge)
     for lab in edge_labels:
         w = encode(lab, wd, meta)
         ep.append(w.getvalue())

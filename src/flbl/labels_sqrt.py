@@ -10,6 +10,7 @@ weights when lists are unavailable.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import codeshares
@@ -260,7 +261,6 @@ def build_sqrt_labels(
 
             def window_entries(windows: list[tuple[int, int]]) -> list[RevealEntry]:
                 ids: set[int] = set()
-                from bisect import bisect_left, bisect_right
                 for lo, hi in windows:
                     a = bisect_left(event_units, lo)
                     b = bisect_right(event_units, hi)
@@ -278,30 +278,39 @@ def build_sqrt_labels(
             span_start, span_end = tree.span
 
             def near_desc(pos):
-                from bisect import bisect_left
                 i = bisect_left(vert_positions, pos)
                 after = vert_positions[i] if i < len(vert_positions) else None
                 before = vert_positions[i - 1] if i > 0 else None
                 return after, before
 
-            def block_records(unit_c: int) -> dict[int, dict[int, BlockRecord]]:
-                recs: dict[int, dict[int, BlockRecord]] = {}
-                for j in range(wt.j_top + 1):
-                    cont = unit_c >> j
-                    per: dict[int, BlockRecord] = {}
-                    for blk in (cont - 1, cont, cont + 1):
-                        if not (0 <= blk < wt.blocks_at(j)):
-                            continue
-                        ls = lge_sets.get((j, blk))
-                        if ls is None:
-                            per[blk] = BlockRecord(lge=0, edges=[])
-                        else:
-                            edges = None
-                            if ls.lge <= 4 * r:
-                                edges = [names[eid2] for eid2 in ls.lge_edges]
-                            per[blk] = BlockRecord(lge=ls.lge, edges=edges)
-                    recs[j] = per
-                return recs
+            # per scale: (scale, block count, block -> record), one record
+            # per block, shared by the labels that store it, as entry_cache
+            # shares the reveal entries
+            scales = [(j, wt.blocks_at(j), {}) for j in range(wt.j_top + 1)]
+
+            def block_record(j: int, blk: int) -> BlockRecord:
+                ls = lge_sets.get((j, blk))
+                if ls is None:
+                    return BlockRecord(lge=0, edges=[])
+                edges = None
+                if ls.lge <= 4 * r:
+                    edges = [names[eid2] for eid2 in ls.lge_edges]
+                return BlockRecord(lge=ls.lge, edges=edges)
+
+            def near_records(cu: int, cv: int) -> dict[int, dict[int, BlockRecord]]:
+                """scale -> {block -> record} for the blocks containing or
+                next to either unit; new dicts per label."""
+                near: dict[int, dict[int, BlockRecord]] = {}
+                for j, nblk, recs in scales:
+                    per = near[j] = {}
+                    for unit in (cu, cv):
+                        cont = unit >> j
+                        for blk in range(max(cont - 1, 0), min(cont + 2, nblk)):
+                            rec = recs.get(blk)
+                            if rec is None:
+                                rec = recs[blk] = block_record(j, blk)
+                            per[blk] = rec
+                return near
 
             for eid in edges_here[tid]:
                 u, v = g.edges[eid]
@@ -315,17 +324,12 @@ def build_sqrt_labels(
                     windows = [wt.ball_units(lab.pos_down, r), wt.ball_units(lab.pos_up, r)]
                     a_d, b_d = near_desc(lab.pos_down)
                     a_u, b_u = near_desc(lab.pos_up)
-                    near = {}
-                    for j, per in block_records(cu).items():
-                        near.setdefault(j, {}).update(per)
-                    for j, per in block_records(cv).items():
-                        near.setdefault(j, {}).update(per)
                     sec = SqrtLevelSection(
                         tree_root=tid, span_end=span_end,
                         last_vertex=vert_positions[-1], w_real=wt.W_real,
                         reveal=window_entries(windows),
                         after_v=(a_d, a_u), before_v=(b_d, b_u),
-                        unit_down=cu, unit_up=cv, near=near,
+                        unit_down=cu, unit_up=cv, near=near_records(cu, cv),
                     )
                 else:
                     windows = [

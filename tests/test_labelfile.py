@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import math
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 from flbl import codeshares
 from flbl import labelfile as LF
-from flbl.bits import BitReader, BitWriter
+from flbl.bits import BitReader, BitWriter, pack_fields
 from flbl.build import build_scheme, to_label_file
 from flbl.graph import Graph, UnionFind
 from flbl.labels_rand import _bits
+from flbl.labels_sqrt import BlockRecord, RevealEntry
 from test_golden import _none_blocks, _sparse40
 
 
@@ -128,6 +131,28 @@ def test_write_fields_rejects_oversized_value(before, prefix, width, extra, nega
     w.write(1, 1)
     r = BitReader(w.getvalue())
     assert r.read_fields([wd for _, wd in before] + [1]) == [v for v, _ in before] + [1]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(fields(), max_size=20), st.lists(fields(), max_size=150))
+def test_packed_group_writes_same_bits(lead, group):
+    value, width = pack_fields(group)
+    assert width == sum(wd for _, wd in group)
+    whole, packed = BitWriter(), BitWriter()
+    for w in (whole, packed):
+        w.write_fields(lead)
+    whole.write_fields(group)
+    packed.write_fields([(value, width)])
+    assert packed.getvalue() == whole.getvalue()
+    assert packed.payload_bits == whole.payload_bits
+
+
+@settings(deadline=None)
+@given(st.lists(fields(), max_size=20), WIDTHS, st.integers(0, 1 << 70), st.booleans())
+def test_pack_fields_rejects_oversized_value(prefix, width, extra, negative):
+    bad = -1 - extra if negative else (1 << width) + extra
+    with pytest.raises(ValueError):
+        pack_fields(prefix + [(bad, width), (1, 1)])
 
 
 def test_long_groups_round_trip():
@@ -370,3 +395,51 @@ def test_sqrt_row_count_past_payload_fails_at_decode(sqrt_noneblocks):
             _decode_payload(lf, eid, bad)
         # the field located is the count: rewriting the true one is a no-op
         assert _set_field(payload, rows.at - width, width, rows.cnt) == payload
+
+
+
+def _shared_records(labels):
+    """The reveal entries and block records that more than one scheme-2
+    label holds."""
+    holders = {}
+    for i, lab in enumerate(labels):
+        for sec in lab.sections.values():
+            for rec in chain(sec.reveal, *(per.values() for per in sec.near.values())):
+                holders.setdefault(id(rec), (rec, set()))[1].add(i)
+    return [rec for rec, held in holders.values() if len(held) > 1]
+
+
+@pytest.mark.parametrize("post", [None, _none_blocks])
+def test_sqrt_shared_records_encode_like_copies(post):
+    # each label deep-copied and encoded on its own shares no record with
+    # any other label, so every record is packed afresh
+    res = build_scheme(_sparse40(), 2, 4, phi_mode="heuristic")
+    if post is not None:
+        res = post(res)
+    shared = _shared_records(res.edge_labels)
+    assert any(isinstance(rec, RevealEntry) for rec in shared)
+    assert any(isinstance(rec, BlockRecord) for rec in shared)
+    lf = to_label_file(res)
+    for eid, lab in enumerate(res.edge_labels):
+        alone = LF.make_label_file(res.scheme, res.meta, [], [copy.deepcopy(lab)])
+        assert alone.edge_payloads == [lf.edge_payloads[eid]], eid
+        assert alone.edge_bits == [lf.edge_bits[eid]], eid
+
+
+@pytest.mark.parametrize("where", ["share", "lge", "name"])
+def test_make_label_file_rejects_oversized_shared_field(where):
+    # one field that does not fit its width, in a record several labels hold
+    res = build_scheme(_sparse40(), 2, 4, phi_mode="heuristic")
+    shared = _shared_records(res.edge_labels)
+    if where == "share":
+        ent = next(rec for rec in shared if isinstance(rec, RevealEntry) and rec.shares)
+        key = next(iter(ent.shares))
+        ent.shares[key] = dataclasses.replace(ent.shares[key], a=1 << 61)
+    elif where == "lge":  # negative
+        next(rec for rec in shared if isinstance(rec, BlockRecord)).lge = -1
+    else:
+        rec = next(rec for rec in shared if isinstance(rec, BlockRecord) and rec.edges)
+        a, b, _ = rec.edges[0]
+        rec.edges[0] = (a, b, 1 << res.meta.par_bits)
+    with pytest.raises(ValueError, match="does not fit"):
+        to_label_file(res)
