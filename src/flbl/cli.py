@@ -50,20 +50,27 @@ def _build(g, scheme: int, f: int, args):
         sys.exit(EXIT_BAD_FLAGS)
 
 
-def cmd_build(args) -> int:
-    g = _load(args.graph)
-    scheme = args.scheme
-    f = args.f
+def _scheme_for(g, scheme: int, f: int) -> int:
+    """The scheme `build` and `stats` build for the requested one: f below
+    1 exits EXIT_BAD_FLAGS, and scheme 4 below its f regime is rerouted
+    to scheme 3 with a warning."""
     if f < 1:
-        print("error: --f must be at least 1", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        print(f"error: f must be at least 1, got {f}", file=sys.stderr)
+        sys.exit(EXIT_BAD_FLAGS)
     if scheme == LF.SCHEME_RAND_SHORT and not short_regime_ok(g.n, f):
         print(
             f"warning: scheme 4 needs f >= 2 log^2 n = {2 * _bits(g.n) ** 2}; "
             "rerouting to scheme 3",
             file=sys.stderr,
         )
-        scheme = LF.SCHEME_RAND_LONG
+        return LF.SCHEME_RAND_LONG
+    return scheme
+
+
+def cmd_build(args) -> int:
+    g = _load(args.graph)
+    f = args.f
+    scheme = _scheme_for(g, args.scheme, f)
     res = _build(g, scheme, f, args)
     lf = to_label_file(res)
     LF.write_label_file(args.output, lf)
@@ -193,6 +200,7 @@ def cmd_stats(args) -> int:
     except ValueError:
         print("error: --f-range expects comma-separated integers", file=sys.stderr)
         return EXIT_PARSE
+    graphs = [_load(path) for path in paths]
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["f", "scheme", "max_bits", "mean_bits"])
@@ -200,13 +208,18 @@ def cmd_stats(args) -> int:
         maxb = 0
         total = 0
         count = 0
-        for path in paths:
-            lf = to_label_file(_build(_load(path), args.scheme, f, args))
+        built = set()
+        for g in graphs:
+            scheme = _scheme_for(g, args.scheme, f)
+            built.add(scheme)
+            lf = to_label_file(_build(g, scheme, f, args))
             if lf.edge_bits:
                 maxb = max(maxb, max(lf.edge_bits))
                 total += sum(lf.edge_bits)
                 count += len(lf.edge_bits)
-        writer.writerow([f, args.scheme, maxb, f"{total / max(count, 1):.1f}"])
+        # the schemes built, which differ from --scheme after a reroute
+        schemes = "+".join(map(str, sorted(built))) or args.scheme
+        writer.writerow([f, schemes, maxb, f"{total / max(count, 1):.1f}"])
     sys.stdout.write(out.getvalue())
     return 0
 

@@ -308,6 +308,30 @@ def test_stats_size_cap_exit_code(tmp_path, capsys):
     assert run_cli(["stats", str(corpus), "--scheme", "1", "--f-range", "1",
                     "--phi-mode", "exact"]) == 2
     _one_line_error(capsys)
-    # a build that rejects the graph exits 3, as in `build`
-    assert run_cli(["stats", str(corpus), "--scheme", "4", "--f-range", "1"]) == 3
-    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("cmd", [["build", "--f", "0"], ["stats", "--f-range", "0"],
+                                 ["stats", "--f-range", "2,-1"]])
+def test_f_below_one_exit_code(tmp_path, capsys, cmd):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "p4.txt").write_text(P4)
+    if cmd[0] == "build":
+        args = ["build", str(corpus / "p4.txt"), "-o", str(tmp_path / "p4.flbl")]
+    else:
+        args = ["stats", str(corpus)]
+    assert run_cli(args + ["--scheme", "1"] + cmd[1:]) == 3
+    assert "f must be at least 1" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_stats_scheme4_reroute_warning(tmp_path, capsys):
+    # below its f regime scheme 4 becomes scheme 3, as in `build`
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "p4.txt").write_text(P4)
+    assert run_cli(["stats", str(corpus), "--scheme", "4", "--f-range", "1,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("rerouting to scheme 3") == 2
+    rows = captured.out.strip().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["1", "3"], ["2", "3"]]
