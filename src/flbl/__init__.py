@@ -24,7 +24,6 @@ from .hierarchy import (
     build_vertex_hierarchy,
     edge_separator,
     export_edge_hierarchy,
-    export_vertex_hierarchy,
     verify_edge_expanding,
     verify_edge_hierarchy,
     verify_vertex_expanding,

@@ -346,24 +346,9 @@ class WeightedTour:
         """Number of scale-j blocks in the padded tour."""
         return self.W >> j
 
-    def block_of_unit(self, unit: int, j: int) -> int:
-        return unit >> j
-
     def block_range(self, j: int, k: int) -> tuple[int, int]:
         """Half-open unit range of block k at scale j."""
         return k << j, (k + 1) << j
-
-    def real_weight(self, a: int, b: int) -> int:
-        """Real (non-dummy) weight of the unit range [a, b)."""
-        return max(0, min(b, self.W_real) - max(a, 0))
-
-    def nearest_blocks(self, unit_c: int, j: int) -> tuple[int | None, int | None]:
-        """Nearest scale-j blocks strictly left/right of an element that sits
-        inside unit unit_c (blocks not containing the element)."""
-        k = unit_c >> j
-        left = k - 1 if k - 1 >= 0 else None
-        right = k + 1 if k + 1 < self.blocks_at(j) else None
-        return left, right
 
 
 def ball(frame: EulerFrame, wtour: WeightedTour, alpha, r: int) -> set[int]:

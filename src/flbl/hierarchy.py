@@ -830,10 +830,3 @@ def export_edge_hierarchy(hier: EdgeLevelAssignment) -> str:
     lines = [f"{hier.h} {hier.phi.numerator}/{hier.phi.denominator} {tag}"]
     lines.extend(f"{e} {lv}" for e, lv in enumerate(hier.level))
     return "\n".join(lines) + "\n"
-
-
-def export_vertex_hierarchy(hier: VertexLevelAssignment) -> str:
-    tag = "certified" if hier.certified else "uncertified"
-    lines = [f"{hier.h} {hier.phi.numerator}/{hier.phi.denominator} {tag}"]
-    lines.extend(f"{v} {lv}" for v, lv in enumerate(hier.level))
-    return "\n".join(lines) + "\n"
