@@ -33,7 +33,6 @@ from .hierarchy import (
 from .euler import (
     EulerFrame,
     WeightedTour,
-    ball,
     dyadic_cover,
     tours_for_level,
 )

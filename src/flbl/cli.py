@@ -50,13 +50,18 @@ def _build(g, scheme: int, f: int, args):
         sys.exit(EXIT_BAD_FLAGS)
 
 
+def _check_f(f: int):
+    """f below 1 exits EXIT_BAD_FLAGS."""
+    if f < 1:
+        print(f"error: f must be at least 1, got {f}", file=sys.stderr)
+        sys.exit(EXIT_BAD_FLAGS)
+
+
 def _scheme_for(g, scheme: int, f: int) -> int:
     """The scheme `build` and `stats` build for the requested one: f below
     1 exits EXIT_BAD_FLAGS, and scheme 4 below its f regime is rerouted
     to scheme 3 with a warning."""
-    if f < 1:
-        print(f"error: f must be at least 1, got {f}", file=sys.stderr)
-        sys.exit(EXIT_BAD_FLAGS)
+    _check_f(f)
     if scheme == LF.SCHEME_RAND_SHORT and not short_regime_ok(g.n, f):
         print(
             f"warning: scheme 4 needs f >= 2 log^2 n = {2 * _bits(g.n) ** 2}; "
@@ -158,6 +163,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        print(f"error: --trials must be at least 0, got {args.trials}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     g = _load(args.graph)
     lf = _read_labels(args.labels)
     if (g.n, g.m) != (lf.meta.n, lf.meta.m):
@@ -169,6 +177,8 @@ def cmd_verify(args) -> int:
     for _ in range(args.trials):
         k = rng.randrange(0, lf.meta.f + 1)
         fault_ids = rng.sample(range(g.m), min(k, g.m))
+        if not g.n:
+            continue  # no vertex, so no pair to ask about
         s = rng.randrange(g.n)
         t = rng.randrange(g.n)
         comps = oracle_components(g, FaultSet.of(fault_ids, g))
@@ -190,16 +200,18 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     try:
+        f_values = _parse_ids(args.f_range)
+    except ValueError:
+        print("error: --f-range expects comma-separated integers", file=sys.stderr)
+        return EXIT_PARSE
+    for f in f_values:
+        _check_f(f)
+    try:
         names = os.listdir(args.corpus)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     paths = sorted(os.path.join(args.corpus, p) for p in names if not p.startswith("."))
-    try:
-        f_values = _parse_ids(args.f_range)
-    except ValueError:
-        print("error: --f-range expects comma-separated integers", file=sys.stderr)
-        return EXIT_PARSE
     graphs = [_load(path) for path in paths]
     out = io.StringIO()
     writer = csv.writer(out)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from .graph import Graph, UnionFind
 from .hierarchy import EdgeLevelAssignment
@@ -14,20 +15,18 @@ VertexElem = tuple[str, int]
 EdgeElem = tuple[str, int, int]
 
 
-def _isqrt_ceil(num: int, den: int) -> int:
-    """Smallest r >= 1 with r*r >= num/den."""
-    r = 0
-    while r * r * den < num:
-        r += 1
-    return max(r, 1)
+def radius_scale(f: int, phi: Fraction) -> tuple[int, int]:
+    """(r, j_max): the ball radius, the smallest r >= 1 with r*r >= f/phi,
+    and the top scale, the smallest j >= 0 with 2^j >= f/phi."""
+    c = max(-(-f * phi.denominator // phi.numerator) - 1, 0)  # ceil(f/phi) - 1
+    return isqrt(c) + 1, c.bit_length()
 
 
-def _log2_ceil_frac(num: int, den: int) -> int:
-    """Smallest j >= 0 with 2^j >= num/den."""
-    j = 0
-    while (1 << j) * den < num:
-        j += 1
-    return j
+def padded_scales(w_real: int, j_max: int) -> tuple[int, int]:
+    """(W, j_top): a tour weight padded to a power of two, and the top
+    scale of its dyadic blocks, at most j_max."""
+    W = 1 << (max(w_real, 1) - 1).bit_length()
+    return W, min(j_max, W.bit_length() - 1)
 
 
 @dataclass
@@ -256,19 +255,10 @@ class WeightedTour:
         for w in self.wt:
             self.prefix.append(self.prefix[-1] + w)
         self.W_real = self.prefix[-1]
-        w = max(self.W_real, 1)
-        self.W = 1 << (w - 1).bit_length()
-        num = f * phi.denominator
-        den = phi.numerator
-        self.r = _isqrt_ceil(num, den)
-        self.j_max = _log2_ceil_frac(num, den)
-        self.j_top = min(self.j_max, self.W.bit_length() - 1)
+        self.r, self.j_max = radius_scale(f, phi)
+        self.W, self.j_top = padded_scales(self.W_real, self.j_max)
 
     # units ------------------------------------------------------------
-
-    def unit_of_local(self, i: int) -> int:
-        """Prefix weight before local element i (the unit it lies in)."""
-        return self.prefix[i]
 
     def unit_of_pos(self, pos: int) -> int:
         return self.prefix[self.tree.local_of[pos]]
@@ -351,30 +341,17 @@ class WeightedTour:
         return k << j, (k + 1) << j
 
 
-def ball(frame: EulerFrame, wtour: WeightedTour, alpha, r: int) -> set[int]:
-    """Vertices of the level tree within weighted distance r of alpha.
-
-    alpha is either a tour position of an element on this tree's tour, or
-    ("edge", edge id) for the two-case edge overload.
-    """
-    if isinstance(alpha, tuple) and alpha and alpha[0] == "edge":
-        return wtour.ball_edge(alpha[1], r)
-    return wtour.ball_element(alpha, r)
-
-
-def dyadic_cover(wtour: WeightedTour, a: int, b: int) -> list[tuple[int, int]]:
-    """Partition the aligned unit range [a, b) into canonical blocks
+def dyadic_cover(a: int, b: int, j_top: int) -> list[tuple[int, int]]:
+    """Partition the unit range [a, b) into canonical blocks
     (scale, index) drawn from the families I_0..I_{j_top}.
 
     Greedy canonical decomposition: ascending anchored blocks, middle
     filled at the top scale, descending at the right end.
     """
-    if not (0 <= a <= b <= wtour.W):
-        raise ValueError(f"interval [{a}, {b}) not within the padded tour")
     out: list[tuple[int, int]] = []
     cur = a
     while cur < b:
-        j = wtour.j_top
+        j = j_top
         # largest scale aligned at cur and fitting within [cur, b)
         while j > 0 and ((cur & ((1 << j) - 1)) != 0 or cur + (1 << j) > b):
             j -= 1

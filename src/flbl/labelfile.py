@@ -37,9 +37,10 @@ from itertools import chain
 
 from .bits import BitReader, BitWriter, pack_fields
 from .codeshares import CodeShare
+from .euler import radius_scale
 from .labels_rand import RandEdgeLabel, RandMeta, _bits
 from .labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel, cap_edges
-from .labels_sqrt import BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection, _radius
+from .labels_sqrt import BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection, near_blocks
 
 MAGIC = b"FLBL"
 VERSION = 1
@@ -69,7 +70,7 @@ class Widths:
     def of(meta: SchemeMeta) -> "Widths":
         pos = max(1, (3 * meta.aux_n).bit_length())
         pre = _bits(meta.aux_n)
-        _, j_max = _radius(meta)
+        _, j_max = radius_scale(meta.f, meta.phi)
         rand = ()
         if isinstance(meta, RandMeta):
             rand = (pre, pre, meta.sk0_bits)
@@ -243,18 +244,6 @@ def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeL
 # -- scheme 2 ---------------------------------------------------------------
 
 
-def _near_blocks(sec: SqrtLevelSection, j_max: int):
-    """(scale, sorted ids of the blocks containing or next to either
-    oriented occurrence) for every scale a tree-edge section stores."""
-    W = 1 << (max(sec.w_real, 1) - 1).bit_length()
-    for j in range(min(j_max, W.bit_length() - 1) + 1):
-        out = set()
-        for unit in (sec.unit_down, sec.unit_up):
-            cont = unit >> j
-            out.update(blk for blk in (cont - 1, cont, cont + 1) if 0 <= blk < W >> j)
-        yield j, sorted(out)
-
-
 def _entry_fields(ent: RevealEntry, wd: Widths, memo: dict) -> list[tuple[int, int]]:
     fields = _name_fields((ent.name,), wd, memo)
     fields += [(ent.unit_a, wd.unit), (ent.unit_b, wd.unit), (len(ent.shares), wd.j + 2)]
@@ -287,7 +276,7 @@ def encode_sqrt_edge(lab: SqrtEdgeLabel, wd: Widths, meta: SchemeMeta,
             continue
         fields += _opt_fields(sec.after_v, sec.before_v, wd.pos)
         fields += [(sec.unit_down, wd.unit), (sec.unit_up, wd.unit)]
-        for j, blocks in _near_blocks(sec, wd.j_max):
+        for j, blocks in near_blocks(sec, wd.j_max):
             per = sec.near.get(j, {})
             fields += [_packed(memo, per[blk], _block_fields, wd) for blk in blocks]
     w.write_fields(fields)
@@ -320,7 +309,7 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
         if is_tree:
             sec.after_v, sec.before_v = _read_opts(r, wd.pos)
             sec.unit_down, sec.unit_up = r.read_fields((wd.unit, wd.unit))
-            for j, blocks in _near_blocks(sec, wd.j_max):
+            for j, blocks in near_blocks(sec, wd.j_max):
                 per = {}
                 for blk in blocks:
                     lge, has_edges = r.read_fields((wd.m, 1))
@@ -463,6 +452,8 @@ def read_label_file(path: str) -> LabelFile:
         if version != VERSION:
             raise ValueError(f"unsupported label file version {version}")
         num, den, cert, par_bits, c, B, jcols, seed, nroots = cur.unpack("<IIBBBBBQI")
+        if not (num and den):
+            raise ValueError(f"bad label file header: phi = {num}/{den}")
         roots = cur.unpack(f"<{nroots}I")
         (has_vm,) = cur.unpack("<B")
         vm = list(cur.unpack(f"<{n}I")) if has_vm else None

@@ -105,6 +105,26 @@ class SchemeMeta:
         return self.aux_m or self.m
 
 
+def vertex_bounds(vert_positions: list[int], pos: int) -> tuple[int | None, int | None]:
+    """(first vertex position after pos, last vertex position before pos)
+    in a tree's ascending vertex positions, None where there is none."""
+    i = bisect_left(vert_positions, pos)
+    after = vert_positions[i] if i < len(vert_positions) else None
+    before = vert_positions[i - 1] if i > 0 else None
+    return after, before
+
+
+def scheme_meta(g: Graph, hier: EdgeLevelAssignment, frame: EulerFrame, f: int,
+                names: list[EdgeName]) -> SchemeMeta:
+    """The header facts of a scheme-1 or scheme-2 build."""
+    return SchemeMeta(
+        n=g.n, aux_n=g.n, m=g.m, f=f, phi=hier.phi, h=hier.h,
+        comp_roots=[frame.pos_vertex[r] for r in frame.comp_roots],
+        par_bits=max((nm[2] for nm in names), default=0).bit_length(),
+        certified=hier.certified,
+    )
+
+
 def _incident_events(frame: EulerFrame, ell: int, names: list[EdgeName]):
     """Per level tree: the positions and edge names of its level-l non-tree
     edge events, one per incident endpoint, in (position, edge id) order."""
@@ -182,17 +202,10 @@ def build_simple_labels(
             vert_positions = [p for p in tree.positions if frame.tour[p][0] == "v"]
             ev_pos, ev_name = events_by_tree.get(tid, ([], []))
             span_start, span_end = tree.span
-
-            def near(pos):
-                i = bisect_left(vert_positions, pos)
-                after = vert_positions[i] if i < len(vert_positions) else None
-                before = vert_positions[i - 1] if i > 0 else None
-                return after, before
-
             for eid in edges_by_tree.get(tid, ()):
                 lab = labels[eid]
-                a_d, b_d = near(lab.pos_down)
-                a_u, b_u = near(lab.pos_up)
+                a_d, b_d = vertex_bounds(vert_positions, lab.pos_down)
+                a_u, b_u = vertex_bounds(vert_positions, lab.pos_up)
                 segs = (
                     _segment_list(ev_pos, ev_name, span_start - 1, lab.pos_down, cap),
                     _segment_list(ev_pos, ev_name, lab.pos_down, lab.pos_up, cap),
@@ -206,13 +219,7 @@ def build_simple_labels(
                     before_v=(b_d, b_u),
                     segments=segs,
                 )
-    meta = SchemeMeta(
-        n=g.n, aux_n=g.n, m=g.m, f=f, phi=phi, h=hier.h,
-        comp_roots=[frame.pos_vertex[r] for r in frame.comp_roots],
-        par_bits=max((nm[2] for nm in names), default=0).bit_length(),
-        certified=hier.certified,
-    )
-    return vertex_labels, labels, meta
+    return vertex_labels, labels, scheme_meta(g, hier, frame, f, names)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +355,20 @@ def _sections_at(records: dict[int, SimpleEdgeLabel], ell: int):
     return groups
 
 
-def query_simple(
-    records: dict[int, SimpleEdgeLabel],
-    pos_s: int | None,
-    pos_t: int | None,
-    meta: SchemeMeta,
-    keep_levels: bool = False,
-) -> QueryResult:
-    """Run the level-by-level partition reconstruction from fault labels.
+def query_levels(records: dict, meta: SchemeMeta, keep_levels: bool, tree_step) -> QueryResult:
+    """The level loop of schemes 1-2: rebuild the partition of each
+    faulted level-l tree from fault labels alone, for l = 1..h.
 
-    records maps faulted edge id -> decoded label; positions of s and t
-    are their vertex labels (may be None for count-only queries).
+    Per tree: R1 (`TreePartition`), R2 (replay of the unites recorded at
+    lower levels, routed via the recording fault), R3 (unite the ends of
+    every edge named in the pool that is not a fault) and R4 (merge the
+    giant parts).  `tree_step(records, ell, grp)` returns the pool of
+    edge names and a callable that, once the R3 unites are done, gives
+    the volume evidence per part and the parts marked giant outright.
     """
     if len(records) > meta.f:
         raise ValueError(f"fault set of size {len(records)} exceeds f={meta.f}")
+    # pools name only non-tree edges, so only non-tree faults can match
     fault_names = {lab.name for lab in records.values() if not lab.is_tree}
     # recorded unite calls: (pos_x, pos_y, routing fault edge id)
     recorded: list[tuple[int, int, int]] = []
@@ -374,60 +381,67 @@ def query_simple(
             groups[tree_root] = TreePartition(
                 tree_root, sec0.span_end, sec0.last_vertex, faults
             )
-        # R2: replay all recorded unites, routed via the recording fault
         for (px, py, route_eid) in recorded:
-            lab = records[route_eid]
-            sec = lab.sections.get(ell)
+            sec = records[route_eid].sections.get(ell)
             if sec is None:
                 continue
             grp = groups.get(sec.tree_root)
             if grp is not None:
                 grp.unite(px, py)
         new_records: list[tuple[int, int, int]] = []
-        for tree_root, grp in groups.items():
+        for grp in groups.values():
             route = grp.faults[0][0]
-            # R3: unite via listed level-l edges that are not faults
-            pool: dict[EdgeName, tuple[int, int]] = {}
-            for (eid, lab, sec) in grp.faults:
-                for seg in sec.segments:
-                    for nm in seg.entries:
-                        pool[nm] = (nm[0], nm[1])
-            for nm, (pa, pb) in pool.items():
-                if nm in fault_names:
-                    continue
-                if grp.unite(pa, pb):
-                    new_records.append((pa, pb, route))
-            # R4: unite all parts with revealed volume above f/phi
-            self_evidence = _volume_evidence(grp, pool, records, ell)
-            _merge_giants(grp, self_evidence, meta, new_records, route)
+            pool, evidence = tree_step(records, ell, grp)
+            for nm in pool:
+                if nm not in fault_names and grp.unite(nm[0], nm[1]):
+                    new_records.append((nm[0], nm[1], route))
+            volume, marked = evidence()
+            _merge_giants(grp, volume, marked, meta, new_records, route)
         recorded.extend(new_records)
         if keep_levels:
             snapshots.update({(ell, tr): grp for tr, grp in groups.items()})
-    res = QueryResult(meta=meta, top=groups)
-    if keep_levels:
-        res.levels = snapshots
-    return res
+    return QueryResult(meta=meta, top=groups, levels=snapshots)
 
 
-def _volume_evidence(grp: TreePartition, pool, records, ell):
-    """Distinct-edge endpoint incidences per part, from listed edges plus
-    faulted level-l tree edges."""
-    incid: dict[int, int] = {}
-    for nm, (pa, pb) in pool.items():
-        for p in (pa, pb):
+def _simple_tree_step(records, ell: int, grp: TreePartition):
+    """R3 pool: the segment-list entries of the tree's faults.  R4
+    evidence: distinct-edge endpoint incidences per part, from the pool
+    plus the faulted level-l tree edges; no part is marked."""
+    pool = dict.fromkeys(nm for (_, _, sec) in grp.faults
+                         for seg in sec.segments for nm in seg.entries)
+
+    def evidence():
+        incid: dict[int, int] = {}
+        ends = [p for nm in pool for p in nm[:2]]
+        ends += [p for (_, lab, _) in grp.faults if lab.level == ell
+                 for p in (lab.pos_u, lab.pos_v)]
+        for p in ends:
             r = grp.uf.find(grp.locate(p))
             incid[r] = incid.get(r, 0) + 1
-    for (eid, lab, sec) in grp.faults:
-        if lab.level == ell:
-            for p in (lab.pos_u, lab.pos_v):
-                r = grp.uf.find(grp.locate(p))
-                incid[r] = incid.get(r, 0) + 1
-    return incid
+        return incid, ()
+
+    return pool, evidence
 
 
-def _merge_giants(grp: TreePartition, evidence: dict[int, int], meta: SchemeMeta,
-                  new_records: list, route: int, extra_giants: set[int] | None = None):
-    """Unite every part whose certified level volume exceeds f/phi."""
+def query_simple(
+    records: dict[int, SimpleEdgeLabel],
+    pos_s: int | None,
+    pos_t: int | None,
+    meta: SchemeMeta,
+    keep_levels: bool = False,
+) -> QueryResult:
+    """Run the level-by-level partition reconstruction from fault labels.
+
+    records maps faulted edge id -> decoded label; positions of s and t
+    are their vertex labels (may be None for count-only queries).
+    """
+    return query_levels(records, meta, keep_levels, _simple_tree_step)
+
+
+def _merge_giants(grp: TreePartition, evidence: dict[int, int], marked, meta: SchemeMeta,
+                  new_records: list, route: int):
+    """Unite every part whose certified level volume exceeds f/phi, and
+    every part holding a marked interval."""
     while True:
         agg: dict[int, int] = {}
         for r, c in evidence.items():
@@ -436,8 +450,7 @@ def _merge_giants(grp: TreePartition, evidence: dict[int, int], meta: SchemeMeta
         giants = {
             r for r, c in agg.items() if volume_exceeds(c, meta.f, meta.phi)
         }
-        if extra_giants:
-            giants |= {grp.uf.find(r) for r in extra_giants}
+        giants |= {grp.uf.find(i) for i in marked}
         if len(giants) <= 1:
             return
         giants = sorted(giants)

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import codeshares
 from .codeshares import CodeShare
-from .euler import EulerFrame, WeightedTour, tours_for_level
+from .euler import (
+    EulerFrame, WeightedTour, dyadic_cover, padded_scales, radius_scale, tours_for_level,
+)
 from .graph import Graph
 from .hierarchy import EdgeLevelAssignment
 from .labels_simple import (
@@ -23,8 +26,10 @@ from .labels_simple import (
     QueryResult,
     SchemeMeta,
     TreePartition,
-    _merge_giants,
     edge_names,
+    query_levels,
+    scheme_meta,
+    vertex_bounds,
 )
 
 POS_BITS = 29
@@ -56,43 +61,14 @@ class LGESet:
         return len(self.lge_edges)
 
 
-def compute_lge(frame: EulerFrame, wtour: WeightedTour, scale: int, block: int) -> LGESet:
-    """Exact large-gap-edge set of one block, per the definition: order
-    boundary edges by outside endpoint, keep first, last, and both sides
-    of every gap wider than the ball radius."""
-    g = frame.graph
-    lo, hi = wtour.block_range(scale, block)
-    entries = []
-    for eid in wtour.level_edges:
-        u, v = g.edges[eid]
-        cu = wtour.vertex_unit(u)
-        cv = wtour.vertex_unit(v)
-        bu, bv = cu >> scale, cv >> scale
-        if bu == block and bv != block:
-            entries.append((frame.pos_vertex[v], frame.pos_vertex[u], eid, cv))
-        elif bv == block and bu != block:
-            entries.append((frame.pos_vertex[u], frame.pos_vertex[v], eid, cu))
-    entries.sort(key=lambda t: (t[0], t[2]))
-    k = len(entries)
-    is_lge = [False] * k
-    if k:
-        is_lge[0] = is_lge[-1] = True
-        r = wtour.r
-        for q in range(k - 1):
-            # outside endpoints are weight-1 vertices; unit gap - 1 = distance
-            if abs(entries[q + 1][3] - entries[q][3]) - 1 > r:
-                is_lge[q] = is_lge[q + 1] = True
-    return LGESet(
-        scale=scale,
-        block=block,
-        boundary=[(o, i, e) for (o, i, e, _) in entries],
-        lge_edges=[entries[q][2] for q in range(k) if is_lge[q]],
-    )
+def compute_lge(frame: EulerFrame, wtour: WeightedTour) -> dict[tuple[int, int], LGESet]:
+    """The large-gap-edge set of every nonempty block of every scale,
+    keyed (scale, block), in one pass over the level edges per scale.
 
-
-def _lge_all_blocks(frame: EulerFrame, wtour: WeightedTour) -> dict[tuple[int, int], LGESet]:
-    """compute_lge for every nonempty block of every scale, in one pass
-    over the level edges per scale."""
+    A block's boundary edges are ordered by outside endpoint (ties by edge
+    id); the first, the last, and both sides of every gap wider than the
+    ball radius are large-gap edges.  A block absent from the dict has no
+    boundary edge."""
     g = frame.graph
     units = {}
     for eid in wtour.level_edges:
@@ -120,6 +96,7 @@ def _lge_all_blocks(frame: EulerFrame, wtour: WeightedTour) -> dict[tuple[int, i
             is_lge = [False] * k
             is_lge[0] = is_lge[-1] = True
             for q in range(k - 1):
+                # outside endpoints are weight-1 vertices; unit gap - 1 = distance
                 if abs(entries[q + 1][3] - entries[q][3]) - 1 > r:
                     is_lge[q] = is_lge[q + 1] = True
             out[(j, blk)] = LGESet(
@@ -175,6 +152,17 @@ class SqrtLevelSection:
     near: dict[int, dict[int, BlockRecord]] = field(default_factory=dict)
 
 
+def near_blocks(sec: SqrtLevelSection, j_max: int):
+    """(scale, sorted ids of the blocks containing or next to either
+    oriented occurrence) for every scale a tree-edge section stores."""
+    W, j_top = padded_scales(sec.w_real, j_max)
+    a, b = sorted((sec.unit_down, sec.unit_up))
+    for j in range(j_top + 1):
+        ca, cb, nblk = a >> j, b >> j, W >> j
+        yield j, [*range(max(ca - 1, 0), min(ca + 2, nblk)),
+                  *range(max(cb - 1, ca + 2), min(cb + 2, nblk))]
+
+
 @dataclass
 class SqrtEdgeLabel:
     pos_u: int
@@ -216,7 +204,6 @@ def build_sqrt_labels(
         labels.append(lab)
 
     for ell in range(1, hier.h + 1):
-        tree_of = frame.tree_assignment(ell)
         edges_here = frame.edges_upto_by_tree(ell)
         wtours = tours_for_level(frame, ell, f, phi)
         for tid, wt in wtours.items():
@@ -225,7 +212,7 @@ def build_sqrt_labels(
             tree = wt.tree
             r = wt.r
             # large-gap structure of every block at every scale
-            lge_sets = _lge_all_blocks(frame, wt)
+            lge_sets = compute_lge(frame, wt)
             share_of = {
                 key: distribute_shares(ls, names)
                 for key, ls in lge_sets.items()
@@ -275,97 +262,48 @@ def build_sqrt_labels(
                 return out
 
             vert_positions = [p for p in tree.positions if frame.tour[p][0] == "v"]
-            span_start, span_end = tree.span
-
-            def near_desc(pos):
-                i = bisect_left(vert_positions, pos)
-                after = vert_positions[i] if i < len(vert_positions) else None
-                before = vert_positions[i - 1] if i > 0 else None
-                return after, before
-
-            # per scale: (scale, block count, block -> record), one record
-            # per block, shared by the labels that store it, as entry_cache
-            # shares the reveal entries
-            scales = [(j, wt.blocks_at(j), {}) for j in range(wt.j_top + 1)]
+            span_end = tree.span[1]
 
             def block_record(j: int, blk: int) -> BlockRecord:
                 ls = lge_sets.get((j, blk))
                 if ls is None:
                     return BlockRecord(lge=0, edges=[])
-                edges = None
-                if ls.lge <= 4 * r:
-                    edges = [names[eid2] for eid2 in ls.lge_edges]
+                edges = [names[e] for e in ls.lge_edges] if ls.lge <= 4 * r else None
                 return BlockRecord(lge=ls.lge, edges=edges)
 
-            def near_records(cu: int, cv: int) -> dict[int, dict[int, BlockRecord]]:
-                """scale -> {block -> record} for the blocks containing or
-                next to either unit; new dicts per label."""
-                near: dict[int, dict[int, BlockRecord]] = {}
-                for j, nblk, recs in scales:
-                    per = near[j] = {}
-                    for unit in (cu, cv):
-                        cont = unit >> j
-                        for blk in range(max(cont - 1, 0), min(cont + 2, nblk)):
-                            rec = recs.get(blk)
-                            if rec is None:
-                                rec = recs[blk] = block_record(j, blk)
-                            per[blk] = rec
-                return near
+            # recs[j][blk]: one record per block, shared by the labels that
+            # store it, as entry_cache shares the reveal entries
+            recs = [[block_record(j, blk) for blk in range(wt.blocks_at(j))]
+                    for j in range(wt.j_top + 1)]
 
             for eid in edges_here[tid]:
                 u, v = g.edges[eid]
                 lab = labels[eid]
+                ends = (frame.pos_vertex[u], frame.pos_vertex[v])
                 if lab.is_tree:
                     if lab.pos_down not in tree.local_of:
-                        # the edge exists at this level but is in this tree
                         raise AssertionError("tree edge not on its level tour")
-                    cu = wt.unit_of_pos(lab.pos_down)
-                    cv = wt.unit_of_pos(lab.pos_up)
-                    windows = [wt.ball_units(lab.pos_down, r), wt.ball_units(lab.pos_up, r)]
-                    a_d, b_d = near_desc(lab.pos_down)
-                    a_u, b_u = near_desc(lab.pos_up)
-                    sec = SqrtLevelSection(
-                        tree_root=tid, span_end=span_end,
-                        last_vertex=vert_positions[-1], w_real=wt.W_real,
-                        reveal=window_entries(windows),
-                        after_v=(a_d, a_u), before_v=(b_d, b_u),
-                        unit_down=cu, unit_up=cv, near=near_records(cu, cv),
-                    )
-                else:
-                    windows = [
-                        wt.ball_units(frame.pos_vertex[u], r),
-                        wt.ball_units(frame.pos_vertex[v], r),
-                    ]
-                    sec = SqrtLevelSection(
-                        tree_root=tid, span_end=span_end,
-                        last_vertex=vert_positions[-1], w_real=wt.W_real,
-                        reveal=window_entries(windows),
-                    )
+                    ends = (lab.pos_down, lab.pos_up)
+                sec = SqrtLevelSection(
+                    tree_root=tid, span_end=span_end,
+                    last_vertex=vert_positions[-1], w_real=wt.W_real,
+                    reveal=window_entries([wt.ball_units(p, r) for p in ends]),
+                )
+                if lab.is_tree:
+                    a_d, b_d = vertex_bounds(vert_positions, lab.pos_down)
+                    a_u, b_u = vertex_bounds(vert_positions, lab.pos_up)
+                    sec.after_v, sec.before_v = (a_d, a_u), (b_d, b_u)
+                    sec.unit_down = wt.unit_of_pos(lab.pos_down)
+                    sec.unit_up = wt.unit_of_pos(lab.pos_up)
+                    # new dicts per label, records shared
+                    sec.near = {j: {blk: recs[j][blk] for blk in blocks}
+                                for j, blocks in near_blocks(sec, wt.j_max)}
                 lab.sections[ell] = sec
-    meta = SchemeMeta(
-        n=g.n, aux_n=g.n, m=g.m, f=f, phi=phi, h=hier.h,
-        comp_roots=[frame.pos_vertex[r_] for r_ in frame.comp_roots],
-        par_bits=max((nm[2] for nm in names), default=0).bit_length(),
-        certified=hier.certified,
-    )
-    return vertex_labels, labels, meta
+    return vertex_labels, labels, scheme_meta(g, hier, frame, f, names)
 
 
 # ---------------------------------------------------------------------------
 # query
-
-
-def _radius(meta: SchemeMeta) -> tuple[int, int]:
-    num = meta.f * meta.phi.denominator
-    den = meta.phi.numerator
-    r = 0
-    while r * r * den < num:
-        r += 1
-    r = max(r, 1)
-    j = 0
-    while (1 << j) * den < num:
-        j += 1
-    return r, j
 
 
 def query_sqrt(
@@ -375,117 +313,67 @@ def query_sqrt(
     meta: SchemeMeta,
     keep_levels: bool = False,
 ) -> QueryResult:
-    if len(records) > meta.f:
-        raise ValueError(f"fault set of size {len(records)} exceeds f={meta.f}")
-    r, j_max = _radius(meta)
-    fault_names = {lab.name for lab in records.values()}
-    recorded: list[tuple[int, int, int]] = []
-    groups: dict[int, TreePartition] = {}
+    """The scheme-1 level loop with the scheme-2 tree step; the result
+    lists each case-3 firing as (level, tree, scale, block, lge)."""
     case3_fired: list[tuple] = []
-    snapshots: dict[tuple[int, int], TreePartition] = {}
-    for ell in range(1, meta.h + 1):
-        groups = {}
-        tree_faults: dict[int, list] = {}
-        for eid, lab in records.items():
-            if lab.is_tree and ell in lab.sections:
-                sec = lab.sections[ell]
-                tree_faults.setdefault(sec.tree_root, []).append((eid, lab, sec))
-        for tree_root, faults in tree_faults.items():
-            sec0 = faults[0][2]
-            groups[tree_root] = TreePartition(
-                tree_root, sec0.span_end, sec0.last_vertex, faults
-            )
-        for (px, py, route_eid) in recorded:
-            lab = records[route_eid]
-            sec = lab.sections.get(ell)
-            if sec is None:
-                continue
-            grp = groups.get(sec.tree_root)
-            if grp is not None:
-                grp.unite(px, py)
-        new_records: list[tuple[int, int, int]] = []
-        for tree_root, grp in groups.items():
-            faults = tree_faults[tree_root]
-            route = faults[0][0]
-            w_real = faults[0][2].w_real
-            W = 1 << (max(w_real, 1) - 1).bit_length()
-            j_top = min(j_max, W.bit_length() - 1)
-
-            # revealed edges of this tree, from every fault's level section
-            reveal: dict[EdgeName, RevealEntry] = {}
-            for eid, lab in records.items():
-                sec = lab.sections.get(ell)
-                if sec is not None and sec.tree_root == tree_root:
-                    for ent in sec.reveal:
-                        reveal[ent.name] = ent
-            # stored block records of this tree
-            block_recs: dict[tuple[int, int], BlockRecord] = {}
-            for (eid, lab, sec) in faults:
-                for j, per in sec.near.items():
-                    for blk, rec in per.items():
-                        block_recs[(j, blk)] = rec
-
-            # pool of known surviving level-l edges
-            pool: dict[EdgeName, tuple[int, int]] = {}
-            for nm, ent in reveal.items():
-                pool[nm] = (nm[0], nm[1])
-
-            # intervals in unit space; iterate J in J(T, F)
-            bound_units: list[tuple[int, int]] = []  # aligned with grp.bounds
-            for (pos, fi, o) in grp.bounds:
-                sec = faults[fi][2]
-                bound_units.append(sec.unit_down if o == 0 else sec.unit_up)
-            marked: set[int] = set()
-            kq = len(grp.qs)
-            for i in range(kq + 1):
-                c0 = bound_units[i - 1] if i > 0 else 0
-                c1 = bound_units[i] if i < kq else W
-                if c0 >= c1:
-                    continue
-                for (j, blk) in dyadic_cover_arith(c0, c1, j_top):
-                    rec = block_recs.get((j, blk))
-                    if rec is None:
-                        continue  # unstored piece; interval weight covers it
-                    if rec.edges is not None:
-                        for nm in rec.edges:
-                            pool.setdefault(nm, (nm[0], nm[1]))
-                    else:
-                        got = _block_shares(reveal.values(), j, blk)
-                        need = (rec.lge + 1) // 2
-                        if len(got) >= need:
-                            syms = codeshares.decode(list(got.values()), rec.lge)
-                            for sym in syms:
-                                nm = unpack_named_edge(sym)
-                                pool.setdefault(nm, (nm[0], nm[1]))
-                        else:
-                            marked.add(i)
-                            case3_fired.append((ell, tree_root, j, blk, rec.lge))
-
-            for nm, (pa, pb) in pool.items():
-                if nm in fault_names:
-                    continue
-                if grp.unite(pa, pb):
-                    new_records.append((pa, pb, route))
-
-            # R4': certified interval weights plus case-3 marks
-            weight_ev: dict[int, int] = {}
-            for i in range(kq + 1):
-                c0 = bound_units[i - 1] if i > 0 else 0
-                c1 = bound_units[i] if i < kq else W
-                wgt = max(0, min(c1, w_real) - min(c0, w_real))
-                if wgt:
-                    root_i = grp.uf.find(i)
-                    weight_ev[root_i] = weight_ev.get(root_i, 0) + wgt
-            extra = {grp.uf.find(i) for i in marked}
-            _merge_giants(grp, weight_ev, meta, new_records, route, extra_giants=extra)
-        recorded.extend(new_records)
-        if keep_levels:
-            snapshots.update({(ell, tr): grp for tr, grp in groups.items()})
-    res = QueryResult(meta=meta, top=groups)
+    step = partial(_sqrt_tree_step, j_max=radius_scale(meta.f, meta.phi)[1],
+                   case3_fired=case3_fired)
+    res = query_levels(records, meta, keep_levels, step)
     res.case3_fired = case3_fired
-    if keep_levels:
-        res.levels = snapshots
     return res
+
+
+def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int,
+                    case3_fired: list[tuple]):
+    """R3 pool: the edges revealed by any fault's level section in this
+    tree, plus, over the dyadic cover of each interval J in J(T, F), the
+    stored list of each block or its list decoded from revealed shares.
+    A block with too few shares (case 3) marks its interval giant.  R4
+    evidence: the certified tour weight of each part."""
+    faults = grp.faults
+    w_real = faults[0][2].w_real
+    W, j_top = padded_scales(w_real, j_max)
+    reveal: dict[EdgeName, RevealEntry] = {}
+    for lab in records.values():
+        sec = lab.sections.get(ell)
+        if sec is not None and sec.tree_root == grp.tree_root:
+            for ent in sec.reveal:
+                reveal[ent.name] = ent
+    block_recs = {(j, blk): rec for (_, _, sec) in faults
+                  for j, per in sec.near.items() for blk, rec in per.items()}
+    pool = dict.fromkeys(reveal)
+    # interval i spans units [cuts[i], cuts[i + 1]); cuts follow grp.bounds
+    cuts = [0] + [faults[fi][2].unit_up if o else faults[fi][2].unit_down
+                  for (_, fi, o) in grp.bounds] + [W]
+    marked: set[int] = set()
+    for i in range(len(cuts) - 1):
+        for (j, blk) in dyadic_cover(cuts[i], cuts[i + 1], j_top):
+            rec = block_recs.get((j, blk))
+            if rec is None:
+                continue  # unstored piece; interval weight covers it
+            if rec.edges is not None:
+                for nm in rec.edges:
+                    pool.setdefault(nm)
+                continue
+            got = _block_shares(reveal.values(), j, blk)
+            if len(got) >= (rec.lge + 1) // 2:
+                syms = codeshares.decode(list(got.values()), rec.lge)
+                for sym in syms:
+                    pool.setdefault(unpack_named_edge(sym))
+            else:
+                marked.add(i)
+                case3_fired.append((ell, grp.tree_root, j, blk, rec.lge))
+
+    def evidence():
+        weight: dict[int, int] = {}
+        for i in range(len(cuts) - 1):
+            wgt = max(0, min(cuts[i + 1], w_real) - min(cuts[i], w_real))
+            if wgt:
+                root = grp.uf.find(i)
+                weight[root] = weight.get(root, 0) + wgt
+        return weight, marked
+
+    return pool, evidence
 
 
 def _block_shares(entries, j: int, blk: int) -> dict[int, CodeShare]:
@@ -500,17 +388,3 @@ def _block_shares(entries, j: int, blk: int) -> dict[int, CodeShare]:
                 if sh is not None:
                     got[sh.index] = sh
     return got
-
-
-def dyadic_cover_arith(a: int, b: int, j_top: int) -> list[tuple[int, int]]:
-    """Canonical cover of unit range [a, b) by blocks of scales <= j_top."""
-    out = []
-    cur = a
-    while cur < b:
-        j = j_top
-        while j > 0 and ((cur & ((1 << j) - 1)) != 0 or cur + (1 << j) > b):
-            j -= 1
-        out.append((j, cur >> j))
-        cur += 1 << j
-    return out
-

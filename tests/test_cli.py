@@ -335,3 +335,46 @@ def test_stats_scheme4_reroute_warning(tmp_path, capsys):
     assert captured.err.count("rerouting to scheme 3") == 2
     rows = captured.out.strip().splitlines()
     assert [row.split(",")[:2] for row in rows[1:]] == [["1", "3"], ["2", "3"]]
+
+
+def test_stats_f_checked_before_corpus(tmp_path, capsys):
+    # an empty corpus builds nothing, yet f = 0 is rejected as in `build`
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    assert run_cli(["stats", str(corpus), "--scheme", "1", "--f-range", "0"]) == 3
+    assert "f must be at least 1" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("scheme", ["1", "2", "3"])
+def test_verify_graph_without_vertices(tmp_path, capsys, scheme):
+    # no vertex means no pair to draw; every trial passes
+    gpath = tmp_path / "z.txt"
+    gpath.write_text("0 0\n")
+    out = tmp_path / "z.flbl"
+    assert run_cli(["build", str(gpath), "--scheme", scheme, "--f", "1",
+                    "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", str(gpath), str(out), "--trials", "5"]) == 0
+    assert "trials=5 mismatches=0" in capsys.readouterr().out
+
+
+def test_verify_trials_below_zero_exit_code(tmp_path, capsys):
+    gpath, out = _built_p4(tmp_path, capsys)
+    assert run_cli(["verify", str(gpath), str(out), "--trials=-5"]) == 3
+    assert "--trials must be at least 0" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+    assert run_cli(["verify", str(gpath), str(out), "--trials", "0"]) == 0
+    assert "trials=0 mismatches=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", [0, 1], ids=["numerator", "denominator"])
+def test_zero_phi_label_file_exit_code(tmp_path, capsys, field):
+    # phi's numerator and denominator follow the 29-byte fixed header start
+    _, out = _built_p4(tmp_path, capsys)
+    data = bytearray(out.read_bytes())
+    at = 29 + 4 * field
+    data[at:at + 4] = bytes(4)
+    out.write_bytes(bytes(data))
+    assert run_cli(["query", str(out), "--fail", "1", "--count"]) == 1
+    assert "phi" in _one_line_error(capsys)

@@ -244,11 +244,11 @@ def test_dyadic_cover_full_and_single():
     tree = frame.trees_at(1)[0]
     wt = WeightedTour(frame, tree, f=8, phi=Fraction(1, 1))
     # whole padded tour -> top-level blocks
-    cover = dyadic_cover(wt, 0, wt.W)
+    cover = dyadic_cover(0, wt.W, wt.j_top)
     assert all(j == wt.j_top for j, _ in cover)
     assert len(cover) == wt.W >> wt.j_top
     # one full top block -> itself
-    assert dyadic_cover(wt, 0, 1 << wt.j_top) == [(wt.j_top, 0)]
+    assert dyadic_cover(0, 1 << wt.j_top, wt.j_top) == [(wt.j_top, 0)]
 
 
 def test_dyadic_cover_random_ranges_exact_partition():
@@ -261,7 +261,7 @@ def test_dyadic_cover_random_ranges_exact_partition():
     for _ in range(200):
         a = rng.randrange(0, wt.W)
         b = rng.randrange(a + 1, wt.W + 1)
-        cover = dyadic_cover(wt, a, b)
+        cover = dyadic_cover(a, b, wt.j_top)
         cur = a
         for j, k in cover:
             lo, hi = wt.block_range(j, k)
@@ -272,31 +272,3 @@ def test_dyadic_cover_random_ranges_exact_partition():
         # anchored count bound: ends contribute < 2(j_top+1), middle at top scale
         non_top = [p for p in cover if p[0] < wt.j_top]
         assert len(non_top) < 2 * (wt.j_top + 1)
-
-
-def test_dyadic_cover_misaligned_rejected():
-    g = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 2)))
-    levels = EdgeLevelAssignment(level=(1, 1, 1, 1), h=1, phi=HALF, certified=True)
-    frame = EulerFrame(g, levels)
-    tree = frame.trees_at(1)[0]
-    wt = WeightedTour(frame, tree, f=1, phi=HALF)
-    with pytest.raises(ValueError):
-        dyadic_cover(wt, 0, wt.W + 1)
-
-
-def test_module_level_ball_wrapper():
-    from flbl.euler import ball
-
-    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 4)))
-    hier = build_edge_hierarchy(g)
-    frame = EulerFrame(g, hier)
-    for ell in range(1, hier.h + 1):
-        for tree in frame.trees_at(ell).values():
-            wt = WeightedTour(frame, tree, f=1, phi=HALF)
-            pos = tree.positions[0]
-            assert ball(frame, wt, pos, 1) == wt.ball_element(pos, 1)
-            eid = next(iter(e for e in range(g.m)
-                            if set(g.edges[e]) <= tree.vertices
-                            and (e in frame.tstar or hier.level[e] == ell)), None)
-            if eid is not None and (eid in frame.tstar or hier.level[eid] == ell):
-                assert ball(frame, wt, ("edge", eid), 2) == wt.ball_edge(eid, 2)

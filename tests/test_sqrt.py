@@ -6,10 +6,11 @@ import pytest
 
 from flbl import labelfile as LF
 from flbl.build import build_scheme, to_label_file
-from flbl.euler import EulerFrame, WeightedTour, tours_for_level
+from flbl.euler import EulerFrame, WeightedTour, radius_scale, tours_for_level
 from flbl.graph import FaultSet, Graph, UnionFind, oracle_components, reduce_degree3
 from flbl.hierarchy import EdgeLevelAssignment, build_edge_hierarchy
 from flbl.labels_sqrt import (
+    LGESet,
     build_sqrt_labels,
     compute_lge,
     distribute_shares,
@@ -66,6 +67,12 @@ def crafted_chord_graph(k=160, a=37):
     return Graph(2 * k, tuple(edges))
 
 
+def block_lge(lge_sets, j, blk):
+    """A block's LGESet from compute_lge's dict; an empty one for a block
+    with no boundary edge, which the dict leaves out."""
+    return lge_sets.get((j, blk)) or LGESet(scale=j, block=blk, boundary=[], lge_edges=[])
+
+
 def gap_pattern_lge(units, r):
     """Reference implementation of the large-gap rule on outside units."""
     k = len(units)
@@ -102,12 +109,12 @@ def test_compute_lge_matches_naive_ball_oracle():
         f = 2
         for ell in range(1, hier.h + 1):
             for tid, wt in tours_for_level(frame, ell, f, hier.phi).items():
+                lge_sets = compute_lge(frame, wt)
                 for j in range(wt.j_top + 1):
                     for blk in range(wt.blocks_at(j)):
-                        ls = compute_lge(frame, wt, j, blk)
+                        ls = block_lge(lge_sets, j, blk)
                         # naive: sort boundary by outside position, apply
                         # the definition with the exact Ball oracle
-                        lo, hi = wt.block_range(j, blk)
                         naive = []
                         for eid in wt.level_edges:
                             u, v = g.edges[eid]
@@ -146,9 +153,10 @@ def test_distribute_shares_small_cases():
     seen_small = False
     for ell in range(1, hier.h + 1):
         for tid, wt in tours_for_level(frame, ell, 2, hier.phi).items():
+            lge_sets = compute_lge(frame, wt)
             for j in range(wt.j_top + 1):
                 for blk in range(wt.blocks_at(j)):
-                    ls = compute_lge(frame, wt, j, blk)
+                    ls = block_lge(lge_sets, j, blk)
                     shares = distribute_shares(ls, names)
                     assert set(shares) == set(ls.lge_edges)
                     if ls.lge == 0:
@@ -163,8 +171,6 @@ def test_distribute_shares_small_cases():
 
 def test_distribute_shares_every_half_subset():
     # synthetic 8-member large-gap list: every 4-subset reconstructs
-    from flbl.labels_sqrt import LGESet
-
     names = [(2 * i, 2 * i + 1, 0) for i in range(8)]
     ls = LGESet(scale=0, block=0, boundary=[(0, 0, i) for i in range(8)],
                 lge_edges=list(range(8)))
@@ -210,6 +216,34 @@ def test_exhaustive_small_sweep():
                         assert q.connected(vl[s], vl[t]) == (cid[s] == cid[t])
 
 
+def test_per_level_partitions_match_oracle():
+    # parts of P_l equal components of G_{<=l} - F on faulted trees, as
+    # test_simple checks for scheme 1 through the same level loop
+    rng = random.Random(5)
+    for _ in range(6):
+        g0 = random_connected(rng, rng.randrange(4, 8), 0.45)
+        g = reduce_degree3(g0).reduced
+        hier = build_edge_hierarchy(g, mode="auto")
+        frame = EulerFrame(g, hier)
+        vl, labels, meta = build_sqrt_labels(g, hier, frame, 2)
+        for F in itertools.combinations(range(g.m), 2):
+            res = query_sqrt(
+                {e: labels[e] for e in F}, None, None, meta, keep_levels=True
+            )
+            assert res.levels or not any(frame.tstar & set(F))
+            for (ell, tree_root), grp in res.levels.items():
+                uf = UnionFind(g.n)
+                for e in range(g.m):
+                    if hier.level[e] <= ell and e not in F:
+                        uf.union(*g.edges[e])
+                tree_of = frame.tree_assignment(ell)
+                verts = [v for v in range(g.n) if tree_of[v] == tree_root]
+                part = {v: grp.uf.find(grp.locate(frame.pos_vertex[v])) for v in verts}
+                for a in verts:
+                    for b in verts:
+                        assert (part[a] == part[b]) == (uf.find(a) == uf.find(b))
+
+
 def test_case3_fires_and_matches_oracle():
     g = crafted_chord_graph()
     assert max(g.degrees()) <= 3
@@ -223,9 +257,7 @@ def test_case3_fires_and_matches_oracle():
     res = query_sqrt({e: labels[e] for e in F}, None, None, meta)
     assert res.case3_fired, "crafted instance must exercise case 3"
     # every firing has lge > 4r
-    from flbl.labels_sqrt import _radius
-
-    r, _ = _radius(meta)
+    r, _ = radius_scale(meta.f, meta.phi)
     for (_ell, _tree, _j, _blk, lge) in res.case3_fired:
         assert lge > 4 * r
     cid, cnt = oracle_classes(g, F)
@@ -312,9 +344,10 @@ def test_find_edge_lemma_property():
                         from bisect import bisect_left
                         return bisect_left(qs, pos)
 
+                    lge_sets = compute_lge(frame, wt)
                     for j in range(wt.j_top + 1):
                         for blk in range(wt.blocks_at(j)):
-                            ls = compute_lge(frame, wt, j, blk)
+                            ls = block_lge(lge_sets, j, blk)
                             surv = [
                                 (opos, eid)
                                 for (opos, ipos, eid) in ls.boundary
