@@ -93,6 +93,14 @@ class BitReader:
     def read(self, width: int) -> int:
         return self.read_fields((width,))[0]
 
+    def peek(self, width: int) -> int:
+        """The next `width` bits as one int, without moving; bits past the
+        payload read as 0, so a caller that keeps fewer of them moves on
+        with `skip`, which checks the bounds."""
+        pos = self.pos
+        return int.from_bytes(self.data[pos >> 3:(pos + width + 7) >> 3],
+                              "little") >> (pos & 7) & ((1 << width) - 1)
+
     def skip(self, width: int) -> int:
         """Move past `width` bits without reading them and return the
         position they start at.  Bounds-checked like `read_fields`."""

@@ -9,6 +9,7 @@ import io
 import os
 import random
 import sys
+from typing import NoReturn
 
 from . import labelfile as LF
 from .build import build_scheme, to_label_file
@@ -23,18 +24,25 @@ EXIT_SIZE_CAP = 2
 EXIT_BAD_FLAGS = 3
 EXIT_FAULTS = 4
 
+# The label-file header holds f in a u32 and the scheme-3/4 seed in a u64.
+F_MAX = (1 << 32) - 1
+SEED_MAX = (1 << 64) - 1
+
+
+def _fail(code: int, problem) -> NoReturn:
+    """Print one `error:` line and exit with `code`."""
+    print(f"error: {problem}", file=sys.stderr)
+    sys.exit(code)
+
 
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return load_graph(fh.read())
     except UnicodeDecodeError as exc:
-        print(f"error: {path} is not graph text: byte {exc.start} is not UTF-8",
-              file=sys.stderr)
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, f"{path} is not graph text: byte {exc.start} is not UTF-8")
     except (OSError, GraphParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, exc)
 
 
 def _build(g, scheme: int, f: int, args):
@@ -43,18 +51,25 @@ def _build(g, scheme: int, f: int, args):
     try:
         return build_scheme(g, scheme, f, phi_mode=args.phi_mode, seed=args.seed)
     except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_SIZE_CAP)
+        _fail(EXIT_SIZE_CAP, exc)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_BAD_FLAGS)
+        _fail(EXIT_BAD_FLAGS, exc)
 
 
 def _check_f(f: int):
-    """f below 1 exits EXIT_BAD_FLAGS."""
+    """f outside 1..F_MAX exits EXIT_BAD_FLAGS."""
     if f < 1:
-        print(f"error: f must be at least 1, got {f}", file=sys.stderr)
-        sys.exit(EXIT_BAD_FLAGS)
+        _fail(EXIT_BAD_FLAGS, f"f must be at least 1, got {f}")
+    if f > F_MAX:
+        _fail(EXIT_BAD_FLAGS, f"f must be at most {F_MAX}, got {f}")
+
+
+def _check_seed(scheme: int, seed: int):
+    """A scheme-3/4 seed outside 0..SEED_MAX exits EXIT_BAD_FLAGS; schemes
+    1-2 do not use the seed."""
+    if scheme in (LF.SCHEME_RAND_LONG, LF.SCHEME_RAND_SHORT) and not 0 <= seed <= SEED_MAX:
+        _fail(EXIT_BAD_FLAGS,
+              f"--seed must be in 0..{SEED_MAX} for scheme {scheme}, got {seed}")
 
 
 def _scheme_for(g, scheme: int, f: int) -> int:
@@ -73,6 +88,7 @@ def _scheme_for(g, scheme: int, f: int) -> int:
 
 
 def cmd_build(args) -> int:
+    _check_seed(args.scheme, args.seed)
     g = _load(args.graph)
     f = args.f
     scheme = _scheme_for(g, args.scheme, f)
@@ -99,8 +115,7 @@ def _read_labels(path: str) -> LF.LabelFile:
     try:
         return LF.read_label_file(path)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, exc)
 
 
 def _fault_error(lf: LF.LabelFile, fault_ids: list[int]) -> str | None:
@@ -127,7 +142,12 @@ def _parse_pair(text: str, lf: LF.LabelFile):
 
 
 def _run_query(lf: LF.LabelFile, fault_ids: list[int]):
-    records = {e: LF.decode_edge(lf, e) for e in fault_ids}
+    """The query result; a fault label that does not decode (a payload
+    cut short) exits EXIT_PARSE."""
+    try:
+        records = {e: LF.decode_edge(lf, e) for e in fault_ids}
+    except ValueError as exc:
+        _fail(EXIT_PARSE, exc)
     if lf.scheme == LF.SCHEME_SIMPLE:
         return query_simple(records, None, None, lf.meta)
     if lf.scheme == LF.SCHEME_SQRT:
@@ -206,6 +226,7 @@ def cmd_stats(args) -> int:
         return EXIT_PARSE
     for f in f_values:
         _check_f(f)
+    _check_seed(args.scheme, args.seed)
     try:
         names = os.listdir(args.corpus)
     except OSError as exc:
@@ -242,8 +263,7 @@ class _Parser(argparse.ArgumentParser):
     this class."""
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(EXIT_BAD_FLAGS)
+        _fail(EXIT_BAD_FLAGS, message)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,6 @@ any ceil(k/2) of them reconstruct the message by interpolation.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 Q = (1 << 61) - 1  # Mersenne prime 2^61 - 1
@@ -68,14 +67,6 @@ class CodeShare:
     index: int
     a: int
     b: int
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("<IQQ", self.index, self.a, self.b)
-
-    @staticmethod
-    def from_bytes(raw: bytes) -> "CodeShare":
-        i, a, b = struct.unpack("<IQQ", raw)
-        return CodeShare(i, a, b)
 
 
 def encode(message: list[int], d: int = 2) -> list[CodeShare]:

@@ -267,59 +267,7 @@ class WeightedTour:
         """Unit of a weight-1 vertex (its prefix count)."""
         return self.prefix[self.tree.local_of[self.frame.pos_vertex[v]]]
 
-    # distance and balls -------------------------------------------------
-
-    def dist(self, pos_a: int, pos_b: int) -> int:
-        """Weight strictly between two elements of this tour."""
-        ia = self.tree.local_of[pos_a]
-        ib = self.tree.local_of[pos_b]
-        if ia > ib:
-            ia, ib = ib, ia
-        return self.prefix[ib] - self.prefix[ia + 1]
-
-    def ball_element(self, pos: int, r: int) -> set[int]:
-        """Vertices of the tree within weighted distance r of the element."""
-        tree = self.tree
-        i = tree.local_of.get(pos)
-        if i is None:
-            raise ValueError(f"element at position {pos} is not on this tour")
-        lo_bound = self.prefix[i] - r          # need prefix[j+1] >= prefix[i]-r
-        hi_bound = self.prefix[i + 1] + r      # need prefix[j]  <= prefix[i+1]+r
-        out: set[int] = set()
-        j = i
-        while j >= 0 and self.prefix[j + 1] >= lo_bound:
-            elem = self.frame.tour[tree.positions[j]]
-            if elem[0] == "v":
-                out.add(elem[1])
-            j -= 1
-        j = i + 1
-        n_el = len(tree.positions)
-        while j < n_el and self.prefix[j] <= hi_bound:
-            elem = self.frame.tour[tree.positions[j]]
-            if elem[0] == "v":
-                out.add(elem[1])
-            j += 1
-        return out
-
-    def ball_edge(self, eid: int, r: int) -> set[int]:
-        """Ball of an edge: both oriented occurrences for a tree edge,
-        both endpoint vertices for a non-tree edge."""
-        g = self.frame.graph
-        u, v = g.edges[eid]
-        if eid in self.frame.tstar:
-            if self.frame.parent[v] == u:
-                c = v
-            elif self.frame.parent[u] == v:
-                c = u
-            else:
-                raise ValueError(f"edge {eid} not oriented in T*")
-            p = self.frame.parent[c]
-            down = self.frame.pos_oedge[(p, c)]
-            up = self.frame.pos_oedge[(c, p)]
-            return self.ball_element(down, r) | self.ball_element(up, r)
-        return self.ball_element(self.frame.pos_vertex[u], r) | self.ball_element(
-            self.frame.pos_vertex[v], r
-        )
+    # balls ---------------------------------------------------------------
 
     def ball_units(self, pos: int, r: int) -> tuple[int, int]:
         """Closed unit range [lo, hi] of weight-1 vertices within distance r
@@ -335,10 +283,6 @@ class WeightedTour:
     def blocks_at(self, j: int) -> int:
         """Number of scale-j blocks in the padded tour."""
         return self.W >> j
-
-    def block_range(self, j: int, k: int) -> tuple[int, int]:
-        """Half-open unit range of block k at scale j."""
-        return k << j, (k + 1) << j
 
 
 def dyadic_cover(a: int, b: int, j_top: int) -> list[tuple[int, int]]:

@@ -19,7 +19,10 @@ of it gives the same bits as its fields.  Scheme-2 labels share their
 reveal entries and block records (the build makes each once per tree),
 and an edge name recurs in many lists; `make_label_file` packs each
 shared record and each edge name once per file and writes that field
-into every label that holds it.  The scheme-2 decoder
+into every label that holds it.  The decoders mirror the name memo: they
+read each edge name back as the one field of width 2·pos + par it was
+written as, and map it through the per-file table `Widths.names`, which
+splits a name into its (a, b, k) tuple on first sight.  The scheme-2 decoder
 skips the two large, rarely read parts, the share rows of each reveal
 entry and the edge list of each block record, and reads them on first
 use (`_Rows`); the skip is bounds-checked, so a payload cut short or a
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
@@ -51,6 +54,29 @@ SCHEME_RAND_LONG = 3
 SCHEME_RAND_SHORT = 4
 
 
+class _NameTable(dict):
+    """Edge names of one label file: the packed field of width 2·pos + par
+    that `_name_fields` wrote -> its (a, b, k) tuple, split on first
+    sight.  It mirrors the encoder's name memo, so each distinct name is
+    split once per file and every list that holds it shares one tuple."""
+
+    __slots__ = ("pos", "width")
+
+    def __init__(self, pos: int, par: int):
+        super().__init__()
+        self.pos = pos
+        self.width = 2 * pos + par
+
+    def __missing__(self, packed: int) -> tuple[int, int, int]:
+        pos = self.pos
+        mask = (1 << pos) - 1
+        nm = self[packed] = (packed & mask, packed >> pos & mask, packed >> 2 * pos)
+        return nm
+
+    def of(self, fields: list[int]) -> list[tuple[int, int, int]]:
+        return list(map(self.__getitem__, fields))
+
+
 @dataclass
 class Widths:
     """Field widths of one label file, derived once from its header."""
@@ -65,6 +91,7 @@ class Widths:
     j: int                     # scheme-2 scale index
     j_max: int
     rand: tuple[int, ...]      # scheme-3/4 edge fields after the flag
+    names: _NameTable = field(repr=False, compare=False)
 
     @staticmethod
     def of(meta: SchemeMeta) -> "Widths":
@@ -87,6 +114,7 @@ class Widths:
             j=max(1, j_max.bit_length()),
             j_max=j_max,
             rand=rand,
+            names=_NameTable(pos, meta.par_bits),
         )
 
 
@@ -101,8 +129,19 @@ def _opt_fields(after_v, before_v, bits: int) -> list[tuple[int, int]]:
 
 
 def _read_opts(r: BitReader, bits: int):
-    """Mirror of `_opt_fields`: the (after_v, before_v) pair."""
-    av0, bv0, av1, bv1 = (r.read(bits) if r.read(1) else None for _ in range(4))
+    """Mirror of `_opt_fields`: the (after_v, before_v) pair, split from
+    one window as wide as all four positions present.  The bits used are
+    then skipped, with the bounds check of `BitReader.skip`."""
+    window = r.peek(4 * (bits + 1))
+    mask = (1 << bits) - 1
+    vals = []
+    at = 0
+    for _ in range(4):
+        present = window >> at & 1
+        vals.append(window >> at + 1 & mask if present else None)
+        at += 1 + bits * present
+    r.skip(at)
+    av0, bv0, av1, bv1 = vals
     return (av0, av1), (bv0, bv1)
 
 
@@ -127,12 +166,6 @@ def _packed(memo: dict, rec, fields_of, wd: Widths) -> tuple[int, int]:
     if hit is None:
         hit = memo[id(rec)] = (rec, pack_fields(fields_of(rec, wd, memo)))
     return hit[1]
-
-
-def _names(vals: list[int]) -> list[tuple[int, int, int]]:
-    """Edge names from the flat fields `_name_fields` wrote, read with
-    widths (pos, pos, par) per name."""
-    return list(zip(vals[0::3], vals[1::3], vals[2::3]))
 
 
 def _shares(vals: list[int]) -> dict[tuple[int, int], CodeShare]:
@@ -225,14 +258,15 @@ def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeL
         pos_u=pos_u, pos_v=pos_v, par=par, is_tree=True, level=level,
         pos_down=pos_down, pos_up=pos_up,
     )
-    name_w = (wd.pos, wd.pos, wd.par)
+    names = wd.names
+    name_w = (names.width,)
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex = r.read_fields((wd.pos, wd.pos, wd.pos))
         after_v, before_v = _read_opts(r, wd.pos)
         segs = []
         for _ in range(3):
             truncated, cnt = r.read_fields((1, wd.cap))
-            segs.append(SegmentList(entries=_names(r.read_fields(name_w * cnt)),
+            segs.append(SegmentList(entries=names.of(r.read_fields(name_w * cnt)),
                                     truncated=bool(truncated)))
         lab.sections[ell] = LevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
@@ -291,16 +325,17 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
     )
     if is_tree:
         lab.pos_down, lab.pos_up = r.read_fields((wd.pos, wd.pos))
+    names = wd.names
     sec_w = (wd.pos, wd.pos, wd.pos, wd.unit, wd.m)
-    entry_w = (wd.pos, wd.pos, wd.par, wd.unit, wd.unit, wd.j + 2)
+    entry_w = (names.width, wd.unit, wd.unit, wd.j + 2)
     share_w = (wd.j, 1, wd.m, 61, 61)
-    name_w = (wd.pos, wd.pos, wd.par)
+    name_w = (names.width,)
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex, w_real, nrev = r.read_fields(sec_w)
         reveal = []
         for _ in range(nrev):
-            a, b, k, ua, ub, nsh = r.read_fields(entry_w)
-            reveal.append(RevealEntry(name=(a, b, k), unit_a=ua, unit_b=ub,
+            nm, ua, ub, nsh = r.read_fields(entry_w)
+            reveal.append(RevealEntry(name=names[nm], unit_a=ua, unit_b=ub,
                                       shares=_skip_rows(r, nsh, share_w, _shares)))
         sec = SqrtLevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
@@ -315,7 +350,7 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
                     lge, has_edges = r.read_fields((wd.m, 1))
                     edges = None
                     if has_edges:
-                        edges = _skip_rows(r, r.read(wd.m), name_w, _names)
+                        edges = _skip_rows(r, r.read(wd.m), name_w, names.of)
                     per[blk] = BlockRecord(lge=lge, edges=edges)
                 sec.near[j] = per
         lab.sections[ell] = sec

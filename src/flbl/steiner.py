@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, UnionFind
+from .graph import Graph
 from .hierarchy import SizeCapError, _subset_components_cache, n_exact_cap, verify_vertex_expanding
 
 INFINITE_TOUGHNESS = Fraction(-1)  # sentinel: X cannot be disconnected
@@ -71,14 +71,6 @@ class SteinerTree:
     terminals: frozenset[int]
     blocking: frozenset[int]      # vertices of degree >= Delta - 1
     max_degree: int
-
-    def degree_map(self, g: Graph) -> dict[int, int]:
-        deg: dict[int, int] = {}
-        for eid in self.edges:
-            u, v = g.edges[eid]
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        return deg
 
 
 def _initial_steiner(g: Graph, X: set[int]) -> set[int]:
@@ -243,48 +235,6 @@ def low_degree_steiner(g: Graph, X: set[int] | list[int]) -> SteinerTree:
         if state in seen_states:
             raise RuntimeError("degree improvement cycled")
         seen_states.add(state)
-
-
-def min_degree_steiner_exhaustive(g: Graph, X: set[int]) -> int:
-    """Reference oracle: minimum max-degree over all Steiner trees
-    (enumerates spanning trees of edge subsets; tiny n only)."""
-    import itertools
-
-    X = set(X)
-    best = None
-    m = g.m
-    nv = len(X)
-    for k in range(nv - 1, m + 1):
-        for combo in itertools.combinations(range(m), k):
-            uf = UnionFind(g.n)
-            acyclic = True
-            for eid in combo:
-                u, v = g.edges[eid]
-                if not uf.union(u, v):
-                    acyclic = False
-                    break
-            if not acyclic:
-                continue
-            root = uf.find(min(X))
-            if any(uf.find(x) != root for x in X):
-                continue
-            deg: dict[int, int] = {}
-            leaf_ok = True
-            for eid in combo:
-                u, v = g.edges[eid]
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-            for v, d in deg.items():
-                if d == 1 and v not in X:
-                    leaf_ok = False
-            if not leaf_ok:
-                continue
-            dmax = max(deg.values())
-            if best is None or dmax < best:
-                best = dmax
-        if best is not None:
-            return best
-    raise ValueError("terminals not connected")
 
 
 def ni_forests(g: Graph, d: int) -> list[set[int]]:

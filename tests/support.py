@@ -1,0 +1,121 @@
+"""Reference code that only the tests use: weighted distances and balls
+on a `WeightedTour` walked element by element, dyadic block ranges, a
+standalone 160-bit wire format for code shares, Steiner-tree degrees and
+an exhaustive minimum-degree Steiner tree oracle."""
+
+from __future__ import annotations
+
+import itertools
+import struct
+
+from flbl.codeshares import CodeShare
+from flbl.graph import Graph, UnionFind
+
+
+def dist(wt, pos_a: int, pos_b: int) -> int:
+    """Weight strictly between two elements of the tour `wt`."""
+    ia = wt.tree.local_of[pos_a]
+    ib = wt.tree.local_of[pos_b]
+    if ia > ib:
+        ia, ib = ib, ia
+    return wt.prefix[ib] - wt.prefix[ia + 1]
+
+
+def ball_element(wt, pos: int, r: int) -> set[int]:
+    """Vertices of the tour's tree within weighted distance r of the
+    element at `pos`."""
+    tree = wt.tree
+    i = tree.local_of.get(pos)
+    if i is None:
+        raise ValueError(f"element at position {pos} is not on this tour")
+    lo_bound = wt.prefix[i] - r          # need prefix[j+1] >= prefix[i]-r
+    hi_bound = wt.prefix[i + 1] + r      # need prefix[j]  <= prefix[i+1]+r
+    out: set[int] = set()
+    j = i
+    while j >= 0 and wt.prefix[j + 1] >= lo_bound:
+        elem = wt.frame.tour[tree.positions[j]]
+        if elem[0] == "v":
+            out.add(elem[1])
+        j -= 1
+    j = i + 1
+    n_el = len(tree.positions)
+    while j < n_el and wt.prefix[j] <= hi_bound:
+        elem = wt.frame.tour[tree.positions[j]]
+        if elem[0] == "v":
+            out.add(elem[1])
+        j += 1
+    return out
+
+
+def ball_edge(wt, eid: int, r: int) -> set[int]:
+    """Ball of an edge: both oriented occurrences for a tree edge, both
+    endpoint vertices for a non-tree edge."""
+    frame = wt.frame
+    u, v = frame.graph.edges[eid]
+    if eid in frame.tstar:
+        if frame.parent[v] == u:
+            c = v
+        elif frame.parent[u] == v:
+            c = u
+        else:
+            raise ValueError(f"edge {eid} not oriented in T*")
+        p = frame.parent[c]
+        return (ball_element(wt, frame.pos_oedge[(p, c)], r)
+                | ball_element(wt, frame.pos_oedge[(c, p)], r))
+    return ball_element(wt, frame.pos_vertex[u], r) | ball_element(wt, frame.pos_vertex[v], r)
+
+
+def block_range(j: int, k: int) -> tuple[int, int]:
+    """Half-open unit range of block k at scale j."""
+    return k << j, (k + 1) << j
+
+
+def share_to_bytes(sh: CodeShare) -> bytes:
+    """The share as a little-endian u32 index and two u64 halves."""
+    return struct.pack("<IQQ", sh.index, sh.a, sh.b)
+
+
+def share_from_bytes(raw: bytes) -> CodeShare:
+    return CodeShare(*struct.unpack("<IQQ", raw))
+
+
+def degree_map(g: Graph, edges) -> dict[int, int]:
+    """Vertex -> degree in the subgraph of `g` on the edge ids `edges`."""
+    deg: dict[int, int] = {}
+    for eid in edges:
+        u, v = g.edges[eid]
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    return deg
+
+
+def min_degree_steiner_exhaustive(g: Graph, X: set[int]) -> int:
+    """Reference oracle: minimum max-degree over all Steiner trees
+    (enumerates spanning trees of edge subsets; tiny n only)."""
+    X = set(X)
+    best = None
+    m = g.m
+    nv = len(X)
+    for k in range(nv - 1, m + 1):
+        for combo in itertools.combinations(range(m), k):
+            uf = UnionFind(g.n)
+            acyclic = True
+            for eid in combo:
+                u, v = g.edges[eid]
+                if not uf.union(u, v):
+                    acyclic = False
+                    break
+            if not acyclic:
+                continue
+            root = uf.find(min(X))
+            if any(uf.find(x) != root for x in X):
+                continue
+            deg = degree_map(g, combo)
+            if any(d == 1 and v not in X for v, d in deg.items()):
+                continue
+            dmax = max(deg.values())
+            if best is None or dmax < best:
+                best = dmax
+        if best is not None:
+            return best
+    raise ValueError("terminals not connected")

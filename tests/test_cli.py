@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flbl import labelfile as LF
 from flbl.cli import main
 from test_acceptance import random_regular3
 
@@ -378,3 +379,54 @@ def test_zero_phi_label_file_exit_code(tmp_path, capsys, field):
     out.write_bytes(bytes(data))
     assert run_cli(["query", str(out), "--fail", "1", "--count"]) == 1
     assert "phi" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("cmd", [["build", "--f", "4294967296"],
+                                 ["stats", "--f-range", "2,4294967296"]])
+def test_f_above_u32_exit_code(tmp_path, capsys, cmd):
+    # the header holds f in a u32; the value is rejected before any build
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "p4.txt").write_text(P4)
+    if cmd[0] == "build":
+        args = ["build", str(corpus / "p4.txt"), "-o", str(tmp_path / "p4.flbl")]
+    else:
+        args = ["stats", str(corpus)]
+    assert run_cli(args + ["--scheme", "1"] + cmd[1:]) == 3
+    assert "f must be at most 4294967295" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "p4.flbl").exists()
+
+
+@pytest.mark.parametrize("cmd", ["build", "stats"])
+@pytest.mark.parametrize("scheme", ["3", "4"])
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
+def test_rand_seed_outside_u64_exit_code(tmp_path, capsys, cmd, scheme, seed):
+    # the header holds the scheme-3/4 seed in a u64
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "p4.txt").write_text(P4)
+    out = tmp_path / "p4.flbl"
+    if cmd == "build":
+        args = ["build", str(corpus / "p4.txt"), "--f", "1", "-o", str(out)]
+    else:
+        args = ["stats", str(corpus), "--f-range", "1"]
+    assert run_cli(args + ["--scheme", scheme, f"--seed={seed}"]) == 3
+    assert "--seed must be in 0..18446744073709551615" in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_seed_range_edges_build(tmp_path, capsys):
+    # the largest u64 seed is written and read back; schemes 1-2 ignore it
+    gpath = tmp_path / "p4.txt"
+    gpath.write_text(P4)
+    out = tmp_path / "p4.flbl"
+    assert run_cli(["build", str(gpath), "--scheme", "3", "--f", "1",
+                    "--seed", "18446744073709551615", "-o", str(out)]) == 0
+    assert LF.read_label_file(str(out)).meta.seed == (1 << 64) - 1
+    assert run_cli(["build", str(gpath), "--scheme", "1", "--f", "1",
+                    "--seed=-5", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["query", str(out), "--fail", "1", "--pair", "0,3"]) == 0
+    assert capsys.readouterr().out.strip() == "0,3: disconnected"

@@ -14,6 +14,7 @@ from flbl.codeshares import (
     decode,
     encode,
 )
+from support import share_from_bytes, share_to_bytes
 
 
 def test_nonresidue_is_nonresidue():
@@ -85,9 +86,9 @@ def test_duplicate_conflicting_shares():
 
 def test_share_wire_format():
     sh = CodeShare(3, 123456789, 987654321)
-    raw = sh.to_bytes()
+    raw = share_to_bytes(sh)
     assert len(raw) == 20  # 32 + 64 + 64 bits little-endian
-    assert CodeShare.from_bytes(raw) == sh
+    assert share_from_bytes(raw) == sh
 
 
 ONE = F2(1)

@@ -6,6 +6,7 @@ import pytest
 from flbl.euler import EulerFrame, WeightedTour, dyadic_cover
 from flbl.graph import Graph
 from flbl.hierarchy import EdgeLevelAssignment, build_edge_hierarchy
+from support import ball_element, block_range, dist
 
 HALF = Fraction(1, 2)
 
@@ -147,7 +148,7 @@ def test_ball_radius_zero_and_all_zero_weights():
     wt = WeightedTour(frame, tree, f=1, phi=HALF)
     # no non-tree edges: all weights zero, ball covers the whole tree
     assert wt.W_real == 0
-    assert wt.ball_element(frame.pos_vertex[0], 0) == {0, 1, 2, 3}
+    assert ball_element(wt, frame.pos_vertex[0], 0) == {0, 1, 2, 3}
 
 
 def naive_ball(frame, wt, pos, r):
@@ -184,7 +185,7 @@ def test_ball_matches_naive_oracle():
                 wt = WeightedTour(frame, tree, f=2, phi=HALF)
                 for pos in tree.positions:
                     for r in (0, 1, 2):
-                        assert wt.ball_element(pos, r) == naive_ball(
+                        assert ball_element(wt, pos, r) == naive_ball(
                             frame, wt, pos, r
                         ), (g.edges, ell, pos, r)
 
@@ -198,7 +199,7 @@ def test_ball_rejects_foreign_element():
     big = max(trees.values(), key=lambda t: len(t.vertices))
     wt = WeightedTour(frame, small, f=1, phi=HALF)
     with pytest.raises((ValueError, KeyError)):
-        wt.ball_element(big.positions[0], 1)
+        ball_element(wt, big.positions[0], 1)
 
 
 def test_removing_k_tree_edges_gives_2k_plus_1_intervals():
@@ -232,7 +233,7 @@ def test_dist_symmetry():
             ps = tree.positions
             for a in ps[::2]:
                 for b in ps[::3]:
-                    assert wt.dist(a, b) == wt.dist(b, a)
+                    assert dist(wt, a, b) == dist(wt, b, a)
 
 
 def test_dyadic_cover_full_and_single():
@@ -264,7 +265,7 @@ def test_dyadic_cover_random_ranges_exact_partition():
         cover = dyadic_cover(a, b, wt.j_top)
         cur = a
         for j, k in cover:
-            lo, hi = wt.block_range(j, k)
+            lo, hi = block_range(j, k)
             assert lo == cur
             cur = hi
             assert j <= wt.j_top

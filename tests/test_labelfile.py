@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import random
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -12,9 +13,13 @@ from flbl import codeshares
 from flbl import labelfile as LF
 from flbl.bits import BitReader, BitWriter, pack_fields
 from flbl.build import build_scheme, to_label_file
+from flbl.cli import main
 from flbl.graph import Graph, UnionFind
 from flbl.labels_rand import _bits
-from flbl.labels_sqrt import BlockRecord, RevealEntry
+from flbl.labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel
+from flbl.labels_sqrt import (BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection,
+                              near_blocks)
+from support import share_to_bytes
 from test_golden import _none_blocks, _sparse40
 
 
@@ -254,7 +259,7 @@ def test_share_bit_size_invariant():
         assert minimal <= 2 * 61 + math.ceil(math.log2(max(k, 2)))
     # the standalone wire format is the fixed 160-bit triple
     sh = codeshares.CodeShare(1, 2, 3)
-    assert len(sh.to_bytes()) * 8 == 160
+    assert len(share_to_bytes(sh)) * 8 == 160
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -437,3 +442,291 @@ def test_make_label_file_rejects_oversized_shared_field(where):
         rec.edges[0] = (a, b, 1 << res.meta.par_bits)
     with pytest.raises(ValueError, match="does not fit"):
         to_label_file(res)
+
+
+def test_peek_reads_without_moving():
+    r = BitReader(b"\xa5\x1f")
+    r.skip(3)
+    assert r.peek(9) == 0b111110100 == r.read(9)
+    # bits past the payload read as 0; only skip and read check the bounds
+    assert r.peek(12) == 0b0001
+    with pytest.raises(ValueError):
+        r.skip(5)
+    assert r.pos == 12
+
+
+# -- edge names read as one packed field --------------------------------------
+#
+# The decoders read each edge name as the one field of width 2·pos + par
+# that the encoder writes, and map it through the per-file table
+# `Widths.names`.  The oracle below is the three-field split they used
+# before: each name read as (pos, pos, par) fields, and the optional
+# positions of a section read one flag and one value at a time.
+
+
+def _split_names(vals):
+    return list(zip(vals[0::3], vals[1::3], vals[2::3]))
+
+
+def _split_opts(r, bits):
+    av0, bv0, av1, bv1 = (r.read(bits) if r.read(1) else None for _ in range(4))
+    return (av0, av1), (bv0, bv1)
+
+
+def _oracle_simple(data, wd, meta):
+    r = BitReader(data)
+    is_tree, pos_u, pos_v, par = r.read_fields((1, wd.pos, wd.pos, wd.par))
+    lab = SimpleEdgeLabel(pos_u=pos_u, pos_v=pos_v, par=par, is_tree=bool(is_tree))
+    if not is_tree:
+        return lab
+    lab.level, lab.pos_down, lab.pos_up = r.read_fields((wd.h, wd.pos, wd.pos))
+    name_w = (wd.pos, wd.pos, wd.par)
+    for ell in range(lab.level, meta.h + 1):
+        root, end, last = r.read_fields((wd.pos,) * 3)
+        after_v, before_v = _split_opts(r, wd.pos)
+        segs = []
+        for _ in range(3):
+            truncated, cnt = r.read_fields((1, wd.cap))
+            segs.append(SegmentList(_split_names(r.read_fields(name_w * cnt)),
+                                    bool(truncated)))
+        lab.sections[ell] = LevelSection(root, end, last, after_v, before_v, tuple(segs))
+    return lab
+
+
+def _oracle_sqrt(data, wd, meta):
+    r = BitReader(data)
+    is_tree, pos_u, pos_v, par, level = r.read_fields((1, wd.pos, wd.pos, wd.par, wd.h))
+    lab = SqrtEdgeLabel(pos_u=pos_u, pos_v=pos_v, par=par, is_tree=bool(is_tree),
+                        level=level)
+    if is_tree:
+        lab.pos_down, lab.pos_up = r.read_fields((wd.pos, wd.pos))
+    name_w = (wd.pos, wd.pos, wd.par)
+    for ell in range(level, meta.h + 1):
+        root, end, last, w_real, nrev = r.read_fields((wd.pos,) * 3 + (wd.unit, wd.m))
+        reveal = []
+        for _ in range(nrev):
+            a, b, k, ua, ub, nsh = r.read_fields(name_w + (wd.unit, wd.unit, wd.j + 2))
+            rows = iter(r.read_fields((wd.j, 1, wd.m, 61, 61) * nsh))
+            shares = {(j, side): codeshares.CodeShare(i, sa, sb)
+                      for j, side, i, sa, sb in zip(rows, rows, rows, rows, rows)}
+            reveal.append(RevealEntry((a, b, k), ua, ub, shares))
+        sec = SqrtLevelSection(root, end, last, w_real, reveal)
+        if is_tree:
+            sec.after_v, sec.before_v = _split_opts(r, wd.pos)
+            sec.unit_down, sec.unit_up = r.read_fields((wd.unit, wd.unit))
+            for j, blocks in near_blocks(sec, wd.j_max):
+                per = sec.near[j] = {}
+                for blk in blocks:
+                    lge, has_edges = r.read_fields((wd.m, 1))
+                    edges = None
+                    if has_edges:
+                        edges = _split_names(r.read_fields(name_w * r.read(wd.m)))
+                    per[blk] = BlockRecord(lge, edges)
+        lab.sections[ell] = sec
+    return lab
+
+
+def _below(width):
+    return st.integers(0, (1 << width) - 1)
+
+
+@st.composite
+def _metas(draw):
+    aux_n = draw(st.integers(1, 40))
+    return SchemeMeta(n=aux_n, aux_n=aux_n, m=draw(st.integers(1, 60)),
+                      f=draw(st.integers(1, 8)),
+                      phi=draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1)])),
+                      h=draw(st.integers(1, 3)), comp_roots=[0],
+                      par_bits=draw(st.integers(0, 3)))
+
+
+def _opts(draw, wd, pattern):
+    """(after_v, before_v) with position i present when bit i of pattern is set."""
+    av0, bv0, av1, bv1 = (draw(_below(wd.pos)) if pattern >> i & 1 else None
+                          for i in range(4))
+    return (av0, av1), (bv0, bv1)
+
+
+def _name_lists(draw, wd, max_size):
+    # names drawn at random match no edge of any graph, and repeat often
+    # enough that most lists mix table misses and hits
+    pool = draw(st.lists(st.tuples(_below(wd.pos), _below(wd.pos), _below(wd.par)),
+                         min_size=1, max_size=6))
+    return st.lists(st.sampled_from(pool), max_size=max_size)
+
+
+@st.composite
+def _simple_labels(draw, meta, wd, pattern, tree):
+    lab = SimpleEdgeLabel(pos_u=draw(_below(wd.pos)), pos_v=draw(_below(wd.pos)),
+                          par=draw(_below(wd.par)), is_tree=tree)
+    if not tree:
+        return lab
+    lab.level = draw(st.integers(0, meta.h))
+    lab.pos_down, lab.pos_up = draw(_below(wd.pos)), draw(_below(wd.pos))
+    names = _name_lists(draw, wd, min((1 << wd.cap) - 1, 5))
+    for ell in range(lab.level, meta.h + 1):
+        after_v, before_v = _opts(draw, wd, pattern)
+        segs = tuple(SegmentList(draw(names), draw(st.booleans())) for _ in range(3))
+        lab.sections[ell] = LevelSection(draw(_below(wd.pos)), draw(_below(wd.pos)),
+                                         draw(_below(wd.pos)), after_v, before_v, segs)
+    return lab
+
+
+@st.composite
+def _sqrt_labels(draw, meta, wd, pattern, tree):
+    lab = SqrtEdgeLabel(pos_u=draw(_below(wd.pos)), pos_v=draw(_below(wd.pos)),
+                        par=draw(_below(wd.par)), is_tree=tree,
+                        level=draw(st.integers(0, meta.h)))
+    if tree:
+        lab.pos_down, lab.pos_up = draw(_below(wd.pos)), draw(_below(wd.pos))
+    names = _name_lists(draw, wd, min((1 << wd.m) - 1, 4))
+    share = st.builds(codeshares.CodeShare, _below(wd.m), _below(61), _below(61))
+    shares = st.dictionaries(st.tuples(_below(wd.j), _below(1)), share, max_size=3)
+    for ell in range(lab.level, meta.h + 1):
+        reveal = [RevealEntry(nm, draw(_below(wd.unit)), draw(_below(wd.unit)),
+                              draw(shares))
+                  for nm in draw(names)]
+        sec = SqrtLevelSection(draw(_below(wd.pos)), draw(_below(wd.pos)),
+                               draw(_below(wd.pos)), draw(_below(wd.unit)), reveal)
+        if tree:
+            sec.after_v, sec.before_v = _opts(draw, wd, pattern)
+            sec.unit_down, sec.unit_up = draw(_below(wd.unit)), draw(_below(wd.unit))
+            for j, blocks in near_blocks(sec, wd.j_max):
+                sec.near[j] = {blk: BlockRecord(draw(_below(wd.m)),
+                                                draw(st.none() | names))
+                               for blk in blocks}
+        lab.sections[ell] = sec
+    return lab
+
+
+def _label_names(lab):
+    """Every edge name a scheme-1 or scheme-2 label lists."""
+    for sec in lab.sections.values():
+        for seg in getattr(sec, "segments", ()):
+            yield from seg.entries
+        for ent in getattr(sec, "reveal", ()):
+            yield ent.name
+        for per in getattr(sec, "near", {}).values():
+            for rec in per.values():
+                yield from rec.edges or ()
+
+
+@pytest.mark.parametrize("pattern", range(16))
+@pytest.mark.parametrize("scheme", [1, 2])
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_packed_names_decode_like_three_field_split(scheme, pattern, data):
+    # each of the 16 present/absent patterns of the optional positions, on
+    # random labels: names with par up to 3 bits that match no edge of the
+    # file, empty lists, and names shared within and across labels
+    meta = data.draw(_metas())
+    draw_label, decode, oracle = {
+        1: (_simple_labels, LF.decode_simple_edge, _oracle_simple),
+        2: (_sqrt_labels, LF.decode_sqrt_edge, _oracle_sqrt)}[scheme]
+    wd = LF.Widths.of(meta)
+    tree = data.draw(st.lists(st.booleans(), max_size=3))
+    labels = [data.draw(draw_label(meta, wd, pattern, t)) for t in [True, *tree]]
+    lf = LF.make_label_file(scheme, meta, [], labels)
+    names = set()
+    for lab, payload in zip(labels, lf.edge_payloads):
+        want = oracle(payload, LF.Widths.of(meta), meta)
+        got = decode(payload, wd, meta)
+        assert got == want == lab
+        assert repr(got) == repr(want)
+        names.update(_label_names(lab))
+        # the table holds each name read so far, once
+        assert sorted(wd.names.values()) == sorted(names)
+        # a second read is all table hits and gives the same record
+        assert decode(payload, wd, meta) == want
+
+
+# -- payloads cut inside names and optional positions ----------------------
+
+
+def _simple_spans(lab, wd, where):
+    """([start, end), fields there) of the optional positions or of each
+    non-empty segment name list of a decoded scheme-1 tree label."""
+    at = 1 + 2 * wd.pos + wd.par + wd.h + 2 * wd.pos
+    for sec in lab.sections.values():
+        at += 3 * wd.pos
+        opts = sum(1 + (wd.pos if v is not None else 0)
+                   for v in (*sec.after_v, *sec.before_v))
+        if where == "opts":
+            yield at, at + opts, (sec.after_v, sec.before_v)
+        at += opts
+        for seg in sec.segments:
+            at += 1 + wd.cap
+            end = at + len(seg.entries) * wd.names.width
+            if where == "segment-names" and seg.entries:
+                yield at, end, seg.entries
+            at = end
+
+
+def _spans(lab, wd, where):
+    """([start, end), fields there) of the `where` spans of a decoded label."""
+    if where == "reveal-name":
+        sec = lab.sections[lab.level]
+        if sec.reveal:
+            head = 1 + 2 * wd.pos + wd.par + wd.h + (2 * wd.pos if lab.is_tree else 0)
+            start = head + 3 * wd.pos + wd.unit + wd.m
+            yield start, start + wd.names.width, [sec.reveal[0].name]
+    elif lab.is_tree:
+        yield from _simple_spans(lab, wd, where)
+
+
+def _cut_inside(start, end):
+    """A byte count whose bit length falls strictly inside [start, end),
+    or None."""
+    cut = start // 8 + 1
+    return cut if cut * 8 < end else None
+
+
+@pytest.fixture(scope="module")
+def simple_file():
+    res = build_scheme(random_connected(random.Random(5), 14, 0.4), 1, 3)
+    return res, to_label_file(res)
+
+
+@pytest.mark.parametrize("where", ["opts", "segment-names", "reveal-name"])
+def test_payload_cut_in_names_or_opts_fails_at_decode(tmp_path, capsys, where,
+                                                      simple_file, sqrt_noneblocks):
+    _, lf = sqrt_noneblocks if where == "reveal-name" else simple_file
+    wd = lf.widths
+    path = tmp_path / "cut.flbl"
+    tried = 0
+    for eid, payload in enumerate(lf.edge_payloads):
+        for start, end, want in _spans(LF.decode_edge(lf, eid), wd, where):
+            cut = _cut_inside(start, end)
+            if cut is None:
+                continue
+            # the span is located right: the old split reads its fields there
+            r = BitReader(payload)
+            r.skip(start)
+            if where == "opts":
+                assert _split_opts(r, wd.pos) == want
+            else:
+                name_w = (wd.pos, wd.pos, wd.par)
+                assert _split_names(r.read_fields(name_w * len(want))) == want
+            assert r.pos == end
+            if where == "opts":
+                # the window read checks its own bounds
+                r = BitReader(payload[:cut])
+                r.skip(start)
+                with pytest.raises(ValueError, match="runs past"):
+                    LF._read_opts(r, wd.pos)
+                assert r.pos == start
+            with pytest.raises(ValueError, match="runs past"):
+                _decode_payload(lf, eid, payload[:cut])
+            payloads = list(lf.edge_payloads)
+            payloads[eid] = payload[:cut]
+            LF.write_label_file(str(path), dataclasses.replace(lf, edge_payloads=payloads))
+            with pytest.raises(SystemExit) as exc:
+                main(["query", str(path), "--fail", str(eid), "--count"])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "runs past" in err and err.count("\n") == 1
+            tried += 1
+            break
+        if tried == 3:
+            break
+    assert tried == 3

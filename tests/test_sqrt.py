@@ -19,6 +19,7 @@ from flbl.labels_sqrt import (
     unpack_named_edge,
 )
 from flbl import codeshares
+from support import ball_edge, ball_element, block_range
 
 HALF = Fraction(1, 2)
 
@@ -132,8 +133,8 @@ def test_compute_lge_matches_naive_ball_oracle():
                         if k:
                             flags[0] = flags[-1] = True
                             for q in range(k - 1):
-                                ball = wt.ball_element(
-                                    frame.pos_vertex[naive[q][2]], wt.r
+                                ball = ball_element(
+                                    wt, frame.pos_vertex[naive[q][2]], wt.r
                                 )
                                 if naive[q + 1][2] not in ball:
                                     flags[q] = flags[q + 1] = True
@@ -283,7 +284,7 @@ def test_case3_volume_bound():
     cid, _ = oracle_classes(g, F)
     for (ell, tree_root, j, blk, lge) in res.case3_fired:
         wt = wts[tree_root]
-        lo, hi = wt.block_range(j, blk)
+        lo, hi = block_range(j, blk)
         inside = [
             v for v in wt.tree.vertices
             if wt.wt[wt.tree.local_of[frame.pos_vertex[v]]]
@@ -329,7 +330,7 @@ def test_find_edge_lemma_property():
                         continue
                     reveal_balls: set[int] = set()
                     for e in faults_here:
-                        reveal_balls |= wt.ball_edge(e, wt.r)
+                        reveal_balls |= ball_edge(wt, e, wt.r)
                     # fault-split interval boundaries on this tour
                     qs = []
                     for e in faults_here:

@@ -10,11 +10,11 @@ from flbl.steiner import (
     INFINITE_TOUGHNESS,
     expanding_implies_tough_check,
     low_degree_steiner,
-    min_degree_steiner_exhaustive,
     ni_forests,
     ni_sparsify,
     toughness,
 )
+from support import degree_map, min_degree_steiner_exhaustive
 
 
 def assert_forests(g, forests):
@@ -115,7 +115,7 @@ def test_steiner_degree_bound_and_residual_sweep():
             bound = 2 / cert.phi + 3
             assert st.max_degree <= bound
         # leaves are terminals
-        deg = st.degree_map(g)
+        deg = degree_map(g, st.edges)
         for v, d in deg.items():
             if d == 1:
                 assert v in X
