@@ -79,10 +79,6 @@ class BitWriter:
     def getvalue(self) -> bytes:
         return bytes(self.buf) + self.cur.to_bytes((self.curbits + 7) >> 3, "little")
 
-    @property
-    def total_bits(self) -> int:
-        return self.payload_bits + self.framing_bits
-
 
 class BitReader:
     def __init__(self, data: bytes):

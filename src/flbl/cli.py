@@ -143,18 +143,19 @@ def _parse_pair(text: str, lf: LF.LabelFile):
 
 def _run_query(lf: LF.LabelFile, fault_ids: list[int]):
     """The query result; a fault label that does not decode (a payload
-    cut short) exits EXIT_PARSE."""
+    cut short) or whose scheme-2 share rows do not (a share index out of
+    its range) exits EXIT_PARSE."""
     try:
         records = {e: LF.decode_edge(lf, e) for e in fault_ids}
+        if lf.scheme == LF.SCHEME_SIMPLE:
+            return query_simple(records, None, None, lf.meta)
+        if lf.scheme == LF.SCHEME_SQRT:
+            return query_sqrt(records, None, None, lf.meta)
+        if lf.scheme == LF.SCHEME_RAND_LONG:
+            return query_rand_long(records, lf.meta)
+        return query_rand_short(records, lf.meta)
     except ValueError as exc:
         _fail(EXIT_PARSE, exc)
-    if lf.scheme == LF.SCHEME_SIMPLE:
-        return query_simple(records, None, None, lf.meta)
-    if lf.scheme == LF.SCHEME_SQRT:
-        return query_sqrt(records, None, None, lf.meta)
-    if lf.scheme == LF.SCHEME_RAND_LONG:
-        return query_rand_long(records, lf.meta)
-    return query_rand_short(records, lf.meta)
 
 
 def cmd_query(args) -> int:

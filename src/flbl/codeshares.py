@@ -1,111 +1,111 @@
-"""Reed-Solomon code shares over GF(q) and its quadratic extension.
+"""Reed-Solomon code shares over GF(p) and its quadratic extension.
 
-A length-k message over GF(q) is packed into ceil(k/2) coefficients of a
-polynomial over GF(q^2); the k shares are its evaluations at 1..k, and
-any ceil(k/2) of them reconstruct the message by interpolation.
+A length-k message over GF(p) is packed into ceil(k/2) coefficients of a
+polynomial over GF(p^2); the k shares are its evaluations at 1..k, and
+any ceil(k/2) of them reconstruct the message by interpolation.  The
+nodes 1..k lie in GF(p), so encode and decode only scale GF(p^2)
+elements by GF(p) ones and work on the two components apart.
+
+The field is an argument: a label file uses the first prime above
+2^w, where w is the width of one message symbol (`field_for`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-Q = (1 << 61) - 1  # Mersenne prime 2^61 - 1
-
-
-def _find_nonresidue(q: int) -> int:
-    for a in range(2, 1000):
-        if pow(a, (q - 1) // 2, q) == q - 1:
-            return a
-    raise RuntimeError("no quadratic non-residue found")
+# Miller-Rabin with these bases is exact below 3.3 * 10^24 > 2^81.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_WIDTH = 80
 
 
-NONRESIDUE = _find_nonresidue(Q)
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2^81."""
+    if n < 2:
+        return False
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _inv(a: int) -> int:
-    return pow(a, Q - 2, Q)
+@dataclass(frozen=True)
+class Field:
+    """GF(p^2) as pairs (a, b) = a + b*xi, with xi^2 = nonresidue mod p."""
+
+    p: int
+    nonresidue: int
 
 
-class F2:
-    """GF(q^2) element a + b*xi with xi^2 = NONRESIDUE, components mod q."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        self.a = a % Q
-        self.b = b % Q
-
-    def __eq__(self, other):
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"F2({self.a}, {self.b})"
-
-    def __add__(self, other):
-        return F2(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return F2(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        return F2(
-            self.a * other.a + self.b * other.b % Q * NONRESIDUE,
-            self.a * other.b + self.b * other.a,
-        )
-
-
-ZERO = F2(0)
+@cache
+def field_for(width: int) -> Field:
+    """The field of `width`-bit symbols: p is the first prime above
+    2^width, with its least quadratic non-residue.  Cached per width."""
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"symbol width {width} is outside 1..{MAX_WIDTH}")
+    p = (1 << width) + 1
+    while not is_prime(p):
+        p += 2
+    a = 2
+    while pow(a, (p - 1) // 2, p) != p - 1:
+        a += 1
+    return Field(p, a)
 
 
 @dataclass(frozen=True)
 class CodeShare:
-    """Evaluation share (i, g(i)) with i in 1..k and g over GF(q^2)."""
+    """Evaluation share (i, g(i)) with i in 1..k and g over GF(p^2)."""
 
     index: int
     a: int
     b: int
 
 
-def encode(message: list[int], d: int = 2) -> list[CodeShare]:
-    """Break a message of k GF(q) symbols into k code shares, any ceil(k/d)
-    of which reconstruct it.  Only d=2 is supported."""
-    if d != 2:
-        raise ValueError("only d=2 is supported")
+def encode(message: list[int], field: Field) -> list[CodeShare]:
+    """Break a message of k GF(p) symbols into k code shares, any
+    ceil(k/2) of which reconstruct it."""
+    p = field.p
     k = len(message)
-    if k == 0:
-        return []
-    if k >= Q:
+    if k >= p:
         raise ValueError(f"message length {k} must be below the field size")
     for s in message:
-        if not (0 <= s < Q):
+        if not (0 <= s < p):
             raise ValueError("message symbol out of field range")
     # coefficient t packs symbols (2t, 2t+1); odd k zero-pads the last b
-    coeffs = []
-    for t in range(0, k, 2):
-        a = message[t]
-        b = message[t + 1] if t + 1 < k else 0
-        coeffs.append(F2(a, b))
+    ca = message[0::2]
+    cb = message[1::2] + [0] * (k & 1)
     shares = []
-    for i in range(1, k + 1):
-        x = F2(i)
-        acc = ZERO
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        shares.append(CodeShare(i, acc.a, acc.b))
+    for x in range(1, k + 1):
+        a = b = 0
+        for t in range(len(ca) - 1, -1, -1):
+            a = (a * x + ca[t]) % p
+            b = (b * x + cb[t]) % p
+        shares.append(CodeShare(x, a, b))
     return shares
 
 
-def decode(shares: list[CodeShare], k: int, d: int = 2) -> list[int]:
-    """Recover the message from at least ceil(k/d) distinct shares by
-    Lagrange interpolation over GF(q^2) through the ceil(k/d) lowest
-    share indices, in O(k^2) field operations."""
-    if d != 2:
-        raise ValueError("only d=2 is supported")
+def decode(shares: list[CodeShare], k: int, field: Field) -> list[int]:
+    """Recover the message from at least ceil(k/2) distinct shares by
+    Lagrange interpolation through the ceil(k/2) lowest share indices, in
+    O(k^2) field operations."""
     if k == 0:
         return []
+    p = field.p
     t = (k + 1) // 2
     seen = {}
     for sh in shares:
@@ -118,27 +118,27 @@ def decode(shares: list[CodeShare], k: int, d: int = 2) -> list[int]:
         raise ValueError(f"need {t} distinct shares to decode, got {len(seen)}")
     pts = sorted(seen.items())[:t]
     # The nodes are integers, so the master polynomial prod (x - x_i) and
-    # the node weights 1 / prod_{i != j} (x_j - x_i) lie in GF(q); each
+    # the node weights 1 / prod_{i != j} (x_j - x_i) lie in GF(p); each
     # basis polynomial is the master divided by (x - x_j), synthetically.
     master = [1]  # lowest degree first
     for x, _ in pts:
-        master = [(up - x * c) % Q for up, c in zip([0] + master, master + [0])]
+        master = [(up - x * c) % p for up, c in zip([0] + master, master + [0])]
     ca = [0] * t
     cb = [0] * t
     for x, (a, b) in pts:
         w = 1
         for x2, _ in pts:
             if x2 != x:
-                w = w * (x - x2) % Q
-        w = _inv(w)
-        sa, sb = a * w % Q, b * w % Q
+                w = w * (x - x2) % p
+        w = pow(w, -1, p)
+        sa, sb = a * w % p, b * w % p
         c = 1  # quotient coefficients, highest degree first
-        for p in range(t - 1, -1, -1):
-            ca[p] += c * sa
-            cb[p] += c * sb
-            c = (master[p] + x * c) % Q
+        for i in range(t - 1, -1, -1):
+            ca[i] += c * sa
+            cb[i] += c * sb
+            c = (master[i] + x * c) % p
     out = []
-    for p in range(t):
-        out.append(ca[p] % Q)
-        out.append(cb[p] % Q)
+    for i in range(t):
+        out.append(ca[i] % p)
+        out.append(cb[i] % p)
     return out[:k]

@@ -1,21 +1,29 @@
 """Binary label-file container and per-scheme payload codecs.
 
-Layout (little-endian): magic "FLBL", version u16, scheme u8, n u32,
-aux_n u32, m u32, f u32, h u16, phi num/den u32, certified u8,
-par_bits u8, c u8, B u8, jcols u8, seed u64, component-root array
-(u32 count + u32 each), vertex map (u8 flag, then n u32 if set), then
-n vertex payloads and m edge payloads, each a u32 bit length and a u32
-byte length followed by byte-padded data.  A file that ends early is
-rejected with ValueError.  Reported label sizes are payload bits; length
-prefixes, byte padding, and union-type discriminator flags count as
-framing.
+Layout (little-endian), version 2: magic "FLBL", version u16, scheme u8,
+n u32, aux_n u32, m u32, f u32, h u16, phi num/den u32, certified u8,
+par_bits u8, share index width u8 (scheme 2, else 0), c u8, B u8,
+jcols u8, seed u64, component-root array (u32 count + u32 each), vertex
+map (u8 flag, then n u32 if set), then n vertex payloads and m edge
+payloads, each a u32 bit length and a u32 byte length followed by
+byte-padded data, and last a u32 CRC32 of every byte before it.  A file
+that ends early, claims more bits than a payload's bytes hold, or fails
+its CRC is rejected with ValueError.  Reported label sizes are payload
+bits; length prefixes, byte padding, union-type discriminator flags and
+the CRC count as framing.
+
+A scheme-2 reveal entry is its name, two units, a presence bitmap of
+2(j_max + 1) bits (bit 2j + side per share) and one (index, a, b) row
+per set bit: the index in the header's width, a and b in the bit length
+of the share field's prime p, the first prime above 2^(2·pos + par).
 
 Each edge encoder writes its label as one `BitWriter.write_fields`
 group, and its decoder reads it back in groups (a header, a section
-header, one reveal entry with its shares, one block record, one whole
-edge list) with `BitReader.read_fields`.  The stream is LSB-first, so a
-record written as the one (value, width) field `bits.pack_fields` makes
-of it gives the same bits as its fields.  Scheme-2 labels share their
+header, one block record, one whole edge list) with
+`BitReader.read_fields`, or splits a short group (the optional
+positions, a reveal entry's head) from one `BitReader.peek` window.
+The stream is LSB-first, so a record written as the one (value, width)
+field `bits.pack_fields` makes of it gives the same bits as its fields.  Scheme-2 labels share their
 reveal entries and block records (the build makes each once per tree),
 and an edge name recurs in many lists; `make_label_file` packs each
 shared record and each edge name once per file and writes that field
@@ -26,55 +34,35 @@ splits a name into its (a, b, k) tuple on first sight.  The scheme-2 decoder
 skips the two large, rarely read parts, the share rows of each reveal
 entry and the edge list of each block record, and reads them on first
 use (`_Rows`); the skip is bounds-checked, so a payload cut short or a
-row count that claims more rows than remain fails at decode.
+row count or presence bitmap that claims more rows than remain fails at
+decode.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 
 from .bits import BitReader, BitWriter, pack_fields
-from .codeshares import CodeShare
+from .codeshares import CodeShare, field_for
 from .euler import radius_scale
 from .labels_rand import RandEdgeLabel, RandMeta, _bits
-from .labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel, cap_edges
+from .labels_simple import (LevelSection, NameTable, SchemeMeta, SegmentList, SimpleEdgeLabel,
+                            cap_edges)
 from .labels_sqrt import BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection, near_blocks
 
 MAGIC = b"FLBL"
-VERSION = 1
+VERSION = 2
 
 SCHEME_SIMPLE = 1
 SCHEME_SQRT = 2
 SCHEME_RAND_LONG = 3
 SCHEME_RAND_SHORT = 4
-
-
-class _NameTable(dict):
-    """Edge names of one label file: the packed field of width 2·pos + par
-    that `_name_fields` wrote -> its (a, b, k) tuple, split on first
-    sight.  It mirrors the encoder's name memo, so each distinct name is
-    split once per file and every list that holds it shares one tuple."""
-
-    __slots__ = ("pos", "width")
-
-    def __init__(self, pos: int, par: int):
-        super().__init__()
-        self.pos = pos
-        self.width = 2 * pos + par
-
-    def __missing__(self, packed: int) -> tuple[int, int, int]:
-        pos = self.pos
-        mask = (1 << pos) - 1
-        nm = self[packed] = (packed & mask, packed >> pos & mask, packed >> 2 * pos)
-        return nm
-
-    def of(self, fields: list[int]) -> list[tuple[int, int, int]]:
-        return list(map(self.__getitem__, fields))
 
 
 @dataclass
@@ -88,14 +76,14 @@ class Widths:
     m: int
     pre: int
     cap: int                   # scheme-1 segment-list count
-    j: int                     # scheme-2 scale index
-    j_max: int
+    j_max: int                 # scheme 2: largest scale of a share
+    idx: int                   # scheme 2: share index
     rand: tuple[int, ...]      # scheme-3/4 edge fields after the flag
-    names: _NameTable = field(repr=False, compare=False)
+    names: NameTable = field(repr=False, compare=False)
 
     @staticmethod
     def of(meta: SchemeMeta) -> "Widths":
-        pos = max(1, (3 * meta.aux_n).bit_length())
+        pos = meta.pos_bits
         pre = _bits(meta.aux_n)
         _, j_max = radius_scale(meta.f, meta.phi)
         rand = ()
@@ -111,11 +99,21 @@ class Widths:
             m=max(1, meta.width_m.bit_length()),
             pre=pre,
             cap=max(1, cap_edges(meta.f, meta.phi).bit_length()),
-            j=max(1, j_max.bit_length()),
             j_max=j_max,
+            idx=meta.share_index_bits,
             rand=rand,
-            names=_NameTable(pos, meta.par_bits),
+            names=meta.name_table(),
         )
+
+    @property
+    def present(self) -> int:
+        """Scheme-2 presence bitmap: bit 2j + side per (scale, side)."""
+        return 2 * (self.j_max + 1)
+
+    @cached_property
+    def share(self) -> int:
+        """Scheme-2 share component: the bit length of the field prime."""
+        return field_for(self.names.width).p.bit_length()
 
 
 def _opt_fields(after_v, before_v, bits: int) -> list[tuple[int, int]]:
@@ -152,8 +150,7 @@ def _name_fields(names, wd: Widths, memo: dict) -> list[tuple[int, int]]:
     for nm in names:
         field = memo.get(nm)
         if field is None:
-            a, b, k = nm
-            field = memo[nm] = pack_fields(((a, wd.pos), (b, wd.pos), (k, wd.par)))
+            field = memo[nm] = (wd.names.pack(nm), wd.names.width)
         out.append(field)
     return out
 
@@ -168,11 +165,12 @@ def _packed(memo: dict, rec, fields_of, wd: Widths) -> tuple[int, int]:
     return hit[1]
 
 
-def _shares(vals: list[int]) -> dict[tuple[int, int], CodeShare]:
-    """A reveal entry's (scale, side) -> share dict from its flat rows."""
+def _shares(present: int, vals: list[int]) -> dict[tuple[int, int], CodeShare]:
+    """A reveal entry's (scale, side) -> share dict from its presence
+    bitmap and its flat (index, a, b) rows, one per set bit."""
+    keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length()) if present >> bit & 1]
     rows = iter(vals)
-    return {(j, side): CodeShare(idx, sa, sb)
-            for j, side, idx, sa, sb in zip(rows, rows, rows, rows, rows)}
+    return {key: CodeShare(idx, sa, sb) for key, idx, sa, sb in zip(keys, rows, rows, rows)}
 
 
 class _Rows:
@@ -279,10 +277,13 @@ def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeL
 
 
 def _entry_fields(ent: RevealEntry, wd: Widths, memo: dict) -> list[tuple[int, int]]:
+    present = 0
+    for j, side in ent.shares:
+        present |= 1 << (2 * j + side)
     fields = _name_fields((ent.name,), wd, memo)
-    fields += [(ent.unit_a, wd.unit), (ent.unit_b, wd.unit), (len(ent.shares), wd.j + 2)]
-    for (j, side), sh in sorted(ent.shares.items()):
-        fields += ((j, wd.j), (side, 1), (sh.index, wd.m), (sh.a, 61), (sh.b, 61))
+    fields += [(ent.unit_a, wd.unit), (ent.unit_b, wd.unit), (present, wd.present)]
+    for _, sh in sorted(ent.shares.items()):
+        fields += ((sh.index, wd.idx), (sh.a, wd.share), (sh.b, wd.share))
     return fields
 
 
@@ -327,16 +328,29 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
         lab.pos_down, lab.pos_up = r.read_fields((wd.pos, wd.pos))
     names = wd.names
     sec_w = (wd.pos, wd.pos, wd.pos, wd.unit, wd.m)
-    entry_w = (names.width, wd.unit, wd.unit, wd.j + 2)
-    share_w = (wd.j, 1, wd.m, 61, 61)
+    # A reveal entry's head (name, unit_a, unit_b, presence bitmap) is split
+    # from one peeked window; the skip past the head and its share rows
+    # checks the bounds.
+    name_mask = (1 << names.width) - 1
+    unit_mask = (1 << wd.unit) - 1
+    ub_at = names.width + wd.unit
+    present_at = ub_at + wd.unit
+    head_bits = present_at + wd.present
+    share_w = (wd.idx, wd.share, wd.share)
+    share_bits = sum(share_w)
     name_w = (names.width,)
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex, w_real, nrev = r.read_fields(sec_w)
         reveal = []
         for _ in range(nrev):
-            nm, ua, ub, nsh = r.read_fields(entry_w)
-            reveal.append(RevealEntry(name=names[nm], unit_a=ua, unit_b=ub,
-                                      shares=_skip_rows(r, nsh, share_w, _shares)))
+            head = r.peek(head_bits)
+            present = head >> present_at
+            cnt = present.bit_count()
+            at = r.skip(head_bits + share_bits * cnt) + head_bits
+            reveal.append(RevealEntry(
+                name=names[head & name_mask], unit_a=head >> names.width & unit_mask,
+                unit_b=head >> ub_at & unit_mask,
+                shares=_Rows(data, at, cnt, share_w, partial(_shares, present))))
         sec = SqrtLevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
             w_real=w_real, reveal=reveal,
@@ -433,8 +447,8 @@ def write_label_file(path: str, lf: LabelFile):
         MAGIC
         + struct.pack("<HBIIIIIH", VERSION, lf.scheme, meta.n, meta.aux_n,
                       meta.m, meta.width_m, meta.f, meta.h)
-        + struct.pack("<IIBBBBBQI", meta.phi.numerator, meta.phi.denominator,
-                      1 if meta.certified else 0, meta.par_bits,
+        + struct.pack("<IIBBBBBBQI", meta.phi.numerator, meta.phi.denominator,
+                      1 if meta.certified else 0, meta.par_bits, meta.share_index_bits,
                       getattr(meta, "c", 0) or 0, getattr(meta, "B", 0) or 0,
                       getattr(meta, "jcols", 0) or 0, meta.seed or 0,
                       len(meta.comp_roots))
@@ -443,25 +457,33 @@ def write_label_file(path: str, lf: LabelFile):
     )
     with open(path, "wb") as fh:
         fh.write(head)
+        crc = zlib.crc32(head)
         for bits, payload in zip(chain(lf.vertex_bits, lf.edge_bits),
                                  chain(lf.vertex_payloads, lf.edge_payloads)):
-            fh.write(struct.pack("<II", bits, len(payload)))
+            lengths = struct.pack("<II", bits, len(payload))
+            fh.write(lengths)
             fh.write(payload)
+            crc = zlib.crc32(payload, zlib.crc32(lengths, crc))
+        fh.write(struct.pack("<I", crc))
 
 
 class _Cursor:
-    """Reads a label file front to back without holding all of it; a read
-    past the end of the file is a truncation."""
+    """Reads a label file front to back without holding all of it, and
+    keeps the CRC32 of the bytes read; a read past the end of the file is
+    a truncation."""
 
     def __init__(self, fh):
         self.fh = fh
         self.left = os.fstat(fh.fileno()).st_size
+        self.crc = 0
 
     def take(self, size: int, what: str) -> bytes:
         if size > self.left:
             raise ValueError(f"truncated label file: {what} is cut short")
         self.left -= size
-        return self.fh.read(size)
+        data = self.fh.read(size)
+        self.crc = zlib.crc32(data, self.crc)
+        return data
 
     def unpack(self, fmt: str, what: str = "the header") -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -473,9 +495,23 @@ class _Cursor:
         for i in range(count):
             what = f"{kind} {i} of {count}"
             nbits, ln = self.unpack("<II", what)
+            if nbits > 8 * ln:
+                raise ValueError(f"bad label file: {what} claims {nbits} bits "
+                                 f"in {ln} bytes")
             payloads.append(self.take(ln, what))
             bits.append(nbits)
         return payloads, bits
+
+    def check_crc(self):
+        """Read the CRC32 trailer, which must end the file and match the
+        CRC of everything before it."""
+        crc = self.crc
+        (stored,) = self.unpack("<I", "the CRC trailer")
+        if stored != crc:
+            raise ValueError(f"corrupt label file: CRC32 {crc:08x} does not match "
+                             f"the trailer's {stored:08x}")
+        if self.left:
+            raise ValueError(f"bad label file: {self.left} bytes follow the CRC trailer")
 
 
 def read_label_file(path: str) -> LabelFile:
@@ -486,7 +522,8 @@ def read_label_file(path: str) -> LabelFile:
         version, scheme, n, aux_n, m, aux_m, f, h = cur.unpack("<HBIIIIIH")
         if version != VERSION:
             raise ValueError(f"unsupported label file version {version}")
-        num, den, cert, par_bits, c, B, jcols, seed, nroots = cur.unpack("<IIBBBBBQI")
+        num, den, cert, par_bits, idx_bits, c, B, jcols, seed, nroots = cur.unpack(
+            "<IIBBBBBBQI")
         if not (num and den):
             raise ValueError(f"bad label file header: phi = {num}/{den}")
         roots = cur.unpack(f"<{nroots}I")
@@ -494,7 +531,8 @@ def read_label_file(path: str) -> LabelFile:
         vm = list(cur.unpack(f"<{n}I")) if has_vm else None
         common = dict(n=n, aux_n=aux_n, m=m, f=f, phi=Fraction(num, den), h=h,
                       comp_roots=list(roots), par_bits=par_bits, seed=seed,
-                      vertex_map=vm, certified=bool(cert), aux_m=aux_m)
+                      vertex_map=vm, certified=bool(cert), aux_m=aux_m,
+                      share_index_bits=idx_bits)
         if scheme in (SCHEME_RAND_LONG, SCHEME_RAND_SHORT):
             meta = RandMeta(**common, c=c, short=(scheme == SCHEME_RAND_SHORT),
                             B=B, jcols=jcols)
@@ -502,6 +540,9 @@ def read_label_file(path: str) -> LabelFile:
             meta = SchemeMeta(**common)
         vp, vb = cur.payloads(n, "vertex label")
         ep, eb = cur.payloads(m, "edge label")
+        cur.check_crc()
+    if scheme == SCHEME_SQRT:
+        meta.field  # find and cache the share field; a width with none raises
     return LabelFile(scheme=scheme, meta=meta, vertex_payloads=vp,
                      vertex_bits=vb, edge_payloads=ep, edge_bits=eb)
 

@@ -14,6 +14,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bits import pack_fields
+from .codeshares import Field, field_for
 from .euler import EulerFrame
 from .graph import Graph, UnionFind
 from .hierarchy import EdgeLevelAssignment
@@ -42,6 +44,35 @@ def edge_names(g: Graph, pos_vertex: list[int]) -> list[EdgeName]:
         seen[(a, b)] = k + 1
         names.append((a, b, k))
     return names
+
+
+class NameTable(dict):
+    """Edge names of one label file: the packed field of width 2·pos + par
+    that `pack` makes -> its (a, b, k) tuple, split on first sight.  The
+    packed field is what a label file writes for a name and the symbol a
+    scheme-2 Reed-Solomon message holds."""
+
+    __slots__ = ("pos", "par", "width")
+
+    def __init__(self, pos: int, par: int):
+        super().__init__()
+        self.pos = pos
+        self.par = par
+        self.width = 2 * pos + par
+
+    def pack(self, nm: EdgeName) -> int:
+        """The name as one field; a part too wide raises ValueError."""
+        a, b, k = nm
+        return pack_fields(((a, self.pos), (b, self.pos), (k, self.par)))[0]
+
+    def __missing__(self, packed: int) -> EdgeName:
+        pos = self.pos
+        mask = (1 << pos) - 1
+        nm = self[packed] = (packed & mask, packed >> pos & mask, packed >> 2 * pos)
+        return nm
+
+    def of(self, fields: list[int]) -> list[EdgeName]:
+        return list(map(self.__getitem__, fields))
 
 
 @dataclass
@@ -99,10 +130,24 @@ class SchemeMeta:
     vertex_map: list[int] | None = None  # original vertex -> labeled vertex
     certified: bool = True
     aux_m: int = 0             # edge count of the labeled graph (0: same as m)
+    share_index_bits: int = 0  # scheme 2: bit length of the largest lge
 
     @property
     def width_m(self) -> int:
         return self.aux_m or self.m
+
+    @property
+    def pos_bits(self) -> int:
+        """Width of a tour position: positions lie below 3·aux_n."""
+        return max(1, (3 * self.aux_n).bit_length())
+
+    def name_table(self) -> NameTable:
+        return NameTable(self.pos_bits, self.par_bits)
+
+    @property
+    def field(self) -> Field:
+        """The scheme-2 share field: the first prime above 2^(2·pos + par)."""
+        return field_for(2 * self.pos_bits + self.par_bits)
 
 
 def vertex_bounds(vert_positions: list[int], pos: int) -> tuple[int | None, int | None]:

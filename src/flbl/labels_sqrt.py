@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import codeshares
-from .codeshares import CodeShare
+from .codeshares import CodeShare, Field
 from .euler import (
     EulerFrame, WeightedTour, dyadic_cover, padded_scales, radius_scale, tours_for_level,
 )
@@ -23,6 +23,7 @@ from .graph import Graph
 from .hierarchy import EdgeLevelAssignment
 from .labels_simple import (
     EdgeName,
+    NameTable,
     QueryResult,
     SchemeMeta,
     TreePartition,
@@ -31,21 +32,6 @@ from .labels_simple import (
     scheme_meta,
     vertex_bounds,
 )
-
-POS_BITS = 29
-PAR_BITS = 2
-
-
-def pack_named_edge(a: int, b: int, par: int) -> int:
-    if a >= (1 << POS_BITS) or b >= (1 << POS_BITS) or par >= (1 << PAR_BITS):
-        raise ValueError("edge name does not fit the field symbol")
-    return (par << (2 * POS_BITS)) | (a << POS_BITS) | b
-
-
-def unpack_named_edge(sym: int) -> EdgeName:
-    mask = (1 << POS_BITS) - 1
-    return ((sym >> POS_BITS) & mask, sym & mask, sym >> (2 * POS_BITS))
-
 
 @dataclass
 class LGESet:
@@ -108,11 +94,12 @@ def compute_lge(frame: EulerFrame, wtour: WeightedTour) -> dict[tuple[int, int],
     return out
 
 
-def distribute_shares(lset: LGESet, names: list[EdgeName]) -> dict[int, CodeShare]:
+def distribute_shares(lset: LGESet, symbols: list[int], field: Field) -> dict[int, CodeShare]:
     """Reed-Solomon shares of the large-gap-edge message, one per member;
-    any half of them reconstruct the whole list."""
-    message = [pack_named_edge(*names[eid]) for eid in lset.lge_edges]
-    shares = codeshares.encode(message, d=2)
+    any half of them reconstruct the whole list.  `symbols[eid]` is the
+    packed name of edge eid (`NameTable.pack`)."""
+    message = [symbols[eid] for eid in lset.lge_edges]
+    shares = codeshares.encode(message, field)
     return {eid: sh for eid, sh in zip(lset.lge_edges, shares)}
 
 
@@ -187,6 +174,10 @@ def build_sqrt_labels(
         raise ValueError("sqrt scheme requires max degree 3; reduce the graph first")
     phi = hier.phi
     names = edge_names(g, frame.pos_vertex)
+    meta = scheme_meta(g, hier, frame, f, names)
+    table = meta.name_table()
+    symbols = [table.pack(nm) for nm in names]
+    field = meta.field
     vertex_labels = list(frame.pos_vertex)
     labels: list[SqrtEdgeLabel] = []
     for eid in range(g.m):
@@ -214,9 +205,11 @@ def build_sqrt_labels(
             # large-gap structure of every block at every scale
             lge_sets = compute_lge(frame, wt)
             share_of = {
-                key: distribute_shares(ls, names)
+                key: distribute_shares(ls, symbols, field)
                 for key, ls in lge_sets.items()
             }
+            for ls in lge_sets.values():
+                meta.share_index_bits = max(meta.share_index_bits, ls.lge.bit_length())
 
             # per-vertex unit index for reveal windows
             unit_of_vertex = {
@@ -299,7 +292,7 @@ def build_sqrt_labels(
                     sec.near = {j: {blk: recs[j][blk] for blk in blocks}
                                 for j, blocks in near_blocks(sec, wt.j_max)}
                 lab.sections[ell] = sec
-    return vertex_labels, labels, scheme_meta(g, hier, frame, f, names)
+    return vertex_labels, labels, meta
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +310,14 @@ def query_sqrt(
     lists each case-3 firing as (level, tree, scale, block, lge)."""
     case3_fired: list[tuple] = []
     step = partial(_sqrt_tree_step, j_max=radius_scale(meta.f, meta.phi)[1],
-                   case3_fired=case3_fired)
+                   field=meta.field, names=meta.name_table(), case3_fired=case3_fired)
     res = query_levels(records, meta, keep_levels, step)
     res.case3_fired = case3_fired
     return res
 
 
-def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int,
-                    case3_fired: list[tuple]):
+def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int, field: Field,
+                    names: NameTable, case3_fired: list[tuple]):
     """R3 pool: the edges revealed by any fault's level section in this
     tree, plus, over the dyadic cover of each interval J in J(T, F), the
     stored list of each block or its list decoded from revealed shares.
@@ -357,9 +350,9 @@ def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int,
                 continue
             got = _block_shares(reveal.values(), j, blk)
             if len(got) >= (rec.lge + 1) // 2:
-                syms = codeshares.decode(list(got.values()), rec.lge)
+                syms = codeshares.decode(list(got.values()), rec.lge, field)
                 for sym in syms:
-                    pool.setdefault(unpack_named_edge(sym))
+                    pool.setdefault(names[sym])
             else:
                 marked.add(i)
                 case3_fired.append((ell, grp.tree_root, j, blk, rec.lge))

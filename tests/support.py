@@ -1,14 +1,15 @@
 """Reference code that only the tests use: weighted distances and balls
 on a `WeightedTour` walked element by element, dyadic block ranges, a
-standalone 160-bit wire format for code shares, Steiner-tree degrees and
-an exhaustive minimum-degree Steiner tree oracle."""
+standalone 160-bit wire format for code shares, Steiner-tree degrees,
+an exhaustive minimum-degree Steiner tree oracle and GF(p^2) arithmetic
+for the Reed-Solomon oracle."""
 
 from __future__ import annotations
 
 import itertools
 import struct
 
-from flbl.codeshares import CodeShare
+from flbl.codeshares import CodeShare, Field
 from flbl.graph import Graph, UnionFind
 
 
@@ -119,3 +120,32 @@ def min_degree_steiner_exhaustive(g: Graph, X: set[int]) -> int:
         if best is not None:
             return best
     raise ValueError("terminals not connected")
+
+
+class F2:
+    """GF(p^2) element a + b*xi of `field`, with xi^2 = field.nonresidue:
+    the full extension arithmetic, for oracles."""
+
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field: Field, a: int, b: int = 0):
+        self.field = field
+        self.a = a % field.p
+        self.b = b % field.p
+
+    def __eq__(self, other):
+        return self.a == other.a and self.b == other.b
+
+    def __repr__(self):
+        return f"F2({self.a}, {self.b})"
+
+    def __add__(self, other):
+        return F2(self.field, self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return F2(self.field, self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        fld = self.field
+        return F2(fld, self.a * other.a + self.b * other.b % fld.p * fld.nonresidue,
+                  self.a * other.b + self.b * other.a)

@@ -434,24 +434,25 @@ def test_a6_boruvka_contraction():
 def test_a7_code_shares():
     t0 = time.time()
     rng = random.Random(0xA7)
+    field = codeshares.field_for(60)  # 60-bit symbols, as wide as a 29-bit-position name
     failures = 0
     runs = 0
     for k in range(1, 11):
-        m = [rng.randrange(codeshares.Q) for _ in range(k)]
-        shares = codeshares.encode(m)
+        m = [rng.randrange(field.p) for _ in range(k)]
+        shares = codeshares.encode(m, field)
         t = (k + 1) // 2
         for subset in itertools.combinations(shares, t):
             runs += 1
-            if codeshares.decode(list(subset), k) != m:
+            if codeshares.decode(list(subset), k, field) != m:
                 failures += 1
     for k in (16, 32, 64):
-        m = [rng.randrange(codeshares.Q) for _ in range(k)]
-        shares = codeshares.encode(m)
+        m = [rng.randrange(field.p) for _ in range(k)]
+        shares = codeshares.encode(m, field)
         t = (k + 1) // 2
         for _ in range(100):
             subset = rng.sample(shares, t)
             runs += 1
-            if codeshares.decode(subset, k) != m:
+            if codeshares.decode(subset, k, field) != m:
                 failures += 1
     dur = time.time() - t0
     report(

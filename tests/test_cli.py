@@ -1,12 +1,19 @@
+import dataclasses
 import os
+import random
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from flbl import labelfile as LF
+from flbl.build import build_scheme, to_label_file
 from flbl.cli import main
+from flbl.graph import dump_graph
 from test_acceptance import random_regular3
+from test_golden import _none_blocks, _sparse40
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 TRIANGLE_PENDANT = "4 4\n0 1\n1 2\n0 2\n2 3\n"
@@ -251,9 +258,10 @@ def test_usage_error_exit_code(capsys, args):
     _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("keep", [30, -1])
+@pytest.mark.parametrize("keep", [30, -1, -5])
 def test_truncated_label_file_exit_code(tmp_path, capsys, keep):
-    # a cut inside the header, and one inside the last edge payload
+    # a cut inside the header, one inside the CRC trailer that ends the
+    # file, and one inside the last edge payload
     gpath, out = _built_p4(tmp_path, capsys)
     out.write_bytes(out.read_bytes()[:keep])
     assert run_cli(["query", str(out), "--fail", "1", "--count"]) == 1
@@ -430,3 +438,104 @@ def test_seed_range_edges_build(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["query", str(out), "--fail", "1", "--pair", "0,3"]) == 0
     assert capsys.readouterr().out.strip() == "0,3: disconnected"
+
+
+@pytest.fixture(scope="module")
+def sqrt_file(tmp_path_factory):
+    """A scheme-2 graph and label file whose reveal entries hold shares,
+    the file's bytes, and the file offset of each edge record."""
+    tmp = tmp_path_factory.mktemp("sqrt")
+    gpath = tmp / "sparse40.txt"
+    gpath.write_text(dump_graph(_sparse40()))
+    out = tmp / "sparse40.flbl"
+    assert main(["build", str(gpath), "--scheme", "2", "--f", "4",
+                 "--phi-mode", "heuristic", "-o", str(out)]) == 0
+    raw = out.read_bytes()
+    lf = LF.read_label_file(str(out))
+    at = len(raw) - 4 - sum(8 + len(p) for p in lf.edge_payloads)
+    offsets = []
+    for payload in lf.edge_payloads:
+        offsets.append(at)
+        at += 8 + len(payload)
+    return gpath, raw, lf, offsets
+
+
+def _with_crc(data: bytes) -> bytes:
+    """`data` with its CRC32 trailer recomputed, so only the change made
+    before is wrong."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
+
+
+def _share_bit(lf, offsets):
+    """The file offset of a byte inside some reveal entry's share rows."""
+    for eid, payload in enumerate(lf.edge_payloads):
+        for sec in LF.decode_edge(lf, eid).sections.values():
+            for ent in sec.reveal:
+                if ent.shares:
+                    return offsets[eid] + 8 + ent.shares.at // 8
+    raise AssertionError("no share rows in the file")
+
+
+@pytest.mark.parametrize("damage", ["v1", "crc", "bits", "trailing"])
+def test_damaged_label_file_exit_code(tmp_path, capsys, sqrt_file, damage):
+    # a version-1 file, a flipped bit in a share row (the CRC catches it),
+    # a payload claiming more bits than its bytes hold under a valid CRC,
+    # and bytes after the trailer: each is one error line and exit 1
+    gpath, raw, lf, offsets = sqrt_file
+    data = bytearray(raw)
+    if damage == "v1":
+        data[4:6] = struct.pack("<H", 1)
+        data = _with_crc(bytes(data))
+        want = "unsupported label file version 1"
+    elif damage == "crc":
+        data[_share_bit(lf, offsets)] ^= 0x10
+        want = "CRC32"
+    elif damage == "bits":
+        at = offsets[3]
+        data[at:at + 4] = struct.pack("<I", 8 * len(lf.edge_payloads[3]) + 1)
+        data = _with_crc(bytes(data))
+        want = "claims"
+    else:
+        data += b"\0"
+        want = "follow the CRC trailer"
+    out = tmp_path / "damaged.flbl"
+    out.write_bytes(bytes(data))
+    faults = ",".join(map(str, range(lf.meta.f)))
+    assert run_cli(["query", str(out), "--fail", faults, "--pair=0,1", "--count"]) == 1
+    assert want in _one_line_error(capsys)
+    assert run_cli(["verify", str(gpath), str(out), "--trials", "5"]) == 1
+    assert want in _one_line_error(capsys)
+    with pytest.raises(ValueError, match=want):
+        LF.read_label_file(str(out))
+
+
+def test_share_index_out_of_range_exit_code(tmp_path, capsys):
+    # a file written with a valid CRC whose share indices are all 0: every
+    # query that reconstructs a block exits 1 with one error line, the
+    # others answer
+    res = _none_blocks(build_scheme(_sparse40(), 2, 4, phi_mode="heuristic"))
+    lf = to_label_file(res)
+    payloads = []
+    for eid, payload in enumerate(lf.edge_payloads):
+        word = int.from_bytes(payload, "little")
+        for sec in LF.decode_edge(lf, eid).sections.values():
+            for ent in sec.reveal:
+                rows = ent.shares
+                row_bits = sum(rows.widths)
+                for i in range(rows.cnt):
+                    word &= ~(((1 << rows.widths[0]) - 1) << rows.at + i * row_bits)
+        payloads.append(word.to_bytes(len(payload), "little"))
+    out = tmp_path / "zero-index.flbl"
+    LF.write_label_file(str(out), dataclasses.replace(lf, edge_payloads=payloads))
+    rng = random.Random(5)
+    codes = []
+    for _ in range(20):
+        faults = rng.sample(range(lf.meta.m), rng.randint(1, lf.meta.f))
+        codes.append(run_cli(["query", str(out), "--fail", ",".join(map(str, faults)),
+                              "--count"]))
+        if codes[-1] == 1:
+            assert "share index 0 out of range" in _one_line_error(capsys)
+        else:
+            assert codes[-1] == 0
+        capsys.readouterr()
+    assert 1 in codes and 0 in codes

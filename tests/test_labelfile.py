@@ -1,7 +1,7 @@
 import copy
 import dataclasses
-import math
 import random
+import tempfile
 from fractions import Fraction
 from itertools import chain
 
@@ -208,7 +208,7 @@ def test_payload_vs_framing_accounting():
     w.write_framing(1, 1)
     assert w.payload_bits == 3
     assert w.framing_bits == 1
-    assert w.total_bits == 4
+    assert w.payload_bits + w.framing_bits == 4
 
 
 @pytest.mark.parametrize("scheme", [1, 2, 3, 4])
@@ -250,13 +250,28 @@ def test_reported_bits_exclude_padding():
         assert len(payload) * 8 - bits < 8 + 1  # one framing bit + padding
 
 
-def test_share_bit_size_invariant():
-    # in-label shares use 2 * ceil(log2 q) + ceil(log2 k)-equivalent bits
-    q_bits = math.ceil(math.log2(codeshares.Q))
-    assert q_bits == 61
-    for k in (1, 2, 7, 64):
-        minimal = 2 * q_bits + max(1, math.ceil(math.log2(k)) if k > 1 else 1)
-        assert minimal <= 2 * 61 + math.ceil(math.log2(max(k, 2)))
+def test_share_bit_size_invariant(sqrt_noneblocks):
+    # an in-label share row is an index of the header's width, the bit
+    # length of the largest lge, and two components of the per-file
+    # field's prime, the first prime above 2^(2·pos + par)
+    res, lf = sqrt_noneblocks
+    meta, wd = res.meta, lf.widths
+    lges = [rec.lge for lab in res.edge_labels for sec in lab.sections.values()
+            for per in sec.near.values() for rec in per.values()]
+    assert meta.share_index_bits == wd.idx == max(lges).bit_length()
+    name_bits = 2 * wd.pos + wd.par
+    assert wd.names.width == name_bits
+    p = meta.field.p
+    assert codeshares.is_prime(p) and 1 << name_bits < p
+    assert not any(codeshares.is_prime(q) for q in range((1 << name_bits) + 1, p))
+    assert wd.share == p.bit_length() == name_bits + 1
+    assert wd.present == 2 * (wd.j_max + 1)
+    for lab in res.edge_labels:
+        for sec in lab.sections.values():
+            for ent in sec.reveal:
+                for (j, _), sh in ent.shares.items():
+                    assert j <= wd.j_max and 1 <= sh.index < 1 << wd.idx
+                    assert 0 <= sh.a < p and 0 <= sh.b < p
     # the standalone wire format is the fixed 160-bit triple
     sh = codeshares.CodeShare(1, 2, 3)
     assert len(share_to_bytes(sh)) * 8 == 160
@@ -281,12 +296,13 @@ def test_truncated_file_rejected(tmp_path, cut):
     path = _scheme1_file(tmp_path)
     raw = path.read_bytes()
     lf = LF.read_label_file(str(path))
-    last = len(lf.edge_payloads[-1])
+    # the last payload, then the 4-byte CRC trailer, end the file
+    last = len(lf.edge_payloads[-1]) + 4
     if cut == "length":
         # the last payload claims 4 GiB: rejected without reading it
         at = len(raw) - last - 4
         raw = raw[:at] + b"\xff\xff\xff\xff" + raw[at + 4:]
-    keep = {"header": 20, "payload": len(raw) - 1,
+    keep = {"header": 20, "payload": len(raw) - 5,
             "whole-label": len(raw) - last - 8, "length": len(raw)}[cut]
     path.write_bytes(raw[:keep])
     with pytest.raises(ValueError, match="truncated label file"):
@@ -348,16 +364,18 @@ def _claim(payload: bytes, rows) -> int:
 
 
 def _payload_spans(lf, keep, count=20):
-    """(edge id, payload, rows, count-field width) for the first `count`
-    share spans and `count` edge spans that `keep` accepts."""
+    """(edge id, payload, rows, kind, width of the field before the rows)
+    for the first `count` share spans and `count` edge spans that `keep`
+    accepts.  Share rows follow their entry's presence bitmap, edge rows
+    their count."""
     wd = lf.widths
     seen = {"shares": 0, "edges": 0}
     for eid, payload in enumerate(lf.edge_payloads):
         for rows, kind in _row_spans(LF.decode_edge(lf, eid)):
-            width = wd.j + 2 if kind == "shares" else wd.m
-            if seen[kind] < count and keep(payload, rows, width):
+            width = wd.present if kind == "shares" else wd.m
+            if seen[kind] < count and keep(payload, rows, kind, width):
                 seen[kind] += 1
-                yield eid, payload, rows, width
+                yield eid, payload, rows, kind, width
     assert all(seen.values())
 
 
@@ -370,11 +388,11 @@ def _decode_payload(lf, eid, payload):
 def test_sqrt_payload_cut_in_rows_fails_at_decode(sqrt_noneblocks):
     _, lf = sqrt_noneblocks
     # rows that end the payload, so no later field can catch the cut
-    def last_rows(payload, rows, width):
+    def last_rows(payload, rows, kind, width):
         end = rows.at + rows.cnt * sum(rows.widths)
         return end - rows.at > 8 and end > len(payload) * 8 - 8
 
-    for eid, payload, rows, _ in _payload_spans(lf, last_rows):
+    for eid, payload, rows, _, _ in _payload_spans(lf, last_rows):
         end = rows.at + rows.cnt * sum(rows.widths)
         cut = (end - 1) // 8
         assert rows.at < cut * 8 < end
@@ -382,19 +400,33 @@ def test_sqrt_payload_cut_in_rows_fails_at_decode(sqrt_noneblocks):
             _decode_payload(lf, eid, payload[:cut])
 
 
+def _claim_field(kind, cnt):
+    """The field value that claims `cnt` rows: a bitmap with `cnt` bits set
+    before share rows, the count itself before edge rows."""
+    return (1 << cnt) - 1 if kind == "shares" else cnt
+
+
 def test_sqrt_row_count_past_payload_fails_at_decode(sqrt_noneblocks):
     _, lf = sqrt_noneblocks
-    # the (scale+2)-bit share count reaches past the payload only for
-    # entries near its end
-    fits = lambda payload, rows, width: _claim(payload, rows) < 1 << width
-    for eid, payload, rows, width in _payload_spans(lf, fits):
-        claim = _claim(payload, rows)
+    # a bitmap or count claiming rows past the payload fits its field only
+    # for spans near the payload's end
+    def fits(payload, rows, kind, width):
+        return _claim_field(kind, _claim(payload, rows)) < 1 << width
+
+    for eid, payload, rows, kind, width in _payload_spans(lf, fits):
+        claim = _claim_field(kind, _claim(payload, rows))
         bad = _set_field(payload, rows.at - width, width, claim)
         with pytest.raises(ValueError):
             _decode_payload(lf, eid, bad)
-        # the field located is the count: rewriting the true one is a no-op
-        assert _set_field(payload, rows.at - width, width, rows.cnt) == payload
-
+        # the field located is the bitmap or count of these rows
+        r = BitReader(payload)
+        r.skip(rows.at - width)
+        got = r.read(width)
+        if kind == "shares":
+            keys = {(bit >> 1, bit & 1) for bit in range(width) if got >> bit & 1}
+            assert keys == set(rows)
+        else:
+            assert got == rows.cnt
 
 
 def _shared_records(labels):
@@ -505,10 +537,11 @@ def _oracle_sqrt(data, wd, meta):
         root, end, last, w_real, nrev = r.read_fields((wd.pos,) * 3 + (wd.unit, wd.m))
         reveal = []
         for _ in range(nrev):
-            a, b, k, ua, ub, nsh = r.read_fields(name_w + (wd.unit, wd.unit, wd.j + 2))
-            rows = iter(r.read_fields((wd.j, 1, wd.m, 61, 61) * nsh))
-            shares = {(j, side): codeshares.CodeShare(i, sa, sb)
-                      for j, side, i, sa, sb in zip(rows, rows, rows, rows, rows)}
+            a, b, k, ua, ub, present = r.read_fields(name_w + (wd.unit, wd.unit, wd.present))
+            keys = [(bit >> 1, bit & 1) for bit in range(wd.present) if present >> bit & 1]
+            rows = iter(r.read_fields((wd.idx, wd.share, wd.share) * len(keys)))
+            shares = {key: codeshares.CodeShare(i, sa, sb)
+                      for key, i, sa, sb in zip(keys, rows, rows, rows)}
             reveal.append(RevealEntry((a, b, k), ua, ub, shares))
         sec = SqrtLevelSection(root, end, last, w_real, reveal)
         if is_tree:
@@ -537,7 +570,8 @@ def _metas(draw):
                       f=draw(st.integers(1, 8)),
                       phi=draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1)])),
                       h=draw(st.integers(1, 3)), comp_roots=[0],
-                      par_bits=draw(st.integers(0, 3)))
+                      par_bits=draw(st.integers(0, 3)),
+                      share_index_bits=draw(st.integers(1, 8)))
 
 
 def _opts(draw, wd, pattern):
@@ -572,6 +606,18 @@ def _simple_labels(draw, meta, wd, pattern, tree):
     return lab
 
 
+def _share_dicts(meta, wd, max_size=None):
+    """(scale, side) -> share dicts: scales up to j_max, indices of 1 up to
+    the header's width and components in the file's field, 0 and p - 1
+    included."""
+    p = meta.field.p
+    value = st.integers(0, p - 1) | st.sampled_from([0, p - 1])
+    index = st.integers(1, (1 << wd.idx) - 1) | st.sampled_from([1, (1 << wd.idx) - 1])
+    share = st.builds(codeshares.CodeShare, index, value, value)
+    keys = st.tuples(st.integers(0, wd.j_max), st.integers(0, 1))
+    return st.dictionaries(keys, share, max_size=max_size)
+
+
 @st.composite
 def _sqrt_labels(draw, meta, wd, pattern, tree):
     lab = SqrtEdgeLabel(pos_u=draw(_below(wd.pos)), pos_v=draw(_below(wd.pos)),
@@ -580,11 +626,9 @@ def _sqrt_labels(draw, meta, wd, pattern, tree):
     if tree:
         lab.pos_down, lab.pos_up = draw(_below(wd.pos)), draw(_below(wd.pos))
     names = _name_lists(draw, wd, min((1 << wd.m) - 1, 4))
-    share = st.builds(codeshares.CodeShare, _below(wd.m), _below(61), _below(61))
-    shares = st.dictionaries(st.tuples(_below(wd.j), _below(1)), share, max_size=3)
     for ell in range(lab.level, meta.h + 1):
         reveal = [RevealEntry(nm, draw(_below(wd.unit)), draw(_below(wd.unit)),
-                              draw(shares))
+                              draw(_share_dicts(meta, wd, 3)))
                   for nm in draw(names)]
         sec = SqrtLevelSection(draw(_below(wd.pos)), draw(_below(wd.pos)),
                                draw(_below(wd.pos)), draw(_below(wd.unit)), reveal)
@@ -638,6 +682,49 @@ def test_packed_names_decode_like_three_field_split(scheme, pattern, data):
         assert sorted(wd.names.values()) == sorted(names)
         # a second read is all table hits and gives the same record
         assert decode(payload, wd, meta) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_sqrt_reveal_entries_round_trip(data):
+    # every presence pattern of the 2(j_max + 1)-bit bitmap, empty and full
+    # among them, written to a file and read back through its header; the
+    # entries are shared within and across labels, so each is packed once
+    # and its field written into every label that holds it
+    meta = data.draw(_metas())
+    wd = LF.Widths.of(meta)
+    full = (1 << wd.present) - 1
+    patterns = st.integers(0, full) | st.sampled_from([0, full])
+    value = st.integers(0, meta.field.p - 1) | st.sampled_from([0, meta.field.p - 1])
+    index = st.integers(1, (1 << wd.idx) - 1) | st.sampled_from([1, (1 << wd.idx) - 1])
+    pool = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        present = data.draw(patterns)
+        shares = {(bit >> 1, bit & 1): codeshares.CodeShare(
+            data.draw(index), data.draw(value), data.draw(value))
+            for bit in range(wd.present) if present >> bit & 1}
+        nm = (data.draw(_below(wd.pos)), data.draw(_below(wd.pos)), data.draw(_below(wd.par)))
+        pool.append(RevealEntry(nm, data.draw(_below(wd.unit)), data.draw(_below(wd.unit)),
+                                shares))
+    labels = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        lab = SqrtEdgeLabel(pos_u=0, pos_v=1, par=0, is_tree=False, level=meta.h)
+        reveal = data.draw(st.lists(st.sampled_from(pool), max_size=min(5, (1 << wd.m) - 1)))
+        lab.sections[meta.h] = SqrtLevelSection(0, 0, 0, 0, reveal)
+        labels.append(lab)
+    meta = dataclasses.replace(meta, m=len(labels), aux_m=meta.width_m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/entries.flbl"
+        LF.write_label_file(path, LF.make_label_file(2, meta, [0] * meta.n, labels))
+        lf = LF.read_label_file(path)
+    assert lf.meta.share_index_bits == meta.share_index_bits
+    assert lf.widths.share == meta.field.p.bit_length()
+    for eid, lab in enumerate(labels):
+        got = LF.decode_edge(lf, eid)
+        assert got == lab == _oracle_sqrt(lf.edge_payloads[eid], lf.widths, lf.meta)
+        for ent in got.sections[meta.h].reveal:
+            assert isinstance(ent.shares, LF._Rows)
+            assert ent.shares.cnt == len(ent.shares)
 
 
 # -- payloads cut inside names and optional positions ----------------------
@@ -719,7 +806,11 @@ def test_payload_cut_in_names_or_opts_fails_at_decode(tmp_path, capsys, where,
                 _decode_payload(lf, eid, payload[:cut])
             payloads = list(lf.edge_payloads)
             payloads[eid] = payload[:cut]
-            LF.write_label_file(str(path), dataclasses.replace(lf, edge_payloads=payloads))
+            # the bit length must fit the cut payload, or the read rejects it
+            edge_bits = list(lf.edge_bits)
+            edge_bits[eid] = min(edge_bits[eid], 8 * cut)
+            LF.write_label_file(str(path), dataclasses.replace(
+                lf, edge_payloads=payloads, edge_bits=edge_bits))
             with pytest.raises(SystemExit) as exc:
                 main(["query", str(path), "--fail", str(eid), "--count"])
             assert exc.value.code == 1

@@ -14,10 +14,9 @@ from flbl.labels_sqrt import (
     build_sqrt_labels,
     compute_lge,
     distribute_shares,
-    pack_named_edge,
     query_sqrt,
-    unpack_named_edge,
 )
+from flbl.labels_simple import NameTable
 from flbl import codeshares
 from support import ball_edge, ball_element, block_range
 
@@ -151,6 +150,9 @@ def test_distribute_shares_small_cases():
     from flbl.labels_simple import edge_names
 
     names = edge_names(g, frame.pos_vertex)
+    table = NameTable(max(1, (3 * g.n).bit_length()), 2)
+    symbols = [table.pack(nm) for nm in names]
+    field = codeshares.field_for(table.width)
     seen_small = False
     for ell in range(1, hier.h + 1):
         for tid, wt in tours_for_level(frame, ell, 2, hier.phi).items():
@@ -158,33 +160,41 @@ def test_distribute_shares_small_cases():
             for j in range(wt.j_top + 1):
                 for blk in range(wt.blocks_at(j)):
                     ls = block_lge(lge_sets, j, blk)
-                    shares = distribute_shares(ls, names)
+                    shares = distribute_shares(ls, symbols, field)
                     assert set(shares) == set(ls.lge_edges)
                     if ls.lge == 0:
                         assert shares == {}
                     if ls.lge == 2:
                         seen_small = True
-                        msg = [pack_named_edge(*names[e]) for e in ls.lge_edges]
+                        msg = [symbols[e] for e in ls.lge_edges]
                         for sh in shares.values():
-                            assert codeshares.decode([sh], 2) == msg
+                            assert codeshares.decode([sh], 2, field) == msg
+                            assert table.of(msg) == [names[e] for e in ls.lge_edges]
     assert seen_small
 
 
 def test_distribute_shares_every_half_subset():
     # synthetic 8-member large-gap list: every 4-subset reconstructs
     names = [(2 * i, 2 * i + 1, 0) for i in range(8)]
+    table = NameTable(5, 1)
+    field = codeshares.field_for(table.width)
     ls = LGESet(scale=0, block=0, boundary=[(0, 0, i) for i in range(8)],
                 lge_edges=list(range(8)))
-    shares = distribute_shares(ls, names)
-    msg = [pack_named_edge(*nm) for nm in names]
+    shares = distribute_shares(ls, [table.pack(nm) for nm in names], field)
     for subset in itertools.combinations(shares.values(), 4):
-        assert codeshares.decode(list(subset), 8) == msg
+        assert table.of(codeshares.decode(list(subset), 8, field)) == names
 
 
 def test_pack_unpack_named_edge():
-    assert unpack_named_edge(pack_named_edge(5, 9, 1)) == (5, 9, 1)
-    with pytest.raises(ValueError):
-        pack_named_edge(1 << 29, 0, 0)
+    # a name packs into one field of 2·pos + par bits, LSB first, and the
+    # table splits it back; a part wider than its field is rejected
+    table = NameTable(4, 1)
+    packed = table.pack((5, 9, 1))
+    assert packed == 5 | 9 << 4 | 1 << 8 and packed < 1 << table.width
+    assert table[packed] == (5, 9, 1)
+    for nm in ((1 << 4, 0, 0), (0, 1 << 4, 0), (0, 0, 2)):
+        with pytest.raises(ValueError):
+            table.pack(nm)
 
 
 def test_degree_guard():
