@@ -65,14 +65,14 @@ CASES = {
 }
 
 GOLDEN = {
-    's1-cubic200-auto': ('c3c8b5197c80a508d02cc2e88145be83eb763923fc6b642abcb981c3159cdf62', '47c459571b0eb563860b383b78c98e9351be7bf50a4d03c4ea210ea980c8de7e'),
-    's1-cubic60': ('0f6c22ce50be74171586e04a720c22b2cfeab635fa302b56a6c3e6254ebdf9f9', 'b6b5dc43850c833edf2330b2a906d3a4c223b7e6a24cd39d2c1c2995aa64e795'),
-    's1-exact-n14': ('dcd2e47babc92d95c9a2025d1bb908a1c3e1c80655cb8c78148c89043af1ea11', 'a45445dea023cbe598d804a6ee697deb428f24169f42f40b6355edf7ccac011c'),
-    's2-n7': ('4fe2df374803984620e4576aad461f23b18ac7cffe1e89f77938bd8f287f8948', '49a79a27a438edc76a55e047a50536af205b609675de743f33bfa2faded64ff5'),
-    's2-sparse40': ('fc969ae13370296d4beb721d17020b5943ebd26008f395b855acb9962d776499', '38dbdfcce593e4fa69e1ae7e54bd32f16de08d4ec0cf3d00a9f0c70a6a3fb22f'),
-    's2-sparse40-noneblocks': ('0d7d724f63c461c21cf02b2dc4aa252f82e16b74989049425535a6bf53379789', '44e653c20011726e71a86ca09c44dc423b9c19ae73e5038ea7ee91db7f776388'),
-    's3-n10': ('a76da712319728dc5c2cfbefa596996f4b1ca0688b179b41dcc2d44d3c7f4adb', '80075546a1977ec81a718c1ce5c7246fc3517c960d89e465aaecae49e4064816'),
-    's4-n24': ('c0705e1a250c55578c919683ecd24b6a1bc04c74d83d5c43502de284da0be118', 'ccb9b89e13672386112a30ec89c1bfad5e2225e5297e36a2b3899778021fdfd8'),
+    's1-cubic200-auto': ('0027fd9fba965b01a420faab81ab57c96520b60b1e7c7ee93ac06e6bd424820a', '47c459571b0eb563860b383b78c98e9351be7bf50a4d03c4ea210ea980c8de7e'),
+    's1-cubic60': ('bc334396b9b95d6ba5bdc53912dcc6ba55143d8752badf8d6a2ad07295f913cd', 'b6b5dc43850c833edf2330b2a906d3a4c223b7e6a24cd39d2c1c2995aa64e795'),
+    's1-exact-n14': ('848ad204aaeaa5776e62bda5e337ece29f56f23e6ec1978addd39efde2c967e8', 'a45445dea023cbe598d804a6ee697deb428f24169f42f40b6355edf7ccac011c'),
+    's2-n7': ('ad2d73ea3c728d77c6025d3e2ea0cd3d14ded14476c40a80579f0b35b0f77387', '71f9db3bbe7f0a0c52bbd69ec1de45e1d01bf01b8f08fa60751ed403a1005a21'),
+    's2-sparse40': ('11ead9717738045e26a69c8dff3279bfcabfe0f18228cf96c703a515bff30367', '1efb797b96766fbf67c05b47514c53d7ea1597b4ff3540970abfe68486b290b3'),
+    's2-sparse40-noneblocks': ('2e2bd8181af74a91588d5e21ef55d3e7986e1f1db0df0e91b4b7571faaf1f863', 'b1333f39af25878c08b995e25d459bf6c43b38a02a5c5bf7f7724a967567f8e1'),
+    's3-n10': ('0068e62bdf1828ee5e843e3d31dec861ab260d4ab1eb28838060bca3c18948c6', '80075546a1977ec81a718c1ce5c7246fc3517c960d89e465aaecae49e4064816'),
+    's4-n24': ('d581ad8e5ea51f8fa3eec42a32c7eddddda914b6c64663f4b112f056c2050a6b', 'ccb9b89e13672386112a30ec89c1bfad5e2225e5297e36a2b3899778021fdfd8'),
 }
 
 
