@@ -23,19 +23,19 @@ header, one block record, one whole edge list) with
 `BitReader.read_fields`, or splits a short group (the optional
 positions, a reveal entry's head) from one `BitReader.peek` window.
 The stream is LSB-first, so a record written as the one (value, width)
-field `bits.pack_fields` makes of it gives the same bits as its fields.  Scheme-2 labels share their
-reveal entries and block records (the build makes each once per tree),
-and an edge name recurs in many lists; `make_label_file` packs each
-shared record and each edge name once per file and writes that field
-into every label that holds it.  The decoders mirror the name memo: they
-read each edge name back as the one field of width 2·pos + par it was
-written as, and map it through the per-file table `Widths.names`, which
-splits a name into its (a, b, k) tuple on first sight.  The scheme-2 decoder
-skips the two large, rarely read parts, the share rows of each reveal
-entry and the edge list of each block record, and reads them on first
-use (`_Rows`); the skip is bounds-checked, so a payload cut short or a
-row count or presence bitmap that claims more rows than remain fails at
-decode.
+field `bits.pack_fields` makes of it gives the same bits as its fields.
+Scheme-2 labels share their reveal entries and block records (the build
+makes each once per tree), and an edge name recurs in many lists;
+`make_label_file` packs each shared record and each edge name once per
+file and writes that field into every label that holds it.  The
+decoders mirror the name memo: they read each edge name back as the one
+field of width 2·pos + par it was written as, and map it through the
+per-file table `Widths.names`, which splits a name into its (a, b, k)
+tuple on first sight.  The scheme-2 decoder skips the two large, rarely
+read parts, the share rows of each reveal entry and the edge list of
+each block record, and reads them on first use (`_Rows`); the skip is
+bounds-checked, so a payload cut short or a row count or presence
+bitmap that claims more rows than remain fails at decode.
 """
 
 from __future__ import annotations
@@ -176,19 +176,21 @@ def _shares(present: int, vals: list[int]) -> dict[tuple[int, int], CodeShare]:
 class _Rows:
     """`cnt` rows of `widths` fields each, starting at bit `at` of a
     payload, read on first use and then kept.  It stands for the dict or
-    list that `make` builds from the fields: equal to it, iterated, sized
-    and printed like it, with its other methods (`get`, `items`, ...)
-    passed through.  The decoder has already skipped the rows with a
-    bounds-checked `BitReader.skip`, so the first use cannot fail."""
+    list that `make(arg, fields)` builds from the fields: equal to it,
+    iterated, sized and printed like it, with its other methods (`get`,
+    `items`, ...) passed through.  The decoder has already skipped the
+    rows with a bounds-checked `BitReader.skip`, so the first use cannot
+    fail."""
 
-    __slots__ = ("data", "at", "cnt", "widths", "make", "_value")
+    __slots__ = ("data", "at", "cnt", "widths", "make", "arg", "_value")
 
-    def __init__(self, data: bytes, at: int, cnt: int, widths: tuple[int, ...], make):
+    def __init__(self, data: bytes, at: int, cnt: int, widths: tuple[int, ...], make, arg):
         self.data = data
         self.at = at
         self.cnt = cnt
         self.widths = widths
         self.make = make
+        self.arg = arg
         self._value = None
 
     @property
@@ -196,7 +198,7 @@ class _Rows:
         if self._value is None:
             r = BitReader(self.data)
             r.pos = self.at
-            self._value = self.make(r.read_fields(self.widths * self.cnt))
+            self._value = self.make(self.arg, r.read_fields(self.widths * self.cnt))
         return self._value
 
     def __getattr__(self, attr):
@@ -219,9 +221,9 @@ class _Rows:
         return repr(self.value)
 
 
-def _skip_rows(r: BitReader, cnt: int, widths: tuple[int, ...], make) -> _Rows:
+def _skip_rows(r: BitReader, cnt: int, widths: tuple[int, ...], make, arg) -> _Rows:
     """Move `r` past `cnt` rows of `widths` and return them unread."""
-    return _Rows(r.data, r.skip(sum(widths) * cnt), cnt, widths, make)
+    return _Rows(r.data, r.skip(sum(widths) * cnt), cnt, widths, make, arg)
 
 
 # -- scheme 1 ---------------------------------------------------------------
@@ -350,7 +352,7 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
             reveal.append(RevealEntry(
                 name=names[head & name_mask], unit_a=head >> names.width & unit_mask,
                 unit_b=head >> ub_at & unit_mask,
-                shares=_Rows(data, at, cnt, share_w, partial(_shares, present))))
+                shares=_Rows(data, at, cnt, share_w, _shares, present)))
         sec = SqrtLevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
             w_real=w_real, reveal=reveal,
@@ -364,7 +366,7 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
                     lge, has_edges = r.read_fields((wd.m, 1))
                     edges = None
                     if has_edges:
-                        edges = _skip_rows(r, r.read(wd.m), name_w, names.of)
+                        edges = _skip_rows(r, r.read(wd.m), name_w, NameTable.of, names)
                     per[blk] = BlockRecord(lge=lge, edges=edges)
                 sec.near[j] = per
         lab.sections[ell] = sec

@@ -161,7 +161,7 @@ def _inverse(z):
 
 def lagrange_decode(shares, k):
     """Oracle: the cubic-time decoder that builds every Lagrange basis
-    polynomial in GF(q^2), with the same checks and the same choice of
+    polynomial in GF(p^2), with the same checks and the same choice of
     the ceil(k/2) lowest share indices as `decode`."""
     if k == 0:
         return []

@@ -54,7 +54,7 @@ def test_bitwriter_rejects_overflow():
         w.write(4, 2)
 
 
-# widths around the 61-bit shares, the 64-bit word and long sketch fields
+# widths around 61 bits, the 64-bit word and long sketch fields
 WIDTHS = st.one_of(st.sampled_from([0, 1, 61, 64, 65, 1001]),
                    st.integers(0, 70), st.integers(1000, 1300))
 
