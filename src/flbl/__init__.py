@@ -10,11 +10,8 @@ from .graph import (
     FaultSet,
     Graph,
     GraphParseError,
-    bfs_components,
-    dump_graph,
     load_graph,
     oracle_components,
-    oracle_connected,
     reduce_degree3,
 )
 from .hierarchy import (
@@ -23,9 +20,7 @@ from .hierarchy import (
     build_edge_hierarchy,
     build_vertex_hierarchy,
     edge_separator,
-    export_edge_hierarchy,
     verify_edge_expanding,
-    verify_edge_hierarchy,
     verify_vertex_expanding,
     verify_vertex_hierarchy,
     vertex_separator,

@@ -139,12 +139,6 @@ def load_graph(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def dump_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class FaultSet:
     """A set of failed edge ids with |F| <= f."""
@@ -216,34 +210,3 @@ def oracle_components(g: Graph, faults: FaultSet) -> list[list[int]]:
         if eid not in dead:
             uf.union(u, v)
     return uf.groups()
-
-
-def oracle_connected(g: Graph, faults: FaultSet, s: int, t: int) -> bool:
-    dead = set(faults.edge_ids)
-    uf = UnionFind(g.n)
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in dead:
-            uf.union(u, v)
-    return uf.find(s) == uf.find(t)
-
-
-def bfs_components(g: Graph, faults: FaultSet) -> list[list[int]]:
-    """Independent BFS oracle used to cross-check oracle_components."""
-    dead = set(faults.edge_ids)
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = [s]
-        while queue:
-            x = queue.pop()
-            for y, eid in g.adjacency[x]:
-                if eid not in dead and not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps

@@ -449,27 +449,6 @@ def build_edge_hierarchy(g: Graph, mode: str = "exact") -> EdgeLevelAssignment:
     )
 
 
-def verify_edge_hierarchy(g: Graph, hier: EdgeLevelAssignment) -> bool:
-    """Exact per-level, per-component expansion check (small n)."""
-    for ell in range(1, hier.h + 1):
-        keep = [e for e, lv in enumerate(hier.level) if lv <= ell]
-        uf = UnionFind(g.n)
-        for e in keep:
-            u, v = g.edges[e]
-            uf.union(u, v)
-        for comp in uf.groups():
-            if len(comp) == 1:
-                continue
-            sub, vmap, emap = g.induced(comp)
-            x_local = {
-                se for se, oe in emap.items() if hier.level[oe] == ell
-            }
-            ok, _ = verify_edge_expanding(sub, x_local, hier.phi)
-            if not ok:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # vertex expansion
 
@@ -820,13 +799,3 @@ def verify_vertex_hierarchy(g: Graph, hier: VertexLevelAssignment) -> bool:
         if not ok:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# text export
-
-def export_edge_hierarchy(hier: EdgeLevelAssignment) -> str:
-    tag = "certified" if hier.certified else "uncertified"
-    lines = [f"{hier.h} {hier.phi.numerator}/{hier.phi.denominator} {tag}"]
-    lines.extend(f"{e} {lv}" for e, lv in enumerate(hier.level))
-    return "\n".join(lines) + "\n"

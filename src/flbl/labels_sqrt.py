@@ -1,8 +1,9 @@
 """The deterministic O~(sqrt(f))-bit edge-fault labeling scheme.
 
 Built on degree-3 graphs: per level, boundary edges of dyadic Euler-tour
-blocks are filtered to large gap edges, whose list is spread as
-Reed-Solomon code shares across the labels of nearby edges.  A query
+blocks are filtered to large gap edges.  A block stores a short list
+whole; a longer one (more than 4r edges) is spread as Reed-Solomon code
+shares across the labels of nearby edges.  A query
 recovers adjacencies from stored or reconstructed large-gap lists and
 revealed edges, and infers giant components from certified interval
 weights when lists are unavailable.
@@ -101,6 +102,13 @@ def distribute_shares(lset: LGESet, symbols: list[int], field: Field) -> dict[in
     message = [symbols[eid] for eid in lset.lge_edges]
     shares = codeshares.encode(message, field)
     return {eid: sh for eid, sh in zip(lset.lge_edges, shares)}
+
+
+def withholds_list(lset: LGESet, r: int) -> bool:
+    """Whether a block's record gives its lge count only (more than 4r
+    large-gap edges), so that a query rebuilds the list from its shares.
+    The build makes shares for exactly these blocks."""
+    return lset.lge > 4 * r
 
 
 @dataclass
@@ -202,11 +210,12 @@ def build_sqrt_labels(
                 continue
             tree = wt.tree
             r = wt.r
-            # large-gap structure of every block at every scale
+            # large-gap structure of every block at every scale; only a
+            # block whose record withholds its list needs shares
             lge_sets = compute_lge(frame, wt)
             share_of = {
                 key: distribute_shares(ls, symbols, field)
-                for key, ls in lge_sets.items()
+                for key, ls in lge_sets.items() if withholds_list(ls, r)
             }
             for ls in lge_sets.values():
                 meta.share_index_bits = max(meta.share_index_bits, ls.lge.bit_length())
@@ -261,7 +270,7 @@ def build_sqrt_labels(
                 ls = lge_sets.get((j, blk))
                 if ls is None:
                     return BlockRecord(lge=0, edges=[])
-                edges = [names[e] for e in ls.lge_edges] if ls.lge <= 4 * r else None
+                edges = None if withholds_list(ls, r) else [names[e] for e in ls.lge_edges]
                 return BlockRecord(lge=ls.lge, edges=edges)
 
             # recs[j][blk]: one record per block, shared by the labels that

@@ -1,8 +1,10 @@
-"""Reference code that only the tests use: weighted distances and balls
-on a `WeightedTour` walked element by element, dyadic block ranges, a
-standalone 160-bit wire format for code shares, Steiner-tree degrees,
-an exhaustive minimum-degree Steiner tree oracle and GF(p^2) arithmetic
-for the Reed-Solomon oracle."""
+"""Reference code that only the tests use: graph text output, a pair
+and a BFS connectivity oracle, an exact check and a text export of an
+edge hierarchy, weighted distances and balls on a `WeightedTour` walked
+element by element, dyadic block ranges, a standalone 160-bit wire
+format for code shares, Steiner-tree degrees, an exhaustive
+minimum-degree Steiner tree oracle and GF(p^2) arithmetic for the
+Reed-Solomon oracle."""
 
 from __future__ import annotations
 
@@ -10,7 +12,74 @@ import itertools
 import struct
 
 from flbl.codeshares import CodeShare, Field
-from flbl.graph import Graph, UnionFind
+from flbl.graph import FaultSet, Graph, UnionFind
+from flbl.hierarchy import EdgeLevelAssignment, verify_edge_expanding
+
+
+def dump_graph(g: Graph) -> str:
+    """The graph in the text format `load_graph` reads."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_connected(g: Graph, faults: FaultSet, s: int, t: int) -> bool:
+    dead = set(faults.edge_ids)
+    uf = UnionFind(g.n)
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in dead:
+            uf.union(u, v)
+    return uf.find(s) == uf.find(t)
+
+
+def bfs_components(g: Graph, faults: FaultSet) -> list[list[int]]:
+    """Independent BFS oracle used to cross-check oracle_components."""
+    dead = set(faults.edge_ids)
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        queue = [s]
+        while queue:
+            x = queue.pop()
+            for y, eid in g.adjacency[x]:
+                if eid not in dead and not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    queue.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def verify_edge_hierarchy(g: Graph, hier: EdgeLevelAssignment) -> bool:
+    """Exact per-level, per-component expansion check (small n)."""
+    for ell in range(1, hier.h + 1):
+        keep = [e for e, lv in enumerate(hier.level) if lv <= ell]
+        uf = UnionFind(g.n)
+        for e in keep:
+            u, v = g.edges[e]
+            uf.union(u, v)
+        for comp in uf.groups():
+            if len(comp) == 1:
+                continue
+            sub, vmap, emap = g.induced(comp)
+            x_local = {
+                se for se, oe in emap.items() if hier.level[oe] == ell
+            }
+            ok, _ = verify_edge_expanding(sub, x_local, hier.phi)
+            if not ok:
+                return False
+    return True
+
+
+def export_edge_hierarchy(hier: EdgeLevelAssignment) -> str:
+    tag = "certified" if hier.certified else "uncertified"
+    lines = [f"{hier.h} {hier.phi.numerator}/{hier.phi.denominator} {tag}"]
+    lines.extend(f"{e} {lv}" for e, lv in enumerate(hier.level))
+    return "\n".join(lines) + "\n"
 
 
 def dist(wt, pos_a: int, pos_b: int) -> int:

@@ -9,11 +9,11 @@ import zlib
 import pytest
 
 from flbl import labelfile as LF
-from flbl.build import build_scheme, to_label_file
+from flbl.build import to_label_file
 from flbl.cli import main
-from flbl.graph import dump_graph
 from test_acceptance import random_regular3
-from test_golden import _none_blocks, _sparse40
+from support import dump_graph
+from test_golden import _sparse80, build_case
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 TRIANGLE_PENDANT = "4 4\n0 1\n1 2\n0 2\n2 3\n"
@@ -445,10 +445,10 @@ def sqrt_file(tmp_path_factory):
     """A scheme-2 graph and label file whose reveal entries hold shares,
     the file's bytes, and the file offset of each edge record."""
     tmp = tmp_path_factory.mktemp("sqrt")
-    gpath = tmp / "sparse40.txt"
-    gpath.write_text(dump_graph(_sparse40()))
-    out = tmp / "sparse40.flbl"
-    assert main(["build", str(gpath), "--scheme", "2", "--f", "4",
+    gpath = tmp / "sparse80.txt"
+    gpath.write_text(dump_graph(_sparse80()))
+    out = tmp / "sparse80.flbl"
+    assert main(["build", str(gpath), "--scheme", "2", "--f", "8",
                  "--phi-mode", "heuristic", "-o", str(out)]) == 0
     raw = out.read_bytes()
     lf = LF.read_label_file(str(out))
@@ -510,10 +510,11 @@ def test_damaged_label_file_exit_code(tmp_path, capsys, sqrt_file, damage):
 
 
 def test_share_index_out_of_range_exit_code(tmp_path, capsys):
-    # a file written with a valid CRC whose share indices are all 0: every
-    # query that reconstructs a block exits 1 with one error line, the
-    # others answer
-    res = _none_blocks(build_scheme(_sparse40(), 2, 4, phi_mode="heuristic"))
+    # a file written with a valid CRC whose share of index 1 carries index
+    # 0 in every block: a query that reconstructs a block from it exits 1
+    # with one error line, the others answer.  (Every share index 0 would
+    # leave one distinct share per block, too few to decode.)
+    res = build_case("s2-sparse80-withheld")
     lf = to_label_file(res)
     payloads = []
     for eid, payload in enumerate(lf.edge_payloads):
@@ -522,8 +523,9 @@ def test_share_index_out_of_range_exit_code(tmp_path, capsys):
             for ent in sec.reveal:
                 rows = ent.shares
                 row_bits = sum(rows.widths)
-                for i in range(rows.cnt):
-                    word &= ~(((1 << rows.widths[0]) - 1) << rows.at + i * row_bits)
+                for i, sh in enumerate(rows.values()):
+                    if sh.index == 1:
+                        word &= ~(((1 << rows.widths[0]) - 1) << rows.at + i * row_bits)
         payloads.append(word.to_bytes(len(payload), "little"))
     out = tmp_path / "zero-index.flbl"
     LF.write_label_file(str(out), dataclasses.replace(lf, edge_payloads=payloads))

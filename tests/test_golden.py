@@ -14,7 +14,6 @@ digests.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -29,39 +28,31 @@ from flbl.labels_rand import _bits
 from test_acceptance import random_connected, random_connected_sparse, random_regular3
 
 
-def _none_blocks(res):
-    """Scheme-2 labels with every third near-block record given as its
-    lge count only (edges=None), the form large blocks take."""
-    i = 0
-    for lab in res.edge_labels:
-        for sec in lab.sections.values():
-            for per in sec.near.values():
-                for blk, rec in per.items():
-                    if i % 3 == 0:
-                        per[blk] = dataclasses.replace(rec, edges=None)
-                    i += 1
-    return res
-
-
 def _sparse40():
     return random_connected_sparse(random.Random(1), 40, 160)
 
 
-# name -> (graph maker, scheme, f, phi_mode, seed, label post-processing)
+def _sparse80():
+    return random_connected_sparse(random.Random(1), 80, 320)
+
+
+# name -> (graph maker, scheme, f, phi_mode, seed)
 CASES = {
     # heuristic hierarchy above the exact cap, exact below it; 7 levels with
     # 181, 124, 78, 53, 36, 22, 1 trees, and the heuristic finder accepts 3
     # adjacent-pair cuts (counted on this build), so the pair stage of
     # hierarchy._HeuristicCutFinder and the per-tree label build both run
-    "s1-cubic200-auto": (lambda: random_regular3(200, 11), 1, 16, "auto", 0, None),
-    "s1-exact-n14": (lambda: random_connected(random.Random(3), 14, 0.3), 1, 2, "exact", 0, None),
-    "s1-cubic60": (lambda: random_regular3(60, 5), 1, 4, "heuristic", 0, None),
-    "s2-n7": (lambda: random_connected(random.Random(4), 7, 0.4), 2, 2, "auto", 0, None),
-    "s2-sparse40": (_sparse40, 2, 4, "heuristic", 0, None),
-    "s2-sparse40-noneblocks": (_sparse40, 2, 4, "heuristic", 0, _none_blocks),
-    "s3-n10": (lambda: random_connected(random.Random(3), 10, 0.45), 3, 2, "auto", 7, None),
+    "s1-cubic200-auto": (lambda: random_regular3(200, 11), 1, 16, "auto", 0),
+    "s1-exact-n14": (lambda: random_connected(random.Random(3), 14, 0.3), 1, 2, "exact", 0),
+    "s1-cubic60": (lambda: random_regular3(60, 5), 1, 4, "heuristic", 0),
+    "s2-n7": (lambda: random_connected(random.Random(4), 7, 0.4), 2, 2, "auto", 0),
+    "s2-sparse40": (_sparse40, 2, 4, "heuristic", 0),
+    # its own build withholds block lists: 4 of its block records hold the
+    # lge count only, and only those blocks have shares in the file
+    "s2-sparse80-withheld": (_sparse80, 2, 8, "heuristic", 0),
+    "s3-n10": (lambda: random_connected(random.Random(3), 10, 0.45), 3, 2, "auto", 7),
     "s4-n24": (lambda: random_connected(random.Random(4), 24, 0.6), 4, 2 * _bits(24) ** 2,
-               "auto", 7, None),
+               "auto", 7),
 }
 
 GOLDEN = {
@@ -70,7 +61,7 @@ GOLDEN = {
     's1-exact-n14': ('848ad204aaeaa5776e62bda5e337ece29f56f23e6ec1978addd39efde2c967e8', 'a45445dea023cbe598d804a6ee697deb428f24169f42f40b6355edf7ccac011c'),
     's2-n7': ('ad2d73ea3c728d77c6025d3e2ea0cd3d14ded14476c40a80579f0b35b0f77387', '71f9db3bbe7f0a0c52bbd69ec1de45e1d01bf01b8f08fa60751ed403a1005a21'),
     's2-sparse40': ('11ead9717738045e26a69c8dff3279bfcabfe0f18228cf96c703a515bff30367', '1efb797b96766fbf67c05b47514c53d7ea1597b4ff3540970abfe68486b290b3'),
-    's2-sparse40-noneblocks': ('2e2bd8181af74a91588d5e21ef55d3e7986e1f1db0df0e91b4b7571faaf1f863', 'b1333f39af25878c08b995e25d459bf6c43b38a02a5c5bf7f7724a967567f8e1'),
+    's2-sparse80-withheld': ('2e2bd8181af74a91588d5e21ef55d3e7986e1f1db0df0e91b4b7571faaf1f863', 'b1333f39af25878c08b995e25d459bf6c43b38a02a5c5bf7f7724a967567f8e1'),
     's3-n10': ('0068e62bdf1828ee5e843e3d31dec861ab260d4ab1eb28838060bca3c18948c6', '80075546a1977ec81a718c1ce5c7246fc3517c960d89e465aaecae49e4064816'),
     's4-n24': ('d581ad8e5ea51f8fa3eec42a32c7eddddda914b6c64663f4b112f056c2050a6b', 'ccb9b89e13672386112a30ec89c1bfad5e2225e5297e36a2b3899778021fdfd8'),
 }
@@ -80,9 +71,10 @@ GOLDEN = {
 # sets with 0 <= |F| <= f each, answered by the query `flbl query` runs
 # for the file's scheme and hashed as (component_count(), connected() of
 # every vertex pair, case3_fired) per set; schemes 3-4 have no case 3 and
-# hash an empty list there.  On the s2-sparse40-noneblocks case the list
-# runs codeshares.decode 375 times and marks case 3 41 times (counted on
-# this build); s2-sparse40 stores every block's edge list, so it reaches
+# hash an empty list there.  On the s2-sparse80-withheld case the list
+# runs codeshares.decode 12 times and marks case 3 32 times, and every
+# answer equals the union-find oracle's (counted and checked on this
+# build); s2-sparse40 stores every block's edge list, so it reaches
 # neither.
 QUERY_CASES = tuple(sorted(CASES))
 QUERY_SETS = 40
@@ -93,18 +85,20 @@ GOLDEN_QUERIES = {
     's1-exact-n14': 'e18a5fd6432886f06e16bda7e592ac8ecfa521a20025471104d6be7acd3aaaf5',
     's2-n7': 'd2d4df2d377cb1ed9e745bb4b56bd1945f61601e55a41794f354ea13e145d5f0',
     's2-sparse40': 'bb2b3e4b3b9eb433a64793ed4defba80ce9376b138a03aba87bfb04f653b1d02',
-    's2-sparse40-noneblocks': '0be03241b81d3bd2918fefbffd8dbb6932a76bb84c5dc4fd5fbd006b46ad31b0',
+    's2-sparse80-withheld': '0be03241b81d3bd2918fefbffd8dbb6932a76bb84c5dc4fd5fbd006b46ad31b0',
     's3-n10': 'cbd249be11d7cde3e78f67425b209325af105acc59278b3363f2d9a8a1095e89',
     's4-n24': '15f40f06b9fdfcc14a88c9c8bfa902cd9527ac9d33b1f9f7e845b0e34858f865',
 }
 
 
-def _write(name: str, tmp_dir: Path) -> Path:
-    make, scheme, f, mode, seed, post = CASES[name]
+def build_case(name: str):
+    make, scheme, f, mode, seed = CASES[name]
     g: Graph = make()
-    res = build_scheme(g, scheme, f, phi_mode=mode, seed=seed)
-    if post is not None:
-        res = post(res)
+    return build_scheme(g, scheme, f, phi_mode=mode, seed=seed)
+
+
+def _write(name: str, tmp_dir: Path) -> Path:
+    res = build_case(name)
     path = tmp_dir / f"{name}.flbl"
     LF.write_label_file(str(path), LF.make_label_file(
         res.scheme, res.meta, res.vertex_labels, res.edge_labels))

@@ -6,12 +6,11 @@ from flbl.graph import (
     FaultSet,
     Graph,
     GraphParseError,
-    bfs_components,
     load_graph,
     oracle_components,
-    oracle_connected,
     reduce_degree3,
 )
+from support import bfs_components, oracle_connected
 
 
 def comps_as_sets(comps):

@@ -14,13 +14,12 @@ from flbl.hierarchy import (
     build_edge_hierarchy,
     build_vertex_hierarchy,
     edge_separator,
-    export_edge_hierarchy,
     verify_edge_expanding,
-    verify_edge_hierarchy,
     verify_vertex_expanding,
     verify_vertex_hierarchy,
     vertex_separator,
 )
+from support import export_edge_hierarchy, verify_edge_hierarchy
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1, 1)

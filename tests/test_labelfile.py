@@ -20,7 +20,7 @@ from flbl.labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdge
 from flbl.labels_sqrt import (BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection,
                               near_blocks)
 from support import share_to_bytes
-from test_golden import _none_blocks, _sparse40
+from test_golden import build_case
 
 
 def random_connected(rng, n, p):
@@ -250,11 +250,11 @@ def test_reported_bits_exclude_padding():
         assert len(payload) * 8 - bits < 8 + 1  # one framing bit + padding
 
 
-def test_share_bit_size_invariant(sqrt_noneblocks):
+def test_share_bit_size_invariant(sqrt_withheld):
     # an in-label share row is an index of the header's width, the bit
     # length of the largest lge, and two components of the per-file
     # field's prime, the first prime above 2^(2·pos + par)
-    res, lf = sqrt_noneblocks
+    res, lf = sqrt_withheld
     meta, wd = res.meta, lf.widths
     lges = [rec.lge for lab in res.edge_labels for sec in lab.sections.values()
             for per in sec.near.values() for rec in per.values()]
@@ -320,9 +320,10 @@ def test_decode_rejects_out_of_range_ids(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def sqrt_noneblocks():
-    """A scheme-2 build with both stored and count-only block records."""
-    res = _none_blocks(build_scheme(_sparse40(), 2, 4, phi_mode="heuristic"))
+def sqrt_withheld():
+    """A scheme-2 build with both stored and count-only block records, the
+    latter's shares in reveal entries."""
+    res = build_case("s2-sparse80-withheld")
     return res, to_label_file(res)
 
 
@@ -338,8 +339,8 @@ def _row_spans(lab):
                     yield rec.edges, "edges"
 
 
-def test_sqrt_decoded_records_equal_built(sqrt_noneblocks):
-    res, lf = sqrt_noneblocks
+def test_sqrt_decoded_records_equal_built(sqrt_withheld):
+    res, lf = sqrt_withheld
     for eid, built in enumerate(res.edge_labels):
         lab = LF.decode_edge(lf, eid)
         assert lab == built and built == lab
@@ -385,8 +386,8 @@ def _decode_payload(lf, eid, payload):
     return LF.decode_edge(dataclasses.replace(lf, edge_payloads=payloads), eid)
 
 
-def test_sqrt_payload_cut_in_rows_fails_at_decode(sqrt_noneblocks):
-    _, lf = sqrt_noneblocks
+def test_sqrt_payload_cut_in_rows_fails_at_decode(sqrt_withheld):
+    _, lf = sqrt_withheld
     # rows that end the payload, so no later field can catch the cut
     def last_rows(payload, rows, kind, width):
         end = rows.at + rows.cnt * sum(rows.widths)
@@ -406,8 +407,8 @@ def _claim_field(kind, cnt):
     return (1 << cnt) - 1 if kind == "shares" else cnt
 
 
-def test_sqrt_row_count_past_payload_fails_at_decode(sqrt_noneblocks):
-    _, lf = sqrt_noneblocks
+def test_sqrt_row_count_past_payload_fails_at_decode(sqrt_withheld):
+    _, lf = sqrt_withheld
     # a bitmap or count claiming rows past the payload fits its field only
     # for spans near the payload's end
     def fits(payload, rows, kind, width):
@@ -440,13 +441,11 @@ def _shared_records(labels):
     return [rec for rec, held in holders.values() if len(held) > 1]
 
 
-@pytest.mark.parametrize("post", [None, _none_blocks])
-def test_sqrt_shared_records_encode_like_copies(post):
+@pytest.mark.parametrize("case", ["s2-sparse40", "s2-sparse80-withheld"])
+def test_sqrt_shared_records_encode_like_copies(case):
     # each label deep-copied and encoded on its own shares no record with
     # any other label, so every record is packed afresh
-    res = build_scheme(_sparse40(), 2, 4, phi_mode="heuristic")
-    if post is not None:
-        res = post(res)
+    res = build_case(case)
     shared = _shared_records(res.edge_labels)
     assert any(isinstance(rec, RevealEntry) for rec in shared)
     assert any(isinstance(rec, BlockRecord) for rec in shared)
@@ -460,7 +459,7 @@ def test_sqrt_shared_records_encode_like_copies(post):
 @pytest.mark.parametrize("where", ["share", "lge", "name"])
 def test_make_label_file_rejects_oversized_shared_field(where):
     # one field that does not fit its width, in a record several labels hold
-    res = build_scheme(_sparse40(), 2, 4, phi_mode="heuristic")
+    res = build_case("s2-sparse80-withheld")
     shared = _shared_records(res.edge_labels)
     if where == "share":
         ent = next(rec for rec in shared if isinstance(rec, RevealEntry) and rec.shares)
@@ -776,8 +775,8 @@ def simple_file():
 
 @pytest.mark.parametrize("where", ["opts", "segment-names", "reveal-name"])
 def test_payload_cut_in_names_or_opts_fails_at_decode(tmp_path, capsys, where,
-                                                      simple_file, sqrt_noneblocks):
-    _, lf = sqrt_noneblocks if where == "reveal-name" else simple_file
+                                                      simple_file, sqrt_withheld):
+    _, lf = sqrt_withheld if where == "reveal-name" else simple_file
     wd = lf.widths
     path = tmp_path / "cut.flbl"
     tried = 0

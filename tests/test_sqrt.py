@@ -19,6 +19,8 @@ from flbl.labels_sqrt import (
 from flbl.labels_simple import NameTable
 from flbl import codeshares
 from support import ball_edge, ball_element, block_range
+from test_acceptance import random_connected_sparse
+from test_golden import build_case
 
 HALF = Fraction(1, 2)
 
@@ -275,6 +277,64 @@ def test_case3_fires_and_matches_oracle():
     for s in range(0, g.n, 3):
         for t in range(s + 1, g.n, 3):
             assert res.connected(vl[s], vl[t]) == (cid[s] == cid[t])
+
+
+def _stored_blocks(labels):
+    """Per (level, tree root): the block records its tree-edge labels
+    store, keyed (scale, block), and the share indices its distinct reveal
+    entries hold, keyed by the (scale, block) each share belongs to."""
+    recs, held, seen = {}, {}, set()
+    for lab in labels:
+        for ell, sec in lab.sections.items():
+            key = (ell, sec.tree_root)
+            per_tree = recs.setdefault(key, {})
+            for j, per in sec.near.items():
+                for blk, rec in per.items():
+                    per_tree[(j, blk)] = rec
+            got = held.setdefault(key, {})
+            for ent in sec.reveal:
+                if id(ent) in seen:
+                    continue
+                seen.add(id(ent))
+                for (j, side), sh in ent.shares.items():
+                    unit = ent.unit_b if side else ent.unit_a
+                    got.setdefault((j, unit >> j), []).append(sh.index)
+    return recs, held
+
+
+def _withheld_builds():
+    """(edge labels, meta) of seeded scheme-2 builds."""
+    for res in (build_case("s2-sparse80-withheld"), build_case("s2-sparse40"),
+                build_scheme(random_connected_sparse(random.Random(2), 80, 320), 2, 8,
+                             phi_mode="heuristic")):
+        yield res.edge_labels, res.meta
+    # one level: 10 blocks hold more than 4r large-gap edges, 11 exactly 4r
+    g = crafted_chord_graph()
+    hier = EdgeLevelAssignment(level=tuple([1] * g.m), h=1, phi=HALF, certified=False)
+    _, labels, meta = build_sqrt_labels(g, hier, EulerFrame(g, hier), 8)
+    yield labels, meta
+
+
+def test_shares_exactly_where_list_withheld():
+    # a share belongs to a block whose record withholds its list, such a
+    # block has each of its lge shares in exactly one reveal entry, and a
+    # record withholds its list exactly when it has more than 4r edges
+    withheld = stored = 0
+    for labels, meta in _withheld_builds():
+        r, _ = radius_scale(meta.f, meta.phi)
+        recs, held = _stored_blocks(labels)
+        for key, per_tree in recs.items():
+            for blk_key in held[key]:
+                assert per_tree[blk_key].edges is None, (key, blk_key)
+            for blk_key, rec in per_tree.items():
+                assert (rec.edges is None) == (rec.lge > 4 * r), (key, blk_key)
+                if rec.edges is None:
+                    withheld += 1
+                    assert sorted(held[key].get(blk_key, [])) == list(range(1, rec.lge + 1))
+                else:
+                    stored += rec.lge > 0
+    # 4 + 0 + 7 + 10 withheld blocks over the four builds
+    assert withheld == 21 and stored
 
 
 def test_case3_volume_bound():
