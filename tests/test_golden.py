@@ -59,9 +59,9 @@ GOLDEN = {
     's1-cubic200-auto': ('0027fd9fba965b01a420faab81ab57c96520b60b1e7c7ee93ac06e6bd424820a', '47c459571b0eb563860b383b78c98e9351be7bf50a4d03c4ea210ea980c8de7e'),
     's1-cubic60': ('bc334396b9b95d6ba5bdc53912dcc6ba55143d8752badf8d6a2ad07295f913cd', 'b6b5dc43850c833edf2330b2a906d3a4c223b7e6a24cd39d2c1c2995aa64e795'),
     's1-exact-n14': ('848ad204aaeaa5776e62bda5e337ece29f56f23e6ec1978addd39efde2c967e8', 'a45445dea023cbe598d804a6ee697deb428f24169f42f40b6355edf7ccac011c'),
-    's2-n7': ('ad2d73ea3c728d77c6025d3e2ea0cd3d14ded14476c40a80579f0b35b0f77387', '71f9db3bbe7f0a0c52bbd69ec1de45e1d01bf01b8f08fa60751ed403a1005a21'),
-    's2-sparse40': ('11ead9717738045e26a69c8dff3279bfcabfe0f18228cf96c703a515bff30367', '1efb797b96766fbf67c05b47514c53d7ea1597b4ff3540970abfe68486b290b3'),
-    's2-sparse80-withheld': ('2e2bd8181af74a91588d5e21ef55d3e7986e1f1db0df0e91b4b7571faaf1f863', 'b1333f39af25878c08b995e25d459bf6c43b38a02a5c5bf7f7724a967567f8e1'),
+    's2-n7': ('2430891cc42e8c399d7d7a93d9123273822161ebe5359a7aaf32001108ae8cc2', 'd61e476e4c5e78e2a9edd33082fe6119fc19ec2caf7eee747206e11a979cf9b1'),
+    's2-sparse40': ('5566838d11ef6870543a708810579cfdca5cca785799cfef57804dcadc57b113', 'ec094d0797f0615cdb1778785f3d5db5f2b66a1a6f5181459b0ef44a4c929115'),
+    's2-sparse80-withheld': ('58374bc10155ff29a5601fa7921b872f3d5c961ae8fadf4f51f873df7af67a1d', '7e690e57dc7fc25b50b64f1b960078ccb8ae570c6de27602a4072982376c90bd'),
     's3-n10': ('0068e62bdf1828ee5e843e3d31dec861ab260d4ab1eb28838060bca3c18948c6', '80075546a1977ec81a718c1ce5c7246fc3517c960d89e465aaecae49e4064816'),
     's4-n24': ('d581ad8e5ea51f8fa3eec42a32c7eddddda914b6c64663f4b112f056c2050a6b', 'ccb9b89e13672386112a30ec89c1bfad5e2225e5297e36a2b3899778021fdfd8'),
 }
@@ -85,7 +85,7 @@ GOLDEN_QUERIES = {
     's1-exact-n14': 'e18a5fd6432886f06e16bda7e592ac8ecfa521a20025471104d6be7acd3aaaf5',
     's2-n7': 'd2d4df2d377cb1ed9e745bb4b56bd1945f61601e55a41794f354ea13e145d5f0',
     's2-sparse40': 'bb2b3e4b3b9eb433a64793ed4defba80ce9376b138a03aba87bfb04f653b1d02',
-    's2-sparse80-withheld': '0be03241b81d3bd2918fefbffd8dbb6932a76bb84c5dc4fd5fbd006b46ad31b0',
+    's2-sparse80-withheld': '7780ee38ee056191fdfb207bce6add6f9c04813121ab0a21b2cc17a36aea54b6',
     's3-n10': 'cbd249be11d7cde3e78f67425b209325af105acc59278b3363f2d9a8a1095e89',
     's4-n24': '15f40f06b9fdfcc14a88c9c8bfa902cd9527ac9d33b1f9f7e845b0e34858f865',
 }
