@@ -325,8 +325,8 @@ def test_a11_scheme2_crossover():
     # f = 1024 (A3's cubic graph stops truncating near f = 350).  Max bits
     # measured when this gate was written: scheme 1 24,969 / 115,752 and
     # scheme 2 84,729 / 99,906 (ratios 3.39 / 0.86); f = 256 (65,276 and
-    # 93,617 bits, ratio 1.43) is left out because it costs 9 of the
-    # test's 42 s, most of them in the scheme-2 build.  With n = 200 or
+    # 93,617 bits, ratio 1.43) is left out: it took 9 of the 45 s the test
+    # took with it, most of them in the scheme-2 build.  With n = 200 or
     # 300 the f = 1024 ratio stays above 1 (1.37 and 1.13).
     t0 = time.time()
     g = tree_plus_chords(random.Random(7), 400, 3200)
