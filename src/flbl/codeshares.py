@@ -99,35 +99,46 @@ def encode(message: list[int], field: Field) -> list[CodeShare]:
     return shares
 
 
+def distinct_shares(shares, k: int) -> dict[int, CodeShare]:
+    """index -> share of a length-k message's shares.  A share index
+    outside 1..k, or two shares with one index but different values,
+    raises ValueError."""
+    seen: dict[int, CodeShare] = {}
+    for sh in shares:
+        if not 1 <= sh.index <= k:
+            raise ValueError(f"share index {sh.index} out of range 1..{k}")
+        if seen.setdefault(sh.index, sh) != sh:
+            raise ValueError(f"conflicting duplicate share index {sh.index}")
+    return seen
+
+
 def decode(shares: list[CodeShare], k: int, field: Field) -> list[int]:
     """Recover the message from at least ceil(k/2) distinct shares by
     Lagrange interpolation through the ceil(k/2) lowest share indices, in
-    O(k^2) field operations."""
+    O(k^2) field operations.  Every further share must lie on the
+    interpolated polynomial, and for odd k its zero-padded last b
+    coefficient must be 0; else the shares are no codeword and
+    ValueError is raised."""
     if k == 0:
         return []
     p = field.p
     t = (k + 1) // 2
-    seen = {}
-    for sh in shares:
-        if not (1 <= sh.index <= k):
-            raise ValueError(f"share index {sh.index} out of range 1..{k}")
-        if sh.index in seen and seen[sh.index] != (sh.a, sh.b):
-            raise ValueError(f"conflicting duplicate share index {sh.index}")
-        seen[sh.index] = (sh.a, sh.b)
+    seen = distinct_shares(shares, k)
     if len(seen) < t:
         raise ValueError(f"need {t} distinct shares to decode, got {len(seen)}")
-    pts = sorted(seen.items())[:t]
+    pts = [(x, (sh.a, sh.b)) for x, sh in sorted(seen.items())]
+    low = pts[:t]
     # The nodes are integers, so the master polynomial prod (x - x_i) and
     # the node weights 1 / prod_{i != j} (x_j - x_i) lie in GF(p); each
     # basis polynomial is the master divided by (x - x_j), synthetically.
     master = [1]  # lowest degree first
-    for x, _ in pts:
+    for x, _ in low:
         master = [(up - x * c) % p for up, c in zip([0] + master, master + [0])]
     ca = [0] * t
     cb = [0] * t
-    for x, (a, b) in pts:
+    for x, (a, b) in low:
         w = 1
-        for x2, _ in pts:
+        for x2, _ in low:
             if x2 != x:
                 w = w * (x - x2) % p
         w = pow(w, -1, p)
@@ -137,8 +148,15 @@ def decode(shares: list[CodeShare], k: int, field: Field) -> list[int]:
             ca[i] += c * sa
             cb[i] += c * sb
             c = (master[i] + x * c) % p
-    out = []
-    for i in range(t):
-        out.append(ca[i] % p)
-        out.append(cb[i] % p)
-    return out[:k]
+    ca = [c % p for c in ca]
+    cb = [c % p for c in cb]
+    for x, (a, b) in pts[t:]:
+        ea = eb = 0
+        for i in range(t - 1, -1, -1):  # Horner
+            ea = (ea * x + ca[i]) % p
+            eb = (eb * x + cb[i]) % p
+        if (ea, eb) != (a % p, b % p):
+            raise ValueError(f"share {x} is off the interpolated polynomial")
+    if k & 1 and cb[-1]:
+        raise ValueError("the shares are no codeword: the padding coefficient is not 0")
+    return [v for pair in zip(ca, cb) for v in pair][:k]

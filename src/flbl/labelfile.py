@@ -36,6 +36,16 @@ read parts, the share rows of each reveal entry and the edge list of
 each block record, and reads them on first use (`_Rows`); the skip is
 bounds-checked, so a payload cut short or a row count or presence
 bitmap that claims more rows than remain fails at decode.
+
+The scheme-1 decoder reads a tree-edge label in two passes.  The first
+reads each level section's header and optional positions and each
+segment list's (truncated, count) head, and moves past the list's names
+with the bounds-checked `BitReader.skip`, keeping the (start, count) of
+each run; a payload cut short fails here.  The second reads every name
+of the label in one `bits.read_runs` gather and slices the names, mapped
+through `Widths.names`, back into the segment lists.  Scheme-2 block
+lists stay one `_Rows` each: they are read one at a time on first use,
+and a NumPy call per short list would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 
-from .bits import BitReader, BitWriter, pack_fields
+from .bits import BitReader, BitWriter, pack_fields, read_runs
 from .codeshares import CodeShare, field_for
 from .euler import radius_scale
 from .labels_rand import RandEdgeLabel, RandMeta, _bits
@@ -259,19 +269,33 @@ def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeL
         pos_down=pos_down, pos_up=pos_up,
     )
     names = wd.names
-    name_w = (names.width,)
+    width = names.width
+    seg_head = 1 + wd.cap
+    # Pass 1: the section heads and each segment's (truncated, count) head;
+    # each name run is skipped, bounds-checked, and its (start, count) kept.
+    starts, counts, truncs = [], [], []
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex = r.read_fields((wd.pos, wd.pos, wd.pos))
         after_v, before_v = _read_opts(r, wd.pos)
-        segs = []
-        for _ in range(3):
-            truncated, cnt = r.read_fields((1, wd.cap))
-            segs.append(SegmentList(entries=names.of(r.read_fields(name_w * cnt)),
-                                    truncated=bool(truncated)))
         lab.sections[ell] = LevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
-            after_v=after_v, before_v=before_v, segments=tuple(segs),
+            after_v=after_v, before_v=before_v, segments=(),
         )
+        for _ in range(3):
+            head = r.peek(seg_head)
+            cnt = head >> 1
+            starts.append(r.skip(seg_head + cnt * width) + seg_head)
+            counts.append(cnt)
+            truncs.append(bool(head & 1))
+    # Pass 2: every name of the label in one gather, sliced back per segment.
+    flat = names.of(read_runs(data, starts, counts, width))
+    segs = []
+    at = 0
+    for cnt, truncated in zip(counts, truncs):
+        segs.append(SegmentList(entries=flat[at:at + cnt], truncated=truncated))
+        at += cnt
+    for i, sec in enumerate(lab.sections.values()):
+        sec.segments = tuple(segs[3 * i:3 * i + 3])
     return lab
 
 

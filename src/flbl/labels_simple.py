@@ -11,8 +11,12 @@ level, revealed surviving edges, and volume-threshold merging).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 
 from .bits import pack_fields
 from .codeshares import Field, field_for
@@ -452,17 +456,18 @@ def _simple_tree_step(records, ell: int, grp: TreePartition):
     """R3 pool: the segment-list entries of the tree's faults.  R4
     evidence: distinct-edge endpoint incidences per part, from the pool
     plus the faulted level-l tree edges; no part is marked."""
-    pool = dict.fromkeys(nm for (_, _, sec) in grp.faults
-                         for seg in sec.segments for nm in seg.entries)
+    pool = dict.fromkeys(chain.from_iterable(seg.entries for (_, _, sec) in grp.faults
+                                             for seg in sec.segments))
 
     def evidence():
+        # incidences per interval (`grp.locate` of each endpoint), then per
+        # part over the at most 2|F| + 1 intervals
+        ends = chain(map(itemgetter(0), pool), map(itemgetter(1), pool),
+                     *((lab.pos_u, lab.pos_v) for (_, lab, _) in grp.faults if lab.level == ell))
         incid: dict[int, int] = {}
-        ends = [p for nm in pool for p in nm[:2]]
-        ends += [p for (_, lab, _) in grp.faults if lab.level == ell
-                 for p in (lab.pos_u, lab.pos_v)]
-        for p in ends:
-            r = grp.uf.find(grp.locate(p))
-            incid[r] = incid.get(r, 0) + 1
+        for i, c in Counter(map(partial(bisect_left, grp.qs), ends)).items():
+            r = grp.uf.find(i)
+            incid[r] = incid.get(r, 0) + c
         return incid, ()
 
     return pool, evidence

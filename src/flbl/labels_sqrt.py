@@ -357,7 +357,7 @@ def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int, field: Fi
                 for nm in rec.edges:
                     pool.setdefault(nm)
                 continue
-            got = _block_shares(reveal.values(), j, blk)
+            got = _block_shares(reveal.values(), j, blk, rec.lge)
             if len(got) >= (rec.lge + 1) // 2:
                 syms = codeshares.decode(list(got.values()), rec.lge, field)
                 for sym in syms:
@@ -378,15 +378,17 @@ def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int, field: Fi
     return pool, evidence
 
 
-def _block_shares(entries, j: int, blk: int) -> dict[int, CodeShare]:
+def _block_shares(entries, j: int, blk: int, lge: int) -> dict[int, CodeShare]:
     """index -> share of block `blk` at scale `j`, from the revealed
     entries whose endpoint unit on that side lies in the block; an entry's
-    shares are read only when one of its units does."""
-    got: dict[int, CodeShare] = {}
+    shares are read only when one of its units does.  A share index
+    outside 1..lge, or two shares with one index but different values,
+    raises ValueError."""
+    shares = []
     for ent in entries:
         for side, unit in ((0, ent.unit_a), (1, ent.unit_b)):
             if unit >> j == blk:
                 sh = ent.shares.get((j, side))
                 if sh is not None:
-                    got[sh.index] = sh
-    return got
+                    shares.append(sh)
+    return codeshares.distinct_shares(shares, lge)

@@ -8,9 +8,10 @@ import zlib
 
 import pytest
 
+from flbl import codeshares
 from flbl import labelfile as LF
 from flbl.build import to_label_file
-from flbl.cli import main
+from flbl.cli import _run_query, main
 from test_acceptance import random_regular3
 from support import dump_graph
 from test_golden import _sparse80, build_case
@@ -509,35 +510,90 @@ def test_damaged_label_file_exit_code(tmp_path, capsys, sqrt_file, damage):
         LF.read_label_file(str(out))
 
 
-def test_share_index_out_of_range_exit_code(tmp_path, capsys):
-    # a file written with a valid CRC whose share of index 1 carries index
-    # 0 in every block: a query that reconstructs a block from it exits 1
-    # with one error line, the others answer.  (Every share index 0 would
-    # leave one distinct share per block, too few to decode.)
-    res = build_case("s2-sparse80-withheld")
-    lf = to_label_file(res)
+def _edit_shares(lf, edit):
+    """`lf` with every scheme-2 share row rewritten as `edit(share)`, in
+    the row's widths; the file written from it has a valid CRC."""
     payloads = []
     for eid, payload in enumerate(lf.edge_payloads):
         word = int.from_bytes(payload, "little")
         for sec in LF.decode_edge(lf, eid).sections.values():
             for ent in sec.reveal:
                 rows = ent.shares
+                wi, ws, _ = rows.widths
                 row_bits = sum(rows.widths)
                 for i, sh in enumerate(rows.values()):
-                    if sh.index == 1:
-                        word &= ~(((1 << rows.widths[0]) - 1) << rows.at + i * row_bits)
+                    new = edit(sh)
+                    at = rows.at + i * row_bits
+                    word &= ~(((1 << row_bits) - 1) << at)
+                    word |= (new.index | new.a << wi | new.b << wi + ws) << at
         payloads.append(word.to_bytes(len(payload), "little"))
-    out = tmp_path / "zero-index.flbl"
-    LF.write_label_file(str(out), dataclasses.replace(lf, edge_payloads=payloads))
+    return dataclasses.replace(lf, edge_payloads=payloads)
+
+
+def _query_codes(path, m, f, capsys, want):
+    """Exit codes of 20 seeded queries; an exit 1 must print `want`."""
     rng = random.Random(5)
     codes = []
     for _ in range(20):
-        faults = rng.sample(range(lf.meta.m), rng.randint(1, lf.meta.f))
-        codes.append(run_cli(["query", str(out), "--fail", ",".join(map(str, faults)),
+        faults = rng.sample(range(m), rng.randint(1, f))
+        codes.append(run_cli(["query", str(path), "--fail", ",".join(map(str, faults)),
                               "--count"]))
         if codes[-1] == 1:
-            assert "share index 0 out of range" in _one_line_error(capsys)
+            assert want in _one_line_error(capsys)
         else:
             assert codes[-1] == 0
         capsys.readouterr()
+    return codes
+
+
+def test_share_index_out_of_range_exit_code(tmp_path, capsys):
+    # files written with a valid CRC whose share of index 1 carries index
+    # 0 in every block, or whose shares all carry index 0: a query that
+    # collects the shares of a withheld block exits 1 with one error
+    # line, the others answer
+    lf = to_label_file(build_case("s2-sparse80-withheld"))
+    out = tmp_path / "zero-index.flbl"
+    LF.write_label_file(str(out), _edit_shares(
+        lf, lambda sh: dataclasses.replace(sh, index=0) if sh.index == 1 else sh))
+    codes = _query_codes(out, lf.meta.m, lf.meta.f, capsys, "share index 0 out of range")
     assert 1 in codes and 0 in codes
+    # every index 0: the shares would collapse to one per block if
+    # collected by index, which is too few to decode, and case 3 answered
+    out = tmp_path / "all-zero-index.flbl"
+    LF.write_label_file(str(out), _edit_shares(
+        lf, lambda sh: dataclasses.replace(sh, index=0)))
+    codes = _query_codes(out, lf.meta.m, lf.meta.f, capsys, "share index 0 out of range")
+    assert 1 in codes and 0 in codes
+
+
+def test_changed_share_value_exit_code(tmp_path, capsys, monkeypatch):
+    # a file written with a valid CRC in which one share that a query's
+    # Reed-Solomon decode gets beyond the ceil(k/2) it interpolates
+    # through has its value changed: that query exits 1 with one error line
+    lf = to_label_file(build_case("s2-sparse80-withheld"))
+    calls = []
+    decode = codeshares.decode
+    monkeypatch.setattr(codeshares, "decode",
+                        lambda shares, k, fld: calls.append((shares, k)) or decode(shares, k, fld))
+    rng = random.Random(5)
+    for _ in range(20):
+        faults = rng.sample(range(lf.meta.m), rng.randint(1, lf.meta.f))
+        calls.clear()
+        _run_query(lf, faults)
+        beyond = [max(shares, key=lambda sh: sh.index) for shares, k in calls
+                  if len(shares) > (k + 1) // 2]
+        if beyond:
+            break
+    assert beyond, "no seeded query decodes a block from more shares than it needs"
+    target = beyond[0]
+    monkeypatch.setattr(codeshares, "decode", decode)
+    good = tmp_path / "good.flbl"
+    LF.write_label_file(str(good), lf)
+    args = ["--fail", ",".join(map(str, faults)), "--count"]
+    assert run_cli(["query", str(good)] + args) == 0
+    capsys.readouterr()
+    out = tmp_path / "changed-value.flbl"
+    LF.write_label_file(str(out), _edit_shares(
+        lf, lambda sh: dataclasses.replace(sh, a=sh.a ^ 1) if sh == target else sh))
+    assert run_cli(["query", str(out)] + args) == 1
+    assert f"share {target.index} is off the interpolated polynomial" in _one_line_error(capsys)

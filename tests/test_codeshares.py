@@ -142,6 +142,33 @@ def test_duplicate_conflicting_shares():
         decode([shares[0], bad, shares[1]], 4, FIELD60)
 
 
+def test_decode_rejects_share_off_polynomial():
+    # a share beyond the ceil(k/2) lowest indices with a changed a or b
+    # value is off the interpolated polynomial, wherever it lies in the
+    # list; the unchanged shares decode
+    rng = random.Random(4)
+    for k in (2, 5, 8, 9):
+        m = [rng.randrange(Q) for _ in range(k)]
+        shares = encode(m, FIELD60)
+        assert decode(shares, k, FIELD60) == m
+        t = (k + 1) // 2
+        for i in range(t, k):
+            for bad in (CodeShare(i + 1, (shares[i].a + 1) % Q, shares[i].b),
+                        CodeShare(i + 1, shares[i].a, (shares[i].b + 1) % Q)):
+                changed = shares[:i] + [bad] + shares[i + 1:]
+                with pytest.raises(ValueError, match=f"share {i + 1} is off"):
+                    decode(changed[::-1], k, FIELD60)
+    # odd k zero-pads the last b coefficient, so a changed b value is seen
+    # even among exactly ceil(k/2) shares; with even k they are any codeword
+    shares = encode([rng.randrange(Q) for _ in range(7)], FIELD60)
+    bad = CodeShare(2, shares[1].a, (shares[1].b + 1) % Q)
+    with pytest.raises(ValueError, match="padding coefficient"):
+        decode([shares[0], bad] + shares[2:4], 7, FIELD60)
+    shares = encode([rng.randrange(Q) for _ in range(8)], FIELD60)
+    bad = CodeShare(2, shares[1].a, (shares[1].b + 1) % Q)
+    assert len(decode([shares[0], bad] + shares[2:4], 8, FIELD60)) == 8
+
+
 def test_share_wire_format():
     sh = CodeShare(3, 123456789, 987654321)
     raw = share_to_bytes(sh)
@@ -162,7 +189,8 @@ def _inverse(z):
 def lagrange_decode(shares, k):
     """Oracle: the cubic-time decoder that builds every Lagrange basis
     polynomial in GF(p^2), with the same checks and the same choice of
-    the ceil(k/2) lowest share indices as `decode`."""
+    the ceil(k/2) lowest share indices as `decode`, and evaluates the
+    polynomial in GF(p^2) at every further share."""
     if k == 0:
         return []
     t = (k + 1) // 2
@@ -196,6 +224,14 @@ def lagrange_decode(shares, k):
             basis = nxt
         for p, c in enumerate(basis):
             coeffs[p] = coeffs[p] + c * scale
+    for i, (a, b) in sorted(seen.items())[t:]:
+        at = ZERO
+        for c in reversed(coeffs):
+            at = at * F2(FIELD60, i) + c
+        if at != F2(FIELD60, a, b):
+            raise ValueError(f"share {i} is off the interpolated polynomial")
+    if k & 1 and coeffs[-1].b:
+        raise ValueError("the shares are no codeword: the padding coefficient is not 0")
     out = []
     for c in coeffs:
         out += [c.a, c.b]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flbl import labelfile as LF
+from flbl import labels_simple
 from flbl.build import build_scheme, to_label_file
 from flbl.euler import EulerFrame
 from flbl.graph import FaultSet, Graph, UnionFind, oracle_components
@@ -269,3 +270,55 @@ def test_oversized_fault_set_rejected():
     vl, labels, meta = build(g, 1)
     with pytest.raises(ValueError):
         query_simple({0: labels[0], 1: labels[1]}, None, None, meta)
+
+
+def _halves_first_complete(rng, n):
+    """K_n whose edge list starts with the path 0, 1, ..., n - 1 (so the
+    one-level spanning tree is that path), then the chords inside each half
+    and last the chords across, each group in a seeded order.  A segment
+    list then fills with chords inside its half before any chord across."""
+    half = n // 2
+    path = [(i, i + 1) for i in range(n - 1)]
+    chords = [(u, v) for u in range(n) for v in range(u + 2, n)]
+    inner = [e for e in chords if (e[0] < half) == (e[1] < half)]
+    cross = [e for e in chords if (e[0] < half) != (e[1] < half)]
+    rng.shuffle(inner)
+    rng.shuffle(cross)
+    return Graph(n, tuple(path + inner + cross))
+
+
+def test_r4_merges_giants_where_lists_truncate(monkeypatch):
+    # R4 coverage: with f = 1-2 every segment list at a middle fault holds
+    # only chords inside one half, so no R3 unite joins the halves and only
+    # the volume merge of R4 does.  Answers must equal the union-find
+    # oracle, and R4 must join parts at least once.  (On random cubic
+    # graphs at these f, R4 joined no parts in any query tried.)
+    merges = 0
+    merge_giants = labels_simple._merge_giants
+
+    def counting(grp, *args):
+        nonlocal merges
+        before = len(grp.parts())
+        merge_giants(grp, *args)
+        merges += before - len(grp.parts())
+
+    monkeypatch.setattr(labels_simple, "_merge_giants", counting)
+    for seed in range(6):
+        g = _halves_first_complete(random.Random(seed), 10 + seed)
+        for f in (1, 2):
+            vl, labels, meta = build(g, f)
+            assert meta.h == 1 and meta.certified
+            assert any(seg.truncated for lab in labels for sec in lab.sections.values()
+                       for seg in sec.segments)
+            tree = [e for e, lab in enumerate(labels) if lab.is_tree]
+            fault_sets = [(e,) for e in range(g.m)]
+            if f == 2:
+                fault_sets += itertools.combinations(tree, 2)
+            for F in fault_sets:
+                cid, cnt = oracle_classes(g, list(F))
+                res = query_simple({e: labels[e] for e in F}, None, None, meta)
+                assert res.component_count() == cnt, (seed, f, F)
+                for s in range(g.n):
+                    for t in range(s + 1, g.n):
+                        assert res.connected(vl[s], vl[t]) == (cid[s] == cid[t])
+    assert merges > 0
