@@ -16,14 +16,9 @@ from .graph import (
 )
 from .hierarchy import (
     EdgeLevelAssignment,
-    VertexLevelAssignment,
     build_edge_hierarchy,
-    build_vertex_hierarchy,
     edge_separator,
     verify_edge_expanding,
-    verify_vertex_expanding,
-    verify_vertex_hierarchy,
-    vertex_separator,
 )
 from .euler import (
     EulerFrame,
@@ -41,15 +36,6 @@ from .labels_rand import (
     query_rand_long,
     query_rand_short,
     sample_bit,
-)
-from .steiner import (
-    SteinerTree,
-    ToughnessCertificate,
-    expanding_implies_tough_check,
-    low_degree_steiner,
-    ni_forests,
-    ni_sparsify,
-    toughness,
 )
 from .build import BuildResult, build_scheme, to_label_file
 from . import labelfile

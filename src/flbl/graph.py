@@ -77,21 +77,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency]
 
-    def neighbors(self, v: int) -> list[int]:
-        return [w for w, _ in self.adjacency[v]]
-
-    def induced(self, verts: list[int]) -> tuple["Graph", dict[int, int], dict[int, int]]:
-        """Induced subgraph plus vertex/edge id maps (new -> old)."""
-        idx = {v: i for i, v in enumerate(verts)}
-        sub_edges = []
-        emap = {}
-        for eid, (u, v) in enumerate(self.edges):
-            if u in idx and v in idx:
-                emap[len(sub_edges)] = eid
-                sub_edges.append((idx[u], idx[v]))
-        vmap = {i: v for v, i in idx.items()}
-        return Graph(len(verts), tuple(sub_edges)), vmap, emap
-
 
 def load_graph(text: str) -> Graph:
     """Parse an edge-list document: header "n m", then m lines "u v".

@@ -1,8 +1,8 @@
-"""Edge- and vertex-expander hierarchies.
+"""Edge-expander hierarchy.
 
-Both hierarchies are built by the same top-down recursion: find a
-separator that is expanding and leaves components of at most half the
-vertices, assign it the top level, and recurse on the components.
+The hierarchy is built top-down: find an edge separator that is
+expanding and leaves components of at most half the vertices, assign it
+the top level, and recurse on the components.
 Exact mode certifies expansion by enumerating all cuts (small n only);
 heuristic mode runs the same improvement loop but searches for violating
 cuts with a spectral sweep plus randomized local search and cannot
@@ -274,7 +274,7 @@ class _HeuristicCutFinder:
             else:
                 k = self.rng.randrange(1, n)
                 side = set(self.rng.sample(range(n), k))
-            cross = sum(1 for (u, v) in g.edges if (u in side) != (v in side))
+            cross = sum(1 for v in side for w, _ in g.adjacency[v] if w not in side)
             vol = sum(degx[v] for v in side)
             for _ in range(passes):
                 improved = False
@@ -447,355 +447,3 @@ def build_edge_hierarchy(g: Graph, mode: str = "exact") -> EdgeLevelAssignment:
         phi=Fraction(1, 2),
         certified=all_exact,
     )
-
-
-# ---------------------------------------------------------------------------
-# vertex expansion
-
-
-def _subset_components_cache(g: Graph):
-    """components(W) for every vertex subset W, memoized; bitmask based."""
-    n = g.n
-    adj_mask = [0] * n
-    for (u, v) in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    cache: dict[int, tuple[int, ...]] = {0: ()}
-
-    def components(w: int) -> tuple[int, ...]:
-        got = cache.get(w)
-        if got is not None:
-            return got
-        lsb = w & (-w)
-        comp = lsb
-        frontier = lsb
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & (-f)
-                f ^= b
-                nxt |= adj_mask[b.bit_length() - 1]
-            nxt &= w & ~comp
-            comp |= nxt
-            frontier = nxt
-        rest = components(w & ~comp)
-        out = (comp,) + rest
-        cache[w] = out
-        return out
-
-    return components
-
-
-def _best_bipartition(sizes: list[int], xs: int) -> tuple[int, int]:
-    """Over bipartitions of components (both sides nonempty) maximize
-    min(|X in L| + xs, |X in R| + xs).  Returns (best value, L-side sum).
-
-    Uses a subset-sum bitmask; any sum strictly between 0 and the total
-    is realized by a nonempty proper subset, and the extremes are handled
-    via zero-size components.
-    """
-    tot = sum(sizes)
-    if tot == 0:
-        return xs, 0
-    reach = 1
-    for a in sizes:
-        reach |= reach << a
-    best, best_sum = xs, 0 if 0 in sizes else None
-    for ssum in range(1, tot):
-        if (reach >> ssum) & 1:
-            mn = xs + min(ssum, tot - ssum)
-            if mn > best or best_sum is None:
-                best, best_sum = mn, ssum
-    if best_sum is None:
-        # no middle sums and no zero part: sizes like [tot]; cannot happen
-        # with >= 2 components unless some size is zero
-        best_sum = 0
-    return best, best_sum
-
-
-def _pick_subset(sizes: list[int], target: int) -> list[int]:
-    """Indices of a nonempty proper subset of sizes summing to target."""
-    k = len(sizes)
-    if target == 0:
-        for i, a in enumerate(sizes):
-            if a == 0:
-                return [i]
-        raise AssertionError("no subset sums to 0")
-    layers = [1]
-    for a in sizes:
-        layers.append(layers[-1] | (layers[-1] << a))
-    rem = target
-    chosen = []
-    for i in range(k - 1, -1, -1):
-        # can we reach rem without item i?
-        if (layers[i] >> rem) & 1:
-            continue
-        chosen.append(i)
-        rem -= sizes[i]
-        if rem == 0:
-            break
-    if rem != 0:
-        raise AssertionError("subset reconstruction failed")
-    if len(chosen) == k:
-        chosen.pop()  # keep the subset proper; only possible with a zero part
-    return chosen
-
-
-def _scan_vertex_cuts(g: Graph, xmask: int, phi: Fraction, comps, first_only: bool):
-    """Yield violating vertex cuts (L, S, R), scanning separators S in
-    increasing (|S|, mask) order for determinism."""
-    n = g.n
-    full = (1 << n) - 1
-    order = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
-    for s in order:
-        w = full & ~s
-        if w == 0:
-            continue
-        parts = comps(w)
-        if len(parts) < 2:
-            continue
-        ssize = bin(s).count("1")
-        xs = bin(s & xmask).count("1")
-        sizes = [bin(p & xmask).count("1") for p in parts]
-        best, best_sum = _best_bipartition(sizes, xs)
-        if ssize * phi.denominator < best * phi.numerator:
-            idxs = _pick_subset(sizes, best_sum) if sum(sizes) else [0]
-            lm = 0
-            for i in idxs:
-                lm |= parts[i]
-            rm = w & ~lm
-            if bin(lm).count("1") > bin(rm).count("1"):
-                lm, rm = rm, lm
-            tolist = lambda mk: [v for v in range(n) if (mk >> v) & 1]
-            yield tolist(lm), tolist(s), tolist(rm)
-            if first_only:
-                return
-
-
-def verify_vertex_expanding(
-    g: Graph, X: set[int] | frozenset[int], phi: Fraction
-) -> tuple[bool, tuple[list[int], list[int], list[int]] | None]:
-    """Exact check that vertex set X is phi-vertex-expanding.
-
-    Enumerates every vertex cut (L, S, R); on failure returns a violating
-    cut.  Requires n <= cap.
-    """
-    n = g.n
-    if n > n_exact_cap():
-        raise SizeCapError(f"verify_vertex_expanding needs n <= {n_exact_cap()}")
-    comps = _subset_components_cache(g)
-    xmask = 0
-    for v in X:
-        xmask |= 1 << v
-    for cut in _scan_vertex_cuts(g, xmask, phi, comps, first_only=True):
-        return False, cut
-    return True, None
-
-
-def _violating_vertex_cut_exact(g: Graph, xset: set[int], phi: Fraction, comps):
-    """First violating vertex cut (L, S, R) in scan order, or None."""
-    xmask = 0
-    for v in xset:
-        xmask |= 1 << v
-    for cut in _scan_vertex_cuts(g, xmask, phi, comps, first_only=True):
-        return cut
-    return None
-
-
-def vertex_separator(g: Graph, mode: str = "exact") -> set[int]:
-    """Vertex set X, 1-vertex-expanding (certified in exact mode), whose
-    removal leaves components of at most ceil(n/2) vertices.
-
-    Follows the improvement loop X <- (X \\ L) + S on violating vertex
-    cuts, which strictly shrinks X.
-    """
-    phi = Fraction(1, 1)
-    if len(_components(g)) != 1:
-        raise DisconnectedError("vertex_separator requires a connected graph")
-    if mode == "exact" and g.n > n_exact_cap():
-        raise SizeCapError(
-            f"exact mode needs n <= {n_exact_cap()} (got {g.n}); use heuristic mode"
-        )
-    X = set(range(g.n))
-    if mode == "exact":
-        comps = _subset_components_cache(g)
-        while True:
-            cut = _violating_vertex_cut_exact(g, X, phi, comps)
-            if cut is None:
-                return X
-            L, S, R = cut
-            new_x = (X - set(L)) | set(S)
-            if not len(new_x) < len(X):
-                raise AssertionError("vertex separator update failed to shrink X")
-            X = new_x
-    else:
-        while True:
-            cut = _heuristic_vertex_cut(g, X, phi)
-            if cut is None:
-                return X
-            L, S, R = cut
-            new_x = (X - set(L)) | set(S)
-            if not len(new_x) < len(X):
-                return X
-            X = new_x
-
-
-def _heuristic_vertex_cut(g: Graph, xset: set[int], phi: Fraction):
-    """Cheap candidate vertex cuts, each checked exactly."""
-    n = g.n
-    uf_all = UnionFind(n)
-    for (u, v) in g.edges:
-        uf_all.union(u, v)
-
-    def try_s(smask: set[int]):
-        if not smask or len(smask) >= n:
-            return None
-        uf = UnionFind(n)
-        for (u, v) in g.edges:
-            if u not in smask and v not in smask:
-                uf.union(u, v)
-        comps = {}
-        for v in range(n):
-            if v not in smask:
-                comps.setdefault(uf.find(v), []).append(v)
-        parts = list(comps.values())
-        if len(parts) < 2:
-            return None
-        xs = len(smask & xset)
-        sizes = [len(set(p) & xset) for p in parts]
-        tot = sum(sizes)
-        order = sorted(range(len(parts)), key=lambda i: -sizes[i])
-        lset, lsum = [], 0
-        for i in order:
-            if lsum <= tot / 2 and len(lset) < len(parts) - 1:
-                lset.append(i)
-                lsum += sizes[i]
-        mn = min(lsum + xs, tot - lsum + xs)
-        if len(smask) * phi.denominator < mn * phi.numerator:
-            L = [v for i in lset for v in parts[i]]
-            lset_set = set(lset)
-            R = [v for i in range(len(parts)) if i not in lset_set for v in parts[i]]
-            if len(L) > len(R):
-                L, R = R, L
-            return (L, sorted(smask), R)
-        return None
-
-    for v in range(n):
-        got = try_s(set(g.neighbors(v)))
-        if got:
-            return got
-    rng = random.Random(0xF1B2)
-    for _ in range(20):
-        v = rng.randrange(n)
-        layer = {v}
-        seen = {v}
-        for _ in range(rng.randrange(1, 4)):
-            nxt = set()
-            for x in layer:
-                nxt.update(w for w in g.neighbors(x) if w not in seen)
-            if not nxt:
-                break
-            seen |= nxt
-            layer = nxt
-        got = try_s(layer)
-        if got:
-            return got
-    return None
-
-
-@dataclass
-class VertexLevelAssignment:
-    """Vertex level function plus the laminar component family per level."""
-
-    level: tuple[int, ...]   # vertex id -> level in 1..h
-    h: int
-    phi: Fraction
-    certified: bool
-    # (level, component vertices sorted, core vertices sorted)
-    components: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-
-
-def build_vertex_hierarchy(g: Graph, mode: str = "exact") -> VertexLevelAssignment:
-    if mode == "auto":
-        sep_mode = lambda nn: "exact" if nn <= n_exact_cap() else "heuristic"
-    else:
-        sep_mode = lambda nn: mode
-    level = [0] * g.n
-    all_exact = True
-    nodes: list[tuple[int, list[int], list[int]]] = []  # (depth, comp, core)
-
-    def rec(verts: list[int], depth: int):
-        nonlocal all_exact
-        sub, vmap, _ = g.induced(verts)
-        md = sep_mode(sub.n)
-        if md != "exact":
-            all_exact = False
-        X = vertex_separator(sub, mode=md)
-        core = sorted(vmap[i] for i in X)
-        nodes.append((depth, sorted(verts), core))
-        rest = [i for i in range(sub.n) if i not in X]
-        uf = UnionFind(sub.n)
-        for (u, v) in sub.edges:
-            if u not in X and v not in X:
-                uf.union(u, v)
-        done = set()
-        for i in rest:
-            r = uf.find(i)
-            if r in done:
-                continue
-            done.add(r)
-            grp = [j for j in rest if uf.find(j) == r]
-            rec([vmap[j] for j in grp], depth + 1)
-
-    for comp in _components(g):
-        rec(comp, 0)
-    maxd = max(d for d, _, _ in nodes)
-    h = maxd + 1
-    comps_out = []
-    for d, compv, core in nodes:
-        lv = h - d
-        for v in core:
-            level[v] = lv
-        comps_out.append((lv, tuple(compv), tuple(core)))
-    return VertexLevelAssignment(
-        level=tuple(level),
-        h=h,
-        phi=Fraction(1, 1),
-        certified=all_exact,
-        components=tuple(comps_out),
-    )
-
-
-def verify_vertex_hierarchy(g: Graph, hier: VertexLevelAssignment) -> bool:
-    """Structural laminarity/core checks plus exact expansion per component."""
-    # cores partition V
-    allcore: list[int] = []
-    for _, _, core in hier.components:
-        allcore.extend(core)
-    if sorted(allcore) != list(range(g.n)):
-        return False
-    # laminar family
-    sets = [frozenset(c) for _, c, _ in hier.components]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            a, b = sets[i], sets[j]
-            if a & b and not (a <= b or b <= a):
-                return False
-    # no edge between disjoint components
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            a, b = sets[i], sets[j]
-            if a & b:
-                continue
-            for (u, v) in g.edges:
-                if (u in a and v in b) or (u in b and v in a):
-                    return False
-    # expansion of each core within its component
-    for lv, compv, core in hier.components:
-        sub, vmap, _ = g.induced(list(compv))
-        inv = {v: i for i, v in vmap.items()}
-        ok, _ = verify_vertex_expanding(sub, {inv[v] for v in core}, hier.phi)
-        if not ok:
-            return False
-    return True

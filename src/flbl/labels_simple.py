@@ -320,20 +320,14 @@ class TreePartition:
             self.first_vertex.append(fv)
             self.last_vertex.append(lv)
         # R1: stitch across each fault's two orientations, and tour ends
-        for i, (eid, lab, sec) in enumerate(faults):
-            end_down = self._interval_ending_at(lab.pos_down)
-            start_up = self._interval_starting_at(lab.pos_up)
-            self.uf.union(end_down, start_up)
-            end_up = self._interval_ending_at(lab.pos_up)
-            start_down = self._interval_starting_at(lab.pos_down)
-            self.uf.union(end_up, start_down)
+        # (each fault position q is in qs: it ends interval locate(q) and
+        # starts locate(q) + 1)
+        for eid, lab, sec in faults:
+            down = self.locate(lab.pos_down)
+            up = self.locate(lab.pos_up)
+            self.uf.union(down, up + 1)
+            self.uf.union(up, down + 1)
         self.uf.union(0, k)
-
-    def _interval_ending_at(self, q: int) -> int:
-        return self.qs.index(q)
-
-    def _interval_starting_at(self, q: int) -> int:
-        return self.qs.index(q) + 1
 
     def locate(self, pos: int) -> int:
         """Interval containing a vertex position known to lie in V(T)."""

@@ -1,14 +1,12 @@
 """Reference code that only the tests use: graph text output, a pair
 and a BFS connectivity oracle, an exact check and a text export of an
-edge hierarchy, weighted distances and balls on a `WeightedTour` walked
-element by element, dyadic block ranges, a standalone 160-bit wire
-format for code shares, Steiner-tree degrees, an exhaustive
-minimum-degree Steiner tree oracle and GF(p^2) arithmetic for the
-Reed-Solomon oracle."""
+edge hierarchy, induced subgraphs, weighted distances and balls on a
+`WeightedTour` walked element by element, dyadic block ranges, a
+standalone 160-bit wire format for code shares and GF(p^2) arithmetic
+for the Reed-Solomon oracle."""
 
 from __future__ import annotations
 
-import itertools
 import struct
 
 from flbl.codeshares import CodeShare, Field
@@ -54,6 +52,19 @@ def bfs_components(g: Graph, faults: FaultSet) -> list[list[int]]:
     return comps
 
 
+def induced(g: Graph, verts: list[int]) -> tuple[Graph, dict[int, int], dict[int, int]]:
+    """Induced subgraph plus vertex/edge id maps (new -> old)."""
+    idx = {v: i for i, v in enumerate(verts)}
+    sub_edges = []
+    emap = {}
+    for eid, (u, v) in enumerate(g.edges):
+        if u in idx and v in idx:
+            emap[len(sub_edges)] = eid
+            sub_edges.append((idx[u], idx[v]))
+    vmap = {i: v for v, i in idx.items()}
+    return Graph(len(verts), tuple(sub_edges)), vmap, emap
+
+
 def verify_edge_hierarchy(g: Graph, hier: EdgeLevelAssignment) -> bool:
     """Exact per-level, per-component expansion check (small n)."""
     for ell in range(1, hier.h + 1):
@@ -65,7 +76,7 @@ def verify_edge_hierarchy(g: Graph, hier: EdgeLevelAssignment) -> bool:
         for comp in uf.groups():
             if len(comp) == 1:
                 continue
-            sub, vmap, emap = g.induced(comp)
+            sub, vmap, emap = induced(g, comp)
             x_local = {
                 se for se, oe in emap.items() if hier.level[oe] == ell
             }
@@ -147,48 +158,6 @@ def share_to_bytes(sh: CodeShare) -> bytes:
 
 def share_from_bytes(raw: bytes) -> CodeShare:
     return CodeShare(*struct.unpack("<IQQ", raw))
-
-
-def degree_map(g: Graph, edges) -> dict[int, int]:
-    """Vertex -> degree in the subgraph of `g` on the edge ids `edges`."""
-    deg: dict[int, int] = {}
-    for eid in edges:
-        u, v = g.edges[eid]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
-def min_degree_steiner_exhaustive(g: Graph, X: set[int]) -> int:
-    """Reference oracle: minimum max-degree over all Steiner trees
-    (enumerates spanning trees of edge subsets; tiny n only)."""
-    X = set(X)
-    best = None
-    m = g.m
-    nv = len(X)
-    for k in range(nv - 1, m + 1):
-        for combo in itertools.combinations(range(m), k):
-            uf = UnionFind(g.n)
-            acyclic = True
-            for eid in combo:
-                u, v = g.edges[eid]
-                if not uf.union(u, v):
-                    acyclic = False
-                    break
-            if not acyclic:
-                continue
-            root = uf.find(min(X))
-            if any(uf.find(x) != root for x in X):
-                continue
-            deg = degree_map(g, combo)
-            if any(d == 1 and v not in X for v, d in deg.items()):
-                continue
-            dmax = max(deg.values())
-            if best is None or dmax < best:
-                best = dmax
-        if best is not None:
-            return best
-    raise ValueError("terminals not connected")
 
 
 class F2:

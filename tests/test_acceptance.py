@@ -16,9 +16,7 @@ from flbl.euler import EulerFrame
 from flbl.graph import FaultSet, Graph, UnionFind, oracle_components, reduce_degree3
 from flbl.hierarchy import (
     build_edge_hierarchy,
-    build_vertex_hierarchy,
     verify_edge_expanding,
-    verify_vertex_hierarchy,
 )
 from flbl.labels_rand import (
     BfsForest,
@@ -33,8 +31,7 @@ from flbl.labels_rand import (
 )
 from flbl.labels_simple import build_simple_labels, query_simple
 from flbl.labels_sqrt import query_sqrt
-from flbl.steiner import low_degree_steiner, ni_forests, toughness
-from support import verify_edge_hierarchy
+from support import induced, verify_edge_hierarchy
 
 
 def random_connected(rng, n, p):
@@ -182,7 +179,7 @@ def test_a2_deterministic_sampled():
                     uf.union(u, v)
                 for comp in uf.groups():
                     if 2 <= len(comp) <= 16:
-                        sub, vmap, emap = g.induced(comp)
+                        sub, vmap, emap = induced(g, comp)
                         x_local = {
                             se for se, oe in emap.items()
                             if hier.level[oe] == ell
@@ -540,96 +537,10 @@ def test_a8_hierarchy_certification():
             violations += 1
         if not verify_edge_hierarchy(g, he):
             violations += 1
-        hv = build_vertex_hierarchy(g, mode="exact")
-        if hv.h > math.ceil(math.log2(g.n)):
-            violations += 1
-        if not verify_vertex_hierarchy(g, hv):
-            violations += 1
     dur = time.time() - t0
     report(
         "A8 (hierarchy certification)",
         violations == 0,
         f"100 graphs, {violations} violations "
-        f"(edge phi=1/2, vertex phi=1, h <= ceil(log2 n)), {dur:.0f}s",
-    )
-
-
-def test_a9_steiner_degree_bound():
-    t0 = time.time()
-    rng = random.Random(0xA9)
-    failures = 0
-    for gi in range(100):
-        n = rng.randrange(4, 13)
-        g = random_connected(rng, n, rng.uniform(0.3, 0.8))
-        X = set(range(g.n))
-        cert = toughness(g, X)
-        st = low_degree_steiner(g, X)
-        if not cert.infinite:
-            if st.max_degree > 2 / cert.phi + 3:
-                failures += 1
-        B = st.blocking
-
-        def connected_under(edge_ids, s, t):
-            uf = UnionFind(g.n)
-            for eid in edge_ids:
-                u, v = g.edges[eid]
-                if u not in B and v not in B:
-                    uf.union(u, v)
-            return uf.find(s) == uf.find(t)
-
-        for s in range(g.n):
-            for t in range(s + 1, g.n):
-                if s in B or t in B:
-                    continue
-                if connected_under(range(g.m), s, t) != connected_under(st.edges, s, t):
-                    failures += 1
-    dur = time.time() - t0
-    report(
-        "A9 (Steiner degree bound)",
-        failures == 0,
-        f"100 graphs, {failures} bound/residual failures, {dur:.0f}s",
-    )
-
-
-def test_a10_ni_sparsifier():
-    t0 = time.time()
-    rng = random.Random(0xAA)
-    violations = 0
-    for gi in range(50):
-        n = rng.randrange(5, 13)
-        g = random_connected(rng, n, rng.uniform(0.35, 0.8))
-        for d in (2, 3):
-            forests = ni_forests(g, d)
-            sp = set().union(*forests)
-            for forest in forests:
-                uf = UnionFind(g.n)
-                for eid in forest:
-                    u, v = g.edges[eid]
-                    if not uf.union(u, v):
-                        violations += 1
-            for k in range(d):
-                for F in itertools.combinations(range(g.n), k):
-                    banned = set(F)
-                    ufa = UnionFind(g.n)
-                    ufb = UnionFind(g.n)
-                    for eid in range(g.m):
-                        u, v = g.edges[eid]
-                        if u in banned or v in banned:
-                            continue
-                        ufa.union(u, v)
-                        if eid in sp:
-                            ufb.union(u, v)
-                    for s in range(g.n):
-                        for t in range(s + 1, g.n):
-                            if s in banned or t in banned:
-                                continue
-                            if (ufa.find(s) == ufa.find(t)) != (
-                                ufb.find(s) == ufb.find(t)
-                            ):
-                                violations += 1
-    dur = time.time() - t0
-    report(
-        "A10 (NI sparsifier)",
-        violations == 0,
-        f"50 graphs, d in {{2,3}}, {violations} violations, {dur:.0f}s",
+        f"(edge phi=1/2, h <= ceil(log2 n)), {dur:.0f}s",
     )

@@ -12,17 +12,12 @@ from flbl.hierarchy import (
     SizeCapError,
     _HeuristicCutFinder,
     build_edge_hierarchy,
-    build_vertex_hierarchy,
     edge_separator,
     verify_edge_expanding,
-    verify_vertex_expanding,
-    verify_vertex_hierarchy,
-    vertex_separator,
 )
 from support import export_edge_hierarchy, verify_edge_hierarchy
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1, 1)
 
 
 def random_connected(rng, n, p):
@@ -166,50 +161,3 @@ def test_export_format():
     lines = doc.strip().splitlines()
     assert lines[0] == "1 1/2 certified"
     assert lines[1:] == ["0 1", "1 1", "2 1"]
-
-
-# vertex side
-
-
-def test_vertex_separator_star():
-    g = load_graph("5 4\n0 1\n0 2\n0 3\n0 4\n")
-    x = vertex_separator(g)
-    assert 0 in x
-    ok, _ = verify_vertex_expanding(g, x, ONE)
-    assert ok
-
-
-def test_vertex_separator_k2():
-    x = vertex_separator(K2)
-    ok, _ = verify_vertex_expanding(K2, x, ONE)
-    assert ok
-
-
-def test_vertex_separator_c6():
-    g = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)))
-    x = vertex_separator(g)
-    ok, _ = verify_vertex_expanding(g, x, ONE)
-    assert ok
-    uf = UnionFind(6)
-    for (u, v) in g.edges:
-        if u not in x and v not in x:
-            uf.union(u, v)
-    sizes = [len(c) for c in uf.groups() if not (set(c) & x)]
-    assert all(s <= 3 for s in sizes)
-
-
-def test_vertex_hierarchy_small_random():
-    rng = random.Random(9)
-    for _ in range(5):
-        g = random_connected(rng, rng.randrange(4, 11), 0.35)
-        hier = build_vertex_hierarchy(g)
-        assert hier.h <= math.ceil(math.log2(g.n)) or g.n == 1
-        assert verify_vertex_hierarchy(g, hier)
-
-
-def test_vertex_expanding_witness():
-    g = load_graph("5 4\n0 1\n0 2\n0 3\n0 4\n")
-    ok, cut = verify_vertex_expanding(g, set(range(5)), ONE)
-    assert not ok
-    L, S, R = cut
-    assert S == [0]

@@ -199,7 +199,6 @@ def test_query_reads_only_labels(monkeypatch):
 
     # any attempt to build or inspect a Graph during the query blows up
     monkeypatch.setattr(Graph, "__post_init__", poisoned)
-    monkeypatch.setattr(Graph, "induced", poisoned)
     monkeypatch.setattr("flbl.graph.oracle_components", poisoned)
     res = query_simple(recs, None, None, meta)
     assert res.component_count() == want_cnt
