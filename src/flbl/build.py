@@ -53,11 +53,9 @@ def build_scheme(g: Graph, scheme: int, f: int, phi_mode: str = "auto",
         vl = [vl3[red.vertex_map[v]] for v in range(g.n)]
         labels = labels3[:g.m]  # original edges keep their ids
         return BuildResult(scheme, vl, labels, meta, hier.h, hier.phi, hier.certified)
-    if scheme == LF.SCHEME_RAND_LONG:
-        vl, labels, meta = build_rand_long(g, f, seed=seed)
-        return BuildResult(scheme, vl, labels, meta, 1, meta.phi, True)
-    if scheme == LF.SCHEME_RAND_SHORT:
-        vl, labels, meta = build_rand_short(g, f, seed=seed)
+    if scheme in (LF.SCHEME_RAND_LONG, LF.SCHEME_RAND_SHORT):
+        build = build_rand_short if scheme == LF.SCHEME_RAND_SHORT else build_rand_long
+        vl, labels, meta = build(g, f, seed=seed)
         return BuildResult(scheme, vl, labels, meta, 1, meta.phi, True)
     raise ValueError(f"unknown scheme {scheme}")
 

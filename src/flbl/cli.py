@@ -15,7 +15,7 @@ from . import labelfile as LF
 from .build import build_scheme, to_label_file
 from .graph import FaultSet, GraphParseError, load_graph, oracle_components
 from .hierarchy import SizeCapError
-from .labels_rand import query_rand_long, query_rand_short, short_regime_ok, _bits
+from .labels_rand import query_rand_short, short_regime_ok, _bits
 from .labels_simple import query_simple
 from .labels_sqrt import query_sqrt
 
@@ -151,9 +151,7 @@ def _run_query(lf: LF.LabelFile, fault_ids: list[int]):
             return query_simple(records, None, None, lf.meta)
         if lf.scheme == LF.SCHEME_SQRT:
             return query_sqrt(records, None, None, lf.meta)
-        if lf.scheme == LF.SCHEME_RAND_LONG:
-            return query_rand_long(records, lf.meta)
-        return query_rand_short(records, lf.meta)
+        return query_rand_short(records, lf.meta)  # scheme 3 has no Boruvka rounds
     except ValueError as exc:
         _fail(EXIT_PARSE, exc)
 
@@ -163,17 +161,14 @@ def cmd_query(args) -> int:
     try:
         fault_ids = _parse_ids(args.fail)
     except ValueError:
-        print("error: --fail expects comma-separated edge ids", file=sys.stderr)
-        return EXIT_PARSE
+        _fail(EXIT_PARSE, "--fail expects comma-separated edge ids")
     problem = _fault_error(lf, fault_ids)
     if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_FAULTS
+        _fail(EXIT_FAULTS, problem)
     try:
         pairs = [_parse_pair(text, lf) for text in args.pair]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        _fail(EXIT_PARSE, exc)
     result = _run_query(lf, fault_ids)
     for s, t, ls, lt in pairs:
         verdict = "connected" if result.connected(ls, lt) else "disconnected"
@@ -185,14 +180,12 @@ def cmd_query(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.trials < 0:
-        print(f"error: --trials must be at least 0, got {args.trials}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        _fail(EXIT_BAD_FLAGS, f"--trials must be at least 0, got {args.trials}")
     g = _load(args.graph)
     lf = _read_labels(args.labels)
     if (g.n, g.m) != (lf.meta.n, lf.meta.m):
-        print(f"error: the label file is for a graph with n={lf.meta.n}, "
-              f"m={lf.meta.m}, not n={g.n}, m={g.m}", file=sys.stderr)
-        return EXIT_PARSE
+        _fail(EXIT_PARSE, f"the label file is for a graph with n={lf.meta.n}, "
+              f"m={lf.meta.m}, not n={g.n}, m={g.m}")
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.trials):
@@ -223,16 +216,14 @@ def cmd_stats(args) -> int:
     try:
         f_values = _parse_ids(args.f_range)
     except ValueError:
-        print("error: --f-range expects comma-separated integers", file=sys.stderr)
-        return EXIT_PARSE
+        _fail(EXIT_PARSE, "--f-range expects comma-separated integers")
     for f in f_values:
         _check_f(f)
     _check_seed(args.scheme, args.seed)
     try:
         names = os.listdir(args.corpus)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        _fail(EXIT_PARSE, exc)
     paths = sorted(os.path.join(args.corpus, p) for p in names if not p.startswith("."))
     graphs = [_load(path) for path in paths]
     out = io.StringIO()

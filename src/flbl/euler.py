@@ -67,7 +67,6 @@ class EulerFrame:
         self.parent: list[int] = [-1] * g.n
         self.parent_edge: list[int] = [-1] * g.n
         self.comp_roots: list[int] = []
-        self.comp_span: list[tuple[int, int]] = []
         self.comp_of: list[int] = [-1] * g.n
         self._build_tour()
         self._tree_cache: dict[int, dict[int, TreeTour]] = {}
@@ -90,7 +89,6 @@ class EulerFrame:
 
     def _build_tour(self):
         g = self.graph
-        children: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         adj_tree: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for eid in self.tstar:
             u, v = g.edges[eid]
@@ -101,7 +99,6 @@ class EulerFrame:
         for root in range(g.n):
             if seen[root]:
                 continue
-            start = len(self.tour)
             self.comp_roots.append(root)
             # iterative DFS, children in ascending vertex id order
             seen[root] = True
@@ -119,7 +116,6 @@ class EulerFrame:
                     self.comp_of[v] = comp_idx
                     self.parent[v] = u
                     self.parent_edge[v] = eid
-                    children[u].append((v, eid))
                     self.pos_oedge[(u, v)] = len(self.tour)
                     self.tour.append(("e", u, v))
                     self.pos_vertex[v] = len(self.tour)
@@ -133,9 +129,7 @@ class EulerFrame:
                         p = stack[-1][0]
                         self.pos_oedge[(u, p)] = len(self.tour)
                         self.tour.append(("e", u, p))
-            self.comp_span.append((start, len(self.tour) - 1))
             comp_idx += 1
-        self.children = children
 
     # -- level trees ---------------------------------------------------
 
@@ -234,8 +228,6 @@ class WeightedTour:
     def __init__(self, frame: EulerFrame, tree: TreeTour, f: int, phi: Fraction):
         self.frame = frame
         self.tree = tree
-        self.f = f
-        self.phi = phi
         ell = tree.level
         g = frame.graph
         incident: set[int] = set()

@@ -81,10 +81,6 @@ def _mask_vertices(mask: int, n: int) -> list[int]:
     return out
 
 
-def _lex_key(verts: list[int]):
-    return tuple(verts)
-
-
 def verify_edge_expanding(
     g: Graph, X: set[int] | frozenset[int], phi: Fraction
 ) -> tuple[bool, list[int] | None]:
@@ -110,7 +106,7 @@ def verify_edge_expanding(
     idx = np.nonzero(bad)[0]
     best = min(
         idx.tolist(),
-        key=lambda mk: (int(crossing[mk]), _lex_key(_mask_vertices(mk, n))),
+        key=lambda mk: (int(crossing[mk]), _mask_vertices(mk, n)),
     )
     return False, _mask_vertices(int(best), n)
 
@@ -142,7 +138,7 @@ def _violating_cut_exact(g: Graph, degx: list[int], phi: Fraction,
             cands.append(other)
         else:
             cands.append(min(side, other))
-    return min(cands, key=_lex_key)
+    return min(cands)
 
 
 class _HeuristicCutFinder:

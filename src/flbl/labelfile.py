@@ -548,10 +548,14 @@ def read_label_file(path: str) -> LabelFile:
         version, scheme, n, aux_n, m, aux_m, f, h = cur.unpack("<HBIIIIIH")
         if version != VERSION:
             raise ValueError(f"unsupported label file version {version}")
+        if not SCHEME_SIMPLE <= scheme <= SCHEME_RAND_SHORT:
+            raise ValueError(f"bad label file header: unknown scheme {scheme}")
         num, den, cert, par_bits, idx_bits, c, B, jcols, seed, nroots = cur.unpack(
             "<IIBBBBBBQI")
         if not (num and den):
             raise ValueError(f"bad label file header: phi = {num}/{den}")
+        if scheme == SCHEME_RAND_LONG and (B or jcols):
+            raise ValueError(f"bad label file header: scheme 3 with B = {B}, jcols = {jcols}")
         roots = cur.unpack(f"<{nroots}I")
         (has_vm,) = cur.unpack("<B")
         vm = list(cur.unpack(f"<{n}I")) if has_vm else None

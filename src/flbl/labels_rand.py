@@ -1,18 +1,21 @@
 """Randomized edge-fault labeling schemes.
 
-Long scheme: per-edge uniformly random XOR sketches of f + c log n bits;
-subtree aggregates cancel to the cut XOR, and components of G - F are
-recovered by GF(2) elimination over the fault-split tree regions.
+Long scheme (3): per-edge uniformly random XOR sketches of f + c log n
+bits; subtree aggregates cancel to the cut XOR, and components of G - F
+are recovered by GF(2) elimination over the fault-split tree regions.
 
-Short scheme: log^2 n-bit XOR part plus an l0 cut-sketch matrix of
-rank-bucketed edge uids, queried with probabilistic Boruvka steps and
-finished with elimination on the XOR part.
+Short scheme (4): a log^2 n-bit XOR sketch plus an l0 cut-sketch matrix
+of rank-bucketed edge uids, queried with probabilistic Boruvka rounds
+and finished with the same elimination on the XOR sketch.  The two
+schemes share one build and one query: scheme 3 is scheme 4 with no
+sketch matrix and zero Boruvka rounds.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,28 +42,29 @@ class BfsForest:
         self.parent = [-1] * n
         self.parent_edge = [-1] * n
         self.order: list[int] = []
-        self.comp_of = [-1] * n
         self.comp_roots: list[int] = []
+        # children in ascending id order: BFS meets them in sorted adjacency
+        kids: list[list[int]] = [[] for _ in range(n)]
         seen = [False] * n
         for root in range(n):
             if seen[root]:
                 continue
             self.comp_roots.append(root)
-            ci = len(self.comp_roots) - 1
             seen[root] = True
             queue = [root]
-            qi = 0
-            while qi < len(queue):
-                x = queue[qi]
-                qi += 1
-                self.comp_of[x] = ci
+            for x in queue:  # the loop also visits what it appends
                 for y, eid in sorted(g.adjacency[x]):
                     if not seen[y]:
                         seen[y] = True
                         self.parent[y] = x
                         self.parent_edge[y] = eid
+                        kids[x].append(y)
                         queue.append(y)
-            self.order.extend(self._preorder(root))
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                self.order.append(x)
+                stack.extend(reversed(kids[x]))
         self.pre = [0] * n
         for i, v in enumerate(self.order):
             self.pre[v] = i
@@ -70,20 +74,6 @@ class BfsForest:
                 self.size[self.parent[v]] += self.size[v]
         self.tree_edges = {e for e in self.parent_edge if e != -1}
         self.comp_pre_starts = [self.pre[r] for r in self.comp_roots]
-
-    def _preorder(self, root: int) -> list[int]:
-        out = []
-        kids: dict[int, list[int]] = {}
-        for v, p in enumerate(self.parent):
-            if p != -1 and self.comp_of[v] == self.comp_of[root]:
-                kids.setdefault(p, []).append(v)
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            for y in sorted(kids.get(x, ()), reverse=True):
-                stack.append(y)
-        return out
 
     def subtree_range(self, v: int) -> tuple[int, int]:
         return self.pre[v], self.pre[v] + self.size[v] - 1
@@ -152,7 +142,7 @@ class SingletonSeed:
 
 
 # ---------------------------------------------------------------------------
-# long scheme
+# labels and build
 
 
 @dataclass
@@ -168,7 +158,7 @@ class RandEdgeLabel:
 class RandMeta(SchemeMeta):
     c: int = SIG_C_DEFAULT
     short: bool = False
-    B: int = 0
+    B: int = 0                 # Boruvka rounds: 0 in the long scheme
     jcols: int = 0
 
     @property
@@ -185,53 +175,93 @@ def short_regime_ok(n: int, f: int) -> bool:
     return f >= 2 * _bits(n) ** 2
 
 
-def _boruvka_params(n: int, f: int) -> tuple[int, int]:
+def _boruvka_params(n: int, f: int) -> int:
+    """B, the number of Boruvka rounds of the short scheme."""
     lg2 = _bits(n) ** 2
-    B = max(1, math.ceil(math.log2(max(f / max(lg2, 1), 2))) + 3)
-    return B, 0
+    return max(1, math.ceil(math.log2(max(f / max(lg2, 1), 2))) + 3)
 
 
-def build_rand_long(g: Graph, f: int, seed: int, c: int = SIG_C_DEFAULT):
+def rank_of(seed: int, i: int, eid: int, jcols: int) -> int:
+    """Geometric rank, Pr(rank = j) = 2^-j, capped at jcols."""
+    rng = random.Random(f"{seed}:rank:{i}:{eid}")
+    j = 1
+    while j < jcols and rng.getrandbits(1):
+        j += 1
+    return j
+
+
+def _build_rand(g: Graph, f: int, seed: int, c: int, short: bool):
+    """Each non-tree edge gets a random sk0 sketch and, in the short
+    scheme, its uid in one rank-chosen cell per Boruvka round; a tree
+    edge stores the XOR of both over its child's subtree."""
     forest = BfsForest(g)
+    B = _boruvka_params(g.n, f) if short else 0
+    jcols = max(1, _bits(max(g.m, 2))) + 2 if short else 0
     meta = RandMeta(
         n=g.n, aux_n=g.n, m=g.m, f=f, phi=Fraction(1, 2), h=1,
-        comp_roots=forest.comp_pre_starts, seed=seed, c=c, short=False,
+        comp_roots=forest.comp_pre_starts, seed=seed, c=c, short=short,
+        B=B, jcols=jcols,
     )
+    tag = "sk0s" if short else "sk0"
     nbits = meta.sk0_bits
+    if B:
+        sig = meta.sig_seed()
+        cell = sig.uid_bits
+        nb = _bits(g.n)
     sk_edge = [0] * g.m
-    for eid in range(g.m):
-        if eid not in forest.tree_edges:
-            sk_edge[eid] = _edge_bits(seed, "sk0", eid, nbits)
-    # subtree aggregates: XOR of sk0 over non-tree edges with one endpoint
-    # below; per-vertex star XOR then a bottom-up pass
-    agg = [0] * g.n
-    for eid in range(g.m):
+    mat_edge = [0] * g.m
+    # subtree aggregates: per-vertex star XOR, then a bottom-up pass
+    sub0 = [0] * g.n
+    subm = [0] * g.n
+    for eid, (u, v) in enumerate(g.edges):
         if eid in forest.tree_edges:
             continue
-        u, v = g.edges[eid]
-        agg[u] ^= sk_edge[eid]
-        agg[v] ^= sk_edge[eid]
-    sub = list(agg)
+        sk = sk_edge[eid] = _edge_bits(seed, tag, eid, nbits)
+        sub0[u] ^= sk
+        sub0[v] ^= sk
+        if B:
+            a, b = sorted((forest.pre[u], forest.pre[v]))
+            uid = sig.uid((a << nb) | b)
+            mat = 0
+            for i in range(B):
+                mat |= uid << ((i * jcols + rank_of(seed, i, eid, jcols) - 1) * cell)
+            mat_edge[eid] = mat
+            subm[u] ^= mat
+            subm[v] ^= mat
     for v in reversed(forest.order):
         p = forest.parent[v]
         if p != -1:
-            sub[p] ^= sub[v]
+            sub0[p] ^= sub0[v]
+            subm[p] ^= subm[v]
     labels = []
-    for eid in range(g.m):
-        u, v = g.edges[eid]
+    for eid, (u, v) in enumerate(g.edges):
         if eid in forest.tree_edges:
             child = v if forest.parent[v] == u else u
             lo, hi = forest.subtree_range(child)
-            labels.append(RandEdgeLabel(is_tree=True, lo=lo, hi=hi, sk0=sub[child]))
+            labels.append(RandEdgeLabel(is_tree=True, lo=lo, hi=hi,
+                                        sk0=sub0[child], skmat=subm[child]))
         else:
-            labels.append(
-                RandEdgeLabel(
-                    is_tree=False, lo=forest.pre[u], hi=forest.pre[v],
-                    sk0=sk_edge[eid],
-                )
-            )
+            labels.append(RandEdgeLabel(is_tree=False, lo=forest.pre[u], hi=forest.pre[v],
+                                        sk0=sk_edge[eid], skmat=mat_edge[eid]))
     vertex_labels = [forest.subtree_range(v) for v in range(g.n)]
     return vertex_labels, labels, meta
+
+
+def build_rand_long(g: Graph, f: int, seed: int, c: int = SIG_C_DEFAULT):
+    return _build_rand(g, f, seed, c, short=False)
+
+
+def build_rand_short(g: Graph, f: int, seed: int, c: int = SIG_C_DEFAULT):
+    if not short_regime_ok(g.n, f):
+        raise ValueError(
+            f"short scheme needs f >= 2 log^2 n = {2 * _bits(g.n) ** 2}; route "
+            "small f to the long scheme"
+        )
+    return _build_rand(g, f, seed, c, short=True)
+
+
+# ---------------------------------------------------------------------------
+# query
 
 
 class _Regions:
@@ -248,7 +278,6 @@ class _Regions:
         self.k = len(self.ranges)
 
     def comp_of_pre(self, pre: int) -> int:
-        from bisect import bisect_right
         return bisect_right(self.comp_starts, pre) - 1
 
     def region_of(self, pre: int) -> int:
@@ -345,18 +374,13 @@ def _region_aggregates(records, regions: _Regions, attr: str) -> dict[int, int]:
     """sk_{E-F} aggregates per region: tree-fault subtree sketches XORed
     into both sides, then non-tree faults removed from their cut."""
     agg: dict[int, int] = {i: 0 for i in regions.all_region_ids(records)}
-    ranges_idx = {}
-    i = 0
+    i = 0  # tree faults in edge-id order are subtree regions 0, 1, ...
     for eid, lab in sorted(records.items()):
         if lab.is_tree:
-            ranges_idx[eid] = i
-            i += 1
-    for eid, lab in sorted(records.items()):
-        if lab.is_tree:
-            i = ranges_idx[eid]
             sk = getattr(lab, attr)
             agg[i] ^= sk
             agg[regions.parent_region(i)] ^= sk
+            i += 1
         else:
             ra = regions.region_of(lab.lo)
             rb = regions.region_of(lab.hi)
@@ -367,117 +391,15 @@ def _region_aggregates(records, regions: _Regions, attr: str) -> dict[int, int]:
     return agg
 
 
-def query_rand_long(records: dict[int, RandEdgeLabel], meta: RandMeta) -> RandQueryResult:
-    if len(records) > meta.f:
-        raise ValueError(f"fault set of size {len(records)} exceeds f={meta.f}")
-    regions = _Regions(records, meta.comp_roots)
-    agg = _region_aggregates(records, regions, "sk0")
-    patterns = _null_space_classes(agg)
-    return RandQueryResult(meta=meta, regions=regions, class_by_region=patterns)
-
-
-# ---------------------------------------------------------------------------
-# short scheme
-
-
-def rank_of(seed: int, i: int, eid: int, jcols: int) -> int:
-    """Geometric rank, Pr(rank = j) = 2^-j, capped at jcols."""
-    rng = random.Random(f"{seed}:rank:{i}:{eid}")
-    j = 1
-    while j < jcols and rng.getrandbits(1):
-        j += 1
-    return j
-
-
-def build_rand_short(g: Graph, f: int, seed: int, c: int = SIG_C_DEFAULT):
-    if not short_regime_ok(g.n, f):
-        raise ValueError(
-            f"short scheme needs f >= 2 log^2 n = {2 * _bits(g.n) ** 2}; route "
-            "small f to the long scheme"
-        )
-    forest = BfsForest(g)
-    B, _ = _boruvka_params(g.n, f)
-    jcols = max(1, _bits(max(g.m, 2))) + 2
-    meta = RandMeta(
-        n=g.n, aux_n=g.n, m=g.m, f=f, phi=Fraction(1, 2), h=1,
-        comp_roots=forest.comp_pre_starts, seed=seed, c=c, short=True,
-        B=B, jcols=jcols,
-    )
-    sig = meta.sig_seed()
-    nbits0 = meta.sk0_bits
-    cell = sig.uid_bits
-    nb = _bits(g.n)
-
-    def edge_name(eid: int) -> int:
-        u, v = g.edges[eid]
-        a, b = sorted((forest.pre[u], forest.pre[v]))
-        return (a << nb) | b
-
-    sk0_edge = [0] * g.m
-    mat_edge = [0] * g.m
-    for eid in range(g.m):
-        if eid in forest.tree_edges:
-            continue
-        sk0_edge[eid] = _edge_bits(seed, "sk0s", eid, nbits0)
-        uid = sig.uid(edge_name(eid))
-        m = 0
-        for i in range(B):
-            j = rank_of(seed, i, eid, jcols)
-            m |= uid << ((i * jcols + (j - 1)) * cell)
-        mat_edge[eid] = m
-    agg0 = [0] * g.n
-    aggm = [0] * g.n
-    for eid in range(g.m):
-        if eid in forest.tree_edges:
-            continue
-        u, v = g.edges[eid]
-        agg0[u] ^= sk0_edge[eid]
-        agg0[v] ^= sk0_edge[eid]
-        aggm[u] ^= mat_edge[eid]
-        aggm[v] ^= mat_edge[eid]
-    sub0 = list(agg0)
-    subm = list(aggm)
-    for v in reversed(forest.order):
-        p = forest.parent[v]
-        if p != -1:
-            sub0[p] ^= sub0[v]
-            subm[p] ^= subm[v]
-    labels = []
-    for eid in range(g.m):
-        u, v = g.edges[eid]
-        if eid in forest.tree_edges:
-            child = v if forest.parent[v] == u else u
-            lo, hi = forest.subtree_range(child)
-            labels.append(
-                RandEdgeLabel(is_tree=True, lo=lo, hi=hi, sk0=sub0[child], skmat=subm[child])
-            )
-        else:
-            labels.append(
-                RandEdgeLabel(
-                    is_tree=False, lo=forest.pre[u], hi=forest.pre[v],
-                    sk0=sk0_edge[eid], skmat=mat_edge[eid],
-                )
-            )
-    vertex_labels = [forest.subtree_range(v) for v in range(g.n)]
-    return vertex_labels, labels, meta
-
-
 def query_rand_short(records: dict[int, RandEdgeLabel], meta: RandMeta) -> RandQueryResult:
+    """Components of G - F from the fault labels alone: meta.B Boruvka
+    rounds on the sketch matrix merge regions, then GF(2) elimination on
+    the sk0 sketches groups the parts left.  The long scheme has B = 0."""
     if len(records) > meta.f:
         raise ValueError(f"fault set of size {len(records)} exceeds f={meta.f}")
-    sig = meta.sig_seed()
-    cell = sig.uid_bits
-    cellmask = (1 << cell) - 1
-    nb = _bits(meta.n)
     regions = _Regions(records, meta.comp_roots)
-    agg0 = _region_aggregates(records, regions, "sk0")
-    aggm = _region_aggregates(records, regions, "skmat")
-    fault_name_set = set()
-    for eid, lab in records.items():
-        if not lab.is_tree:
-            a, b = sorted((lab.lo, lab.hi))
-            fault_name_set.add((a << nb) | b)
-    ids = sorted(agg0)
+    sk0 = _region_aggregates(records, regions, "sk0")
+    ids = sorted(sk0)
     uf = {i: i for i in ids}
 
     def find(x):
@@ -486,8 +408,17 @@ def query_rand_short(records: dict[int, RandEdgeLabel], meta: RandMeta) -> RandQ
             x = uf[x]
         return x
 
-    mat = dict(aggm)
-    sk0 = dict(agg0)
+    if meta.B:
+        mat = _region_aggregates(records, regions, "skmat")
+        sig = meta.sig_seed()
+        cell = sig.uid_bits
+        cellmask = (1 << cell) - 1
+        nb = _bits(meta.n)
+        fault_name_set = set()
+        for eid, lab in records.items():
+            if not lab.is_tree:
+                a, b = sorted((lab.lo, lab.hi))
+                fault_name_set.add((a << nb) | b)
     history = []
     for step in range(meta.B):
         parts = {}
@@ -521,11 +452,13 @@ def query_rand_short(records: dict[int, RandEdgeLabel], meta: RandMeta) -> RandQ
             mat[ra] ^= mat[rb]
             sk0[ra] ^= sk0[rb]
     # final: group surviving parts by sk0 elimination
-    final_parts = sorted({find(i) for i in ids})
-    vectors = {p: sk0[p] for p in final_parts}
-    patterns = _null_space_classes(vectors)
+    patterns = _null_space_classes({p: sk0[p] for p in {find(i) for i in ids}})
     class_by_region = {i: patterns[find(i)] for i in ids}
     return RandQueryResult(
         meta=meta, regions=regions, class_by_region=class_by_region,
         part_history=history,
     )
+
+
+# the long scheme's query is the short scheme's with zero Boruvka rounds
+query_rand_long = query_rand_short

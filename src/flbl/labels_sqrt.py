@@ -27,6 +27,7 @@ from .labels_simple import (
     NameTable,
     QueryResult,
     SchemeMeta,
+    SimpleEdgeLabel,
     TreePartition,
     edge_names,
     query_levels,
@@ -158,21 +159,8 @@ def near_blocks(sec: SqrtLevelSection, j_max: int):
                   *range(max(cb - 1, ca + 2), min(cb + 2, nblk))]
 
 
-@dataclass
-class SqrtEdgeLabel:
-    pos_u: int
-    pos_v: int
-    par: int
-    is_tree: bool
-    level: int = 0
-    pos_down: int = 0
-    pos_up: int = 0
-    sections: dict[int, SqrtLevelSection] = field(default_factory=dict)
-
-    @property
-    def name(self) -> EdgeName:
-        a, b = sorted((self.pos_u, self.pos_v))
-        return (a, b, self.par)
+class SqrtEdgeLabel(SimpleEdgeLabel):
+    """A scheme-1 edge label whose sections are SqrtLevelSection."""
 
 
 def build_sqrt_labels(

@@ -2,8 +2,9 @@
 and a BFS connectivity oracle, an exact check and a text export of an
 edge hierarchy, induced subgraphs, weighted distances and balls on a
 `WeightedTour` walked element by element, dyadic block ranges, a
-standalone 160-bit wire format for code shares and GF(p^2) arithmetic
-for the Reed-Solomon oracle."""
+standalone 160-bit wire format for code shares, GF(p^2) arithmetic
+for the Reed-Solomon oracle, and a BFS forest whose preorder scans all
+vertices per component."""
 
 from __future__ import annotations
 
@@ -187,3 +188,59 @@ class F2:
         fld = self.field
         return F2(fld, self.a * other.a + self.b * other.b % fld.p * fld.nonresidue,
                   self.a * other.b + self.b * other.a)
+
+
+class ScanBfsForest:
+    """Reference for `labels_rand.BfsForest`: the same BFS, with each
+    component's child lists gathered by a scan of all n vertices."""
+
+    def __init__(self, g: Graph):
+        n = g.n
+        self.parent = [-1] * n
+        self.parent_edge = [-1] * n
+        self.order: list[int] = []
+        self.comp_of = [-1] * n
+        self.comp_roots: list[int] = []
+        seen = [False] * n
+        for root in range(n):
+            if seen[root]:
+                continue
+            self.comp_roots.append(root)
+            ci = len(self.comp_roots) - 1
+            seen[root] = True
+            queue = [root]
+            qi = 0
+            while qi < len(queue):
+                x = queue[qi]
+                qi += 1
+                self.comp_of[x] = ci
+                for y, eid in sorted(g.adjacency[x]):
+                    if not seen[y]:
+                        seen[y] = True
+                        self.parent[y] = x
+                        self.parent_edge[y] = eid
+                        queue.append(y)
+            self.order.extend(self._preorder(root))
+        self.pre = [0] * n
+        for i, v in enumerate(self.order):
+            self.pre[v] = i
+        self.size = [1] * n
+        for v in reversed(self.order):
+            if self.parent[v] != -1:
+                self.size[self.parent[v]] += self.size[v]
+        self.tree_edges = {e for e in self.parent_edge if e != -1}
+        self.comp_pre_starts = [self.pre[r] for r in self.comp_roots]
+
+    def _preorder(self, root: int) -> list[int]:
+        out = []
+        kids: dict[int, list[int]] = {}
+        for v, p in enumerate(self.parent):
+            if p != -1 and self.comp_of[v] == self.comp_of[root]:
+                kids.setdefault(p, []).append(v)
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            out.append(x)
+            for y in sorted(kids.get(x, ()), reverse=True):
+                stack.append(y)
+        return out

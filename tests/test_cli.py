@@ -467,6 +467,36 @@ def _with_crc(data: bytes) -> bytes:
     return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
 
 
+@pytest.mark.parametrize("scheme", [0, 5, 255])
+def test_unknown_scheme_exit_code(tmp_path, capsys, scheme):
+    # the scheme byte follows the magic and the u16 version
+    _, out = _built_p4(tmp_path, capsys)
+    data = bytearray(out.read_bytes())
+    data[6] = scheme
+    out.write_bytes(_with_crc(bytes(data)))
+    for fail in ("", "1"):
+        assert run_cli(["query", str(out), "--fail", fail, "--count"]) == 1
+        assert f"unknown scheme {scheme}" in _one_line_error(capsys)
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("at", [41, 42], ids=["B", "jcols"])
+def test_scheme3_boruvka_header_exit_code(tmp_path, capsys, at):
+    # scheme 3 runs the scheme-4 query with zero Boruvka rounds; a header
+    # asking for rounds (B and jcols are header bytes 41 and 42) would make
+    # it scan an all-zero sketch matrix
+    gpath = tmp_path / "p4.txt"
+    gpath.write_text(P4)
+    out = tmp_path / "p4.flbl"
+    assert run_cli(["build", str(gpath), "--scheme", "3", "--f", "2", "-o", str(out)]) == 0
+    capsys.readouterr()
+    data = bytearray(out.read_bytes())
+    data[at] = 255
+    out.write_bytes(_with_crc(bytes(data)))
+    assert run_cli(["query", str(out), "--fail", "1", "--count"]) == 1
+    assert "scheme 3 with B" in _one_line_error(capsys)
+
+
 def _share_bit(lf, offsets):
     """The file offset of a byte inside some reveal entry's share rows."""
     for eid, payload in enumerate(lf.edge_payloads):

@@ -16,6 +16,7 @@ from flbl.labels_rand import (
     sample_bit,
     short_regime_ok,
 )
+from support import ScanBfsForest
 
 
 def random_graph(rng, n, p):
@@ -100,6 +101,33 @@ def test_singleton_false_positive_rate():
         elif got is not None:
             fp += 1  # multi-aggregate reported as a singleton at all
     assert fp / trials <= 1e-3
+
+
+# spanning forest
+
+
+def random_multigraph(rng, n):
+    """Several components, parallel edges and vertices with no edge."""
+    verts = [v for v in range(n) if rng.random() < 0.8]
+    k = rng.randrange(1, 4)
+    edges = []
+    for comp in (verts[i::k] for i in range(k)):
+        for _ in range(rng.randrange(len(comp), 3 * len(comp) + 1)):
+            if len(comp) >= 2:
+                edges.append(tuple(rng.sample(comp, 2)))
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bfs_forest_matches_scan_reference(seed):
+    rng = random.Random(seed)
+    for n in (0, 1, *(rng.randrange(2, 60) for _ in range(10))):
+        g = random_multigraph(rng, n)
+        got, want = BfsForest(g), ScanBfsForest(g)
+        for attr in ("parent", "parent_edge", "order", "pre", "size",
+                     "tree_edges", "comp_roots", "comp_pre_starts"):
+            assert getattr(got, attr) == getattr(want, attr), (n, attr)
 
 
 # long scheme
