@@ -143,8 +143,8 @@ def _parse_pair(text: str, lf: LF.LabelFile):
 
 def _run_query(lf: LF.LabelFile, fault_ids: list[int]):
     """The query result; a fault label that does not decode (a payload
-    cut short) or whose scheme-2 share rows do not (a share index out of
-    its range) exits EXIT_PARSE."""
+    cut short, or one that ends off its stored length) or whose scheme-2
+    share rows do not (a share index out of its range) exits EXIT_PARSE."""
     try:
         records = {e: LF.decode_edge(lf, e) for e in fault_ids}
         if lf.scheme == LF.SCHEME_SIMPLE:
@@ -201,8 +201,10 @@ def cmd_verify(args) -> int:
             for v in comp:
                 cid[v] = i
         result = _run_query(lf, fault_ids)
-        ls = LF.decode_vertex_label(lf, s)
-        lt = LF.decode_vertex_label(lf, t)
+        try:
+            ls, lt = LF.decode_vertex_label(lf, s), LF.decode_vertex_label(lf, t)
+        except ValueError as exc:  # a vertex label off its stored length
+            _fail(EXIT_PARSE, exc)
         if result.connected(ls, lt) != (cid[s] == cid[t]):
             mismatches += 1
     rate = mismatches / max(args.trials, 1)

@@ -11,7 +11,6 @@ certify the result.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,13 +19,8 @@ import numpy as np
 
 from .graph import Graph, UnionFind
 
-DEFAULT_N_EXACT = 18
-
-
-def n_exact_cap() -> int:
-    """Exact-mode size cap; FLBL_NEXACT overrides the default of 18."""
-    v = os.environ.get("FLBL_NEXACT")
-    return int(v) if v else DEFAULT_N_EXACT
+# Exact mode enumerates vertex subsets: graphs of at most this many vertices.
+N_EXACT_CAP = 18
 
 
 class SizeCapError(ValueError):
@@ -90,8 +84,8 @@ def verify_edge_expanding(
     (False, witness S) for a violating cut.  Requires n <= cap.
     """
     n = g.n
-    if n > n_exact_cap():
-        raise SizeCapError(f"verify_edge_expanding needs n <= {n_exact_cap()}, got {n}")
+    if n > N_EXACT_CAP:
+        raise SizeCapError(f"verify_edge_expanding needs n <= {N_EXACT_CAP}, got {n}")
     if n <= 1 or not X:
         return True, None
     degx = [0] * n
@@ -313,9 +307,9 @@ def edge_separator(g: Graph, mode: str = "exact") -> set[int]:
         return set()
     if len(_components(g)) != 1:
         raise DisconnectedError("edge_separator requires a connected graph")
-    if mode == "exact" and g.n > n_exact_cap():
+    if mode == "exact" and g.n > N_EXACT_CAP:
         raise SizeCapError(
-            f"exact mode needs n <= {n_exact_cap()} (got {g.n}); use heuristic mode"
+            f"exact mode needs n <= {N_EXACT_CAP} (got {g.n}); use heuristic mode"
         )
     X = set(range(g.m))
     degx = [0] * g.n
@@ -388,7 +382,7 @@ def build_edge_hierarchy(g: Graph, mode: str = "exact") -> EdgeLevelAssignment:
     the result is certified only if every separator ran exact.
     """
     if mode == "auto":
-        sep_mode = lambda nn: "exact" if nn <= n_exact_cap() else "heuristic"
+        sep_mode = lambda nn: "exact" if nn <= N_EXACT_CAP else "heuristic"
     else:
         sep_mode = lambda nn: mode
     level = [0] * g.m

@@ -8,9 +8,13 @@ map (u8 flag, then n u32 if set), then n vertex payloads and m edge
 payloads, each a u32 bit length and a u32 byte length followed by
 byte-padded data, and last a u32 CRC32 of every byte before it.  A file
 that ends early, claims more bits than a payload's bytes hold, or fails
-its CRC is rejected with ValueError.  Reported label sizes are payload
-bits; length prefixes, byte padding, union-type discriminator flags and
-the CRC count as framing.
+its CRC is rejected with ValueError, and so is a scheme-3/4 header whose
+B and jcols differ from what n, f and m give (0 and 0 for scheme 3).
+Reported label sizes are payload bits; length prefixes, byte padding,
+union-type discriminator flags and the CRC count as framing.  A label
+must decode to exactly its stored bit length (plus the one is-tree flag
+of an edge label), so a header field edited to another width under a
+recomputed CRC fails at decode, never as a misread answer.
 
 A scheme-2 reveal entry is its name, two units, a presence bitmap of
 2(j_max + 1) bits (bit 2j + side per share) and one (index, a, b) row
@@ -18,34 +22,29 @@ per set bit: the index in the header's width, a and b in the bit length
 of the share field's prime p, the first prime above 2^(2·pos + par).
 
 Each edge encoder writes its label as one `BitWriter.write_fields`
-group, and its decoder reads it back in groups (a header, a section
-header, one block record, one whole edge list) with
-`BitReader.read_fields`, or splits a short group (the optional
-positions, a reveal entry's head) from one `BitReader.peek` window.
-The stream is LSB-first, so a record written as the one (value, width)
-field `bits.pack_fields` makes of it gives the same bits as its fields.
-Scheme-2 labels share their reveal entries and block records (the build
-makes each once per tree), and an edge name recurs in many lists;
-`make_label_file` packs each shared record and each edge name once per
-file and writes that field into every label that holds it.  The
-decoders mirror the name memo: they read each edge name back as the one
-field of width 2·pos + par it was written as, and map it through the
+group.  The stream is LSB-first, so a record written as the one (value,
+width) field `bits.pack_fields` makes of it gives the same bits as its
+fields.  Scheme-2 labels share their reveal entries and block records
+(the build makes each once per tree), and an edge name recurs in many
+lists; `make_label_file` packs each shared record and each edge name
+once per file and writes that field into every label that holds it.
+The decoders mirror the name memo: they read each edge name back as the
+one field of width 2·pos + par it was written as, and map it through the
 per-file table `Widths.names`, which splits a name into its (a, b, k)
-tuple on first sight.  The scheme-2 decoder skips the two large, rarely
-read parts, the share rows of each reveal entry and the edge list of
-each block record, and reads them on first use (`_Rows`); the skip is
-bounds-checked, so a payload cut short or a row count or presence
-bitmap that claims more rows than remain fails at decode.
+tuple on first sight.
 
-The scheme-1 decoder reads a tree-edge label in two passes.  The first
-reads each level section's header and optional positions and each
-segment list's (truncated, count) head, and moves past the list's names
-with the bounds-checked `BitReader.skip`, keeping the (start, count) of
-each run; a payload cut short fails here.  The second reads every name
-of the label in one `bits.read_runs` gather and slices the names, mapped
-through `Widths.names`, back into the segment lists.  Scheme-2 block
-lists stay one `_Rows` each: they are read one at a time on first use,
-and a NumPy call per short list would cost more than it saves.
+The scheme-1 and scheme-2 decoders read a label in two passes.  The
+first reads the fixed-width heads with `BitReader.read_fields` or splits
+them from one `BitReader.peek` window (the optional positions, a reveal
+entry's head, a block record's head), and moves past each run of
+segment-list names, share rows or block-list names with the
+bounds-checked `BitReader.skip`, keeping the run's (start, count); a
+payload cut short, or a count or presence bitmap that claims more rows
+than remain, fails here.  The second reads all runs of one kind in one
+`bits.read_runs` gather and slices them back (`_gather`): the names of a
+scheme-1 label, mapped through `Widths.names`, and in scheme 2 the
+block-list names and then the share rows, each one field of
+idx + 2·share bits split into (index, a, b).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from itertools import chain
 from .bits import BitReader, BitWriter, pack_fields, read_runs
 from .codeshares import CodeShare, field_for
 from .euler import radius_scale
-from .labels_rand import RandEdgeLabel, RandMeta, _bits
+from .labels_rand import RandEdgeLabel, RandMeta, _bits, _boruvka_params, _jcols
 from .labels_simple import (LevelSection, NameTable, SchemeMeta, SegmentList, SimpleEdgeLabel,
                             cap_edges)
 from .labels_sqrt import BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection, near_blocks
@@ -175,65 +174,17 @@ def _packed(memo: dict, rec, fields_of, wd: Widths) -> tuple[int, int]:
     return hit[1]
 
 
-def _shares(present: int, vals: list[int]) -> dict[tuple[int, int], CodeShare]:
-    """A reveal entry's (scale, side) -> share dict from its presence
-    bitmap and its flat (index, a, b) rows, one per set bit."""
-    keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length()) if present >> bit & 1]
-    rows = iter(vals)
-    return {key: CodeShare(idx, sa, sb) for key, idx, sa, sb in zip(keys, rows, rows, rows)}
-
-
-class _Rows:
-    """`cnt` rows of `widths` fields each, starting at bit `at` of a
-    payload, read on first use and then kept.  It stands for the dict or
-    list that `make(arg, fields)` builds from the fields: equal to it,
-    iterated, sized and printed like it, with its other methods (`get`,
-    `items`, ...) passed through.  The decoder has already skipped the
-    rows with a bounds-checked `BitReader.skip`, so the first use cannot
-    fail."""
-
-    __slots__ = ("data", "at", "cnt", "widths", "make", "arg", "_value")
-
-    def __init__(self, data: bytes, at: int, cnt: int, widths: tuple[int, ...], make, arg):
-        self.data = data
-        self.at = at
-        self.cnt = cnt
-        self.widths = widths
-        self.make = make
-        self.arg = arg
-        self._value = None
-
-    @property
-    def value(self):
-        if self._value is None:
-            r = BitReader(self.data)
-            r.pos = self.at
-            self._value = self.make(self.arg, r.read_fields(self.widths * self.cnt))
-        return self._value
-
-    def __getattr__(self, attr):
-        if attr.startswith("_"):  # an unset slot, or copy/pickle probing
-            raise AttributeError(attr)
-        return getattr(self.value, attr)
-
-    def __eq__(self, other):
-        return self.value == (other.value if isinstance(other, _Rows) else other)
-
-    __hash__ = None
-
-    def __len__(self):
-        return len(self.value)
-
-    def __iter__(self):
-        return iter(self.value)
-
-    def __repr__(self):
-        return repr(self.value)
-
-
-def _skip_rows(r: BitReader, cnt: int, widths: tuple[int, ...], make, arg) -> _Rows:
-    """Move `r` past `cnt` rows of `widths` and return them unread."""
-    return _Rows(r.data, r.skip(sum(widths) * cnt), cnt, widths, make, arg)
+def _gather(data: bytes, starts, counts, width: int, make) -> list[list]:
+    """The runs of `counts[i]` fields of `width` bits at bit `starts[i]`
+    that a decoder's first pass skipped, read in one `read_runs` gather,
+    passed through `make` as one flat list and sliced back into runs."""
+    flat = make(read_runs(data, starts, counts, width))
+    runs = []
+    at = 0
+    for cnt in counts:
+        runs.append(flat[at:at + cnt])
+        at += cnt
+    return runs
 
 
 # -- scheme 1 ---------------------------------------------------------------
@@ -258,8 +209,7 @@ def encode_simple_edge(lab: SimpleEdgeLabel, wd: Widths, meta: SchemeMeta,
     return w
 
 
-def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeLabel:
-    r = BitReader(data)
+def decode_simple_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SimpleEdgeLabel:
     is_tree, pos_u, pos_v, par = r.read_fields((1, wd.pos, wd.pos, wd.par))
     if not is_tree:
         return SimpleEdgeLabel(pos_u=pos_u, pos_v=pos_v, par=par, is_tree=False)
@@ -288,12 +238,8 @@ def decode_simple_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SimpleEdgeL
             counts.append(cnt)
             truncs.append(bool(head & 1))
     # Pass 2: every name of the label in one gather, sliced back per segment.
-    flat = names.of(read_runs(data, starts, counts, width))
-    segs = []
-    at = 0
-    for cnt, truncated in zip(counts, truncs):
-        segs.append(SegmentList(entries=flat[at:at + cnt], truncated=truncated))
-        at += cnt
+    segs = [SegmentList(entries=entries, truncated=truncated) for entries, truncated
+            in zip(_gather(r.data, starts, counts, width, names.of), truncs)]
     for i, sec in enumerate(lab.sections.values()):
         sec.segments = tuple(segs[3 * i:3 * i + 3])
     return lab
@@ -344,8 +290,7 @@ def encode_sqrt_edge(lab: SqrtEdgeLabel, wd: Widths, meta: SchemeMeta,
     return w
 
 
-def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel:
-    r = BitReader(data)
+def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel:
     is_tree, pos_u, pos_v, par, level = r.read_fields((1, wd.pos, wd.pos, wd.par, wd.h))
     lab = SqrtEdgeLabel(
         pos_u=pos_u, pos_v=pos_v, par=par, is_tree=bool(is_tree), level=level,
@@ -353,18 +298,31 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
     if is_tree:
         lab.pos_down, lab.pos_up = r.read_fields((wd.pos, wd.pos))
     names = wd.names
+    width = names.width
     sec_w = (wd.pos, wd.pos, wd.pos, wd.unit, wd.m)
-    # A reveal entry's head (name, unit_a, unit_b, presence bitmap) is split
-    # from one peeked window; the skip past the head and its share rows
-    # checks the bounds.
-    name_mask = (1 << names.width) - 1
+    # A reveal entry's head (name, unit_a, unit_b, presence bitmap) and a
+    # block record's head (lge, has-list flag, list length) are each split
+    # from one peeked window.
+    name_mask = (1 << width) - 1
     unit_mask = (1 << wd.unit) - 1
-    ub_at = names.width + wd.unit
+    ub_at = width + wd.unit
     present_at = ub_at + wd.unit
     head_bits = present_at + wd.present
-    share_w = (wd.idx, wd.share, wd.share)
-    share_bits = sum(share_w)
-    name_w = (names.width,)
+    m_mask = (1 << wd.m) - 1
+    blk_bits = 2 * wd.m + 1
+    # A share row is one field of idx + 2·share bits: (index, a, b).
+    row_bits = wd.idx + 2 * wd.share
+    idx_mask = (1 << wd.idx) - 1
+    share_mask = (1 << wd.share) - 1
+    b_at = wd.idx + wd.share
+
+    def share_rows(vals):
+        return [CodeShare(v & idx_mask, v >> wd.idx & share_mask, v >> b_at) for v in vals]
+
+    # Pass 1: every head; each run of share rows or of block-list names is
+    # skipped, bounds-checked, and its (start, count) kept.
+    held, row_starts, row_counts = [], [], []      # held: (shares, bitmap)
+    listed, name_starts, name_counts = [], [], []  # listed: block records
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex, w_real, nrev = r.read_fields(sec_w)
         reveal = []
@@ -372,11 +330,14 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
             head = r.peek(head_bits)
             present = head >> present_at
             cnt = present.bit_count()
-            at = r.skip(head_bits + share_bits * cnt) + head_bits
-            reveal.append(RevealEntry(
-                name=names[head & name_mask], unit_a=head >> names.width & unit_mask,
-                unit_b=head >> ub_at & unit_mask,
-                shares=_Rows(data, at, cnt, share_w, _shares, present)))
+            ent = RevealEntry(name=names[head & name_mask], unit_a=head >> width & unit_mask,
+                              unit_b=head >> ub_at & unit_mask, shares={})
+            at = r.skip(head_bits + row_bits * cnt) + head_bits
+            if cnt:
+                held.append((ent.shares, present))
+                row_starts.append(at)
+                row_counts.append(cnt)
+            reveal.append(ent)
         sec = SqrtLevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
             w_real=w_real, reveal=reveal,
@@ -385,15 +346,27 @@ def decode_sqrt_edge(data: bytes, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel
             sec.after_v, sec.before_v = _read_opts(r, wd.pos)
             sec.unit_down, sec.unit_up = r.read_fields((wd.unit, wd.unit))
             for j, blocks in near_blocks(sec, wd.j_max):
-                per = {}
+                per = sec.near[j] = {}
                 for blk in blocks:
-                    lge, has_edges = r.read_fields((wd.m, 1))
-                    edges = None
-                    if has_edges:
-                        edges = _skip_rows(r, r.read(wd.m), name_w, NameTable.of, names)
-                    per[blk] = BlockRecord(lge=lge, edges=edges)
-                sec.near[j] = per
+                    head = r.peek(blk_bits)
+                    rec = per[blk] = BlockRecord(lge=head & m_mask, edges=None)
+                    if head >> wd.m & 1:
+                        cnt = head >> wd.m + 1
+                        name_starts.append(r.skip(blk_bits + cnt * width) + blk_bits)
+                        name_counts.append(cnt)
+                        listed.append(rec)
+                    else:
+                        r.skip(wd.m + 1)
         lab.sections[ell] = sec
+    # Pass 2: the block-list names in one gather and the share rows in one
+    # more, each sliced back per run; a row's (scale, side) keys are the set
+    # bits of its entry's bitmap, in ascending order.
+    for rec, edges in zip(listed, _gather(r.data, name_starts, name_counts, width, names.of)):
+        rec.edges = edges
+    for (shares, present), rows in zip(held, _gather(r.data, row_starts, row_counts,
+                                                     row_bits, share_rows)):
+        keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length()) if present >> bit & 1]
+        shares.update(zip(keys, rows))
     return lab
 
 
@@ -407,8 +380,8 @@ def encode_rand_edge(lab: RandEdgeLabel, wd: Widths, meta: RandMeta) -> BitWrite
     return w
 
 
-def decode_rand_edge(data: bytes, wd: Widths, meta: RandMeta) -> RandEdgeLabel:
-    is_tree, lo, hi, sk0, *skmat = BitReader(data).read_fields((1,) + wd.rand)
+def decode_rand_edge(r: BitReader, wd: Widths, meta: RandMeta) -> RandEdgeLabel:
+    is_tree, lo, hi, sk0, *skmat = r.read_fields((1,) + wd.rand)
     return RandEdgeLabel(is_tree=bool(is_tree), lo=lo, hi=hi, sk0=sk0,
                          skmat=skmat[0] if skmat else 0)
 
@@ -435,11 +408,6 @@ def _vertex_widths(scheme: int, wd: Widths) -> tuple[int, ...]:
     if scheme in (SCHEME_SIMPLE, SCHEME_SQRT):
         return (wd.pos,)
     return (wd.pre, wd.pre)
-
-
-def decode_vertex(scheme: int, data: bytes, wd: Widths):
-    vals = BitReader(data).read_fields(_vertex_widths(scheme, wd))
-    return vals[0] if len(vals) == 1 else tuple(vals)
 
 
 def make_label_file(scheme: int, meta: SchemeMeta, vertex_labels, edge_labels) -> LabelFile:
@@ -554,8 +522,12 @@ def read_label_file(path: str) -> LabelFile:
             "<IIBBBBBBQI")
         if not (num and den):
             raise ValueError(f"bad label file header: phi = {num}/{den}")
-        if scheme == SCHEME_RAND_LONG and (B or jcols):
-            raise ValueError(f"bad label file header: scheme 3 with B = {B}, jcols = {jcols}")
+        if scheme in (SCHEME_RAND_LONG, SCHEME_RAND_SHORT):
+            # B and jcols follow from n, f and m: 0 without Boruvka rounds
+            want = (_boruvka_params(n, f), _jcols(m)) if scheme == SCHEME_RAND_SHORT else (0, 0)
+            if (B, jcols) != want:
+                raise ValueError(f"bad label file header: scheme {scheme} with B = {B}, "
+                                 f"jcols = {jcols}, where n, f and m give {want[0]}, {want[1]}")
         roots = cur.unpack(f"<{nroots}I")
         (has_vm,) = cur.unpack("<B")
         vm = list(cur.unpack(f"<{n}I")) if has_vm else None
@@ -577,17 +549,31 @@ def read_label_file(path: str) -> LabelFile:
                      vertex_bits=vb, edge_payloads=ep, edge_bits=eb)
 
 
+def _check_end(r: BitReader, bits: int, what: str):
+    """A label decodes to exactly its stored bit length, so a header field
+    edited to another width (under a recomputed CRC) cannot go unseen."""
+    if r.pos != bits:
+        raise ValueError(f"bad label file: {what} decodes to {r.pos} bits, "
+                         f"but its stored length is {bits}")
+
+
 def decode_edge(lf: LabelFile, eid: int):
     m = len(lf.edge_payloads)
     if not 0 <= eid < m:
         raise ValueError(f"edge id {eid} is out of range (the file has {m} edges)")
     decode = {SCHEME_SIMPLE: decode_simple_edge,
               SCHEME_SQRT: decode_sqrt_edge}.get(lf.scheme, decode_rand_edge)
-    return decode(lf.edge_payloads[eid], lf.widths, lf.meta)
+    r = BitReader(lf.edge_payloads[eid])
+    lab = decode(r, lf.widths, lf.meta)
+    _check_end(r, lf.edge_bits[eid] + 1, f"edge label {eid}")  # + the is-tree flag
+    return lab
 
 
 def decode_vertex_label(lf: LabelFile, v: int):
     n = len(lf.vertex_payloads)
     if not 0 <= v < n:
         raise ValueError(f"vertex id {v} is out of range (the file has {n} vertices)")
-    return decode_vertex(lf.scheme, lf.vertex_payloads[v], lf.widths)
+    r = BitReader(lf.vertex_payloads[v])
+    vals = r.read_fields(_vertex_widths(lf.scheme, lf.widths))
+    _check_end(r, lf.vertex_bits[v], f"vertex label {v}")
+    return vals[0] if len(vals) == 1 else tuple(vals)

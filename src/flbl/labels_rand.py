@@ -181,6 +181,11 @@ def _boruvka_params(n: int, f: int) -> int:
     return max(1, math.ceil(math.log2(max(f / max(lg2, 1), 2))) + 3)
 
 
+def _jcols(m: int) -> int:
+    """jcols, the rank columns per Boruvka round of the short scheme."""
+    return max(1, _bits(max(m, 2))) + 2
+
+
 def rank_of(seed: int, i: int, eid: int, jcols: int) -> int:
     """Geometric rank, Pr(rank = j) = 2^-j, capped at jcols."""
     rng = random.Random(f"{seed}:rank:{i}:{eid}")
@@ -196,7 +201,7 @@ def _build_rand(g: Graph, f: int, seed: int, c: int, short: bool):
     edge stores the XOR of both over its child's subtree."""
     forest = BfsForest(g)
     B = _boruvka_params(g.n, f) if short else 0
-    jcols = max(1, _bits(max(g.m, 2))) + 2 if short else 0
+    jcols = _jcols(g.m) if short else 0
     meta = RandMeta(
         n=g.n, aux_n=g.n, m=g.m, f=f, phi=Fraction(1, 2), h=1,
         comp_roots=forest.comp_pre_starts, seed=seed, c=c, short=short,

@@ -1,9 +1,10 @@
-"""Reference code that only the tests use: graph text output, a pair
-and a BFS connectivity oracle, an exact check and a text export of an
+"""Reference code that only the tests use: graph text output, a pair, a
+class and a BFS connectivity oracle, an exact check and a text export of an
 edge hierarchy, induced subgraphs, weighted distances and balls on a
 `WeightedTour` walked element by element, dyadic block ranges, a
 standalone 160-bit wire format for code shares, GF(p^2) arithmetic
-for the Reed-Solomon oracle, and a BFS forest whose preorder scans all
+for the Reed-Solomon oracle, the bit spans of a decoded scheme-2 label's
+share rows and edge lists, and a BFS forest whose preorder scans all
 vertices per component."""
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import struct
 
 from flbl.codeshares import CodeShare, Field
-from flbl.graph import FaultSet, Graph, UnionFind
+from flbl.graph import FaultSet, Graph, UnionFind, oracle_components
 from flbl.hierarchy import EdgeLevelAssignment, verify_edge_expanding
 
 
@@ -29,6 +30,16 @@ def oracle_connected(g: Graph, faults: FaultSet, s: int, t: int) -> bool:
         if eid not in dead:
             uf.union(u, v)
     return uf.find(s) == uf.find(t)
+
+
+def oracle_classes(g: Graph, F) -> tuple[dict[int, int], int]:
+    """Component id per vertex of G - F, and the number of components."""
+    comps = oracle_components(g, FaultSet.of(F, g))
+    cid = {}
+    for i, c in enumerate(comps):
+        for v in c:
+            cid[v] = i
+    return cid, len(comps)
 
 
 def bfs_components(g: Graph, faults: FaultSet) -> list[list[int]]:
@@ -159,6 +170,33 @@ def share_to_bytes(sh: CodeShare) -> bytes:
 
 def share_from_bytes(raw: bytes) -> CodeShare:
     return CodeShare(*struct.unpack("<IQQ", raw))
+
+
+def sqrt_row_spans(lab, wd):
+    """(kind, start bit, rows, row width) of every run of rows in a
+    decoded scheme-2 edge label, located from the record and the file's
+    `Widths`: each reveal entry's share rows (kind "shares", rows its
+    (scale, side) -> share dict, possibly empty) and each stored block
+    edge list ("edges")."""
+    at = 1 + 2 * wd.pos + wd.par + wd.h + (2 * wd.pos if lab.is_tree else 0)
+    row_bits = wd.idx + 2 * wd.share
+    for sec in lab.sections.values():
+        at += 3 * wd.pos + wd.unit + wd.m
+        for ent in sec.reveal:
+            at += wd.names.width + 2 * wd.unit + wd.present
+            yield "shares", at, ent.shares, row_bits
+            at += len(ent.shares) * row_bits
+        if not lab.is_tree:
+            continue
+        at += sum(1 + (wd.pos if v is not None else 0) for v in (*sec.after_v, *sec.before_v))
+        at += 2 * wd.unit
+        for per in sec.near.values():
+            for rec in per.values():
+                at += wd.m + 1
+                if rec.edges is not None:
+                    at += wd.m
+                    yield "edges", at, rec.edges, wd.names.width
+                    at += len(rec.edges) * wd.names.width
 
 
 class F2:

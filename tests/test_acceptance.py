@@ -13,7 +13,7 @@ from flbl import codeshares
 from flbl import labelfile as LF
 from flbl.build import build_scheme, to_label_file
 from flbl.euler import EulerFrame
-from flbl.graph import FaultSet, Graph, UnionFind, oracle_components, reduce_degree3
+from flbl.graph import Graph, UnionFind, reduce_degree3
 from flbl.hierarchy import (
     build_edge_hierarchy,
     verify_edge_expanding,
@@ -31,7 +31,7 @@ from flbl.labels_rand import (
 )
 from flbl.labels_simple import build_simple_labels, query_simple
 from flbl.labels_sqrt import query_sqrt
-from support import induced, verify_edge_hierarchy
+from support import induced, oracle_classes, verify_edge_hierarchy
 
 
 def random_connected(rng, n, p):
@@ -100,15 +100,6 @@ def random_regular3(n, seed):
             edges.add((min(u, v), max(u, v)))
         if ok:
             return Graph(n, tuple(sorted(edges)))
-
-
-def oracle_classes(g, F):
-    comps = oracle_components(g, FaultSet.of(F, g))
-    cid = {}
-    for i, c in enumerate(comps):
-        for v in c:
-            cid[v] = i
-    return cid, len(comps)
 
 
 def report(name, ok, detail=""):

@@ -13,7 +13,7 @@ from flbl import labelfile as LF
 from flbl.build import to_label_file
 from flbl.cli import _run_query, main
 from test_acceptance import random_regular3
-from support import dump_graph
+from support import dump_graph, sqrt_row_spans
 from test_golden import _sparse80, build_case
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
@@ -173,12 +173,12 @@ def test_query_is_label_closed_subprocess(tmp_path):
     assert "disconnected" in got.stdout
 
 
-def test_env_override_nexact(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FLBL_NEXACT", "4")
-    gpath = tmp_path / "c6.txt"
-    edges = [(i, (i + 1) % 6) for i in range(6)]
-    gpath.write_text("6 6\n" + "\n".join(f"{u} {v}" for u, v in edges) + "\n")
-    out = tmp_path / "c6.flbl"
+def test_exact_mode_size_cap_exit_code(tmp_path, capsys):
+    # one vertex above the cap of 18: rejected before any cut is enumerated
+    gpath = tmp_path / "c19.txt"
+    edges = [(i, (i + 1) % 19) for i in range(19)]
+    gpath.write_text("19 19\n" + "\n".join(f"{u} {v}" for u, v in edges) + "\n")
+    out = tmp_path / "c19.flbl"
     code = run_cli(["build", str(gpath), "--scheme", "1", "--f", "1",
                     "--phi-mode", "exact", "-o", str(out)])
     assert code == 2
@@ -497,13 +497,78 @@ def test_scheme3_boruvka_header_exit_code(tmp_path, capsys, at):
     assert "scheme 3 with B" in _one_line_error(capsys)
 
 
+@pytest.fixture(scope="module")
+def chord40(tmp_path_factory):
+    """The 40-vertex cycle with chords (i, i + 7) and its scheme-3 (f = 4)
+    and scheme-4 (f = 80) label files.  Faults 0, 39, 40 and 73 are the
+    four edges at vertex 0."""
+    tmp = tmp_path_factory.mktemp("chord40")
+    gpath = tmp / "chord40.txt"
+    edges = [(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(40)]
+    gpath.write_text("40 80\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    files = {}
+    for scheme, f in ((3, 4), (4, 80)):
+        files[scheme] = tmp / f"s{scheme}.flbl"
+        assert main(["build", str(gpath), "--scheme", str(scheme), "--f", str(f),
+                     "-o", str(files[scheme])]) == 0
+    return files
+
+
+def _edited_query(chord40, tmp_path, capsys, scheme, at, value):
+    """The exit code of a query on the scheme's file with header byte `at`
+    set to `value` under a recomputed CRC."""
+    data = bytearray(chord40[scheme].read_bytes())
+    data[at] = value
+    out = tmp_path / "edited.flbl"
+    out.write_bytes(_with_crc(bytes(data)))
+    capsys.readouterr()
+    return run_cli(["query", str(out), "--fail", "0,39,40,73", "--pair", "3,30",
+                    "--pair", "0,20", "--count"])
+
+
+@pytest.mark.parametrize("scheme", [3, 4])
+def test_rand_header_c_zero_exit_code(tmp_path, capsys, chord40, scheme):
+    # c (header byte 40) sets the sk0 width of scheme 3 and the uid width
+    # of scheme 4; with c = 0 the labels decode short of their stored
+    # lengths, where they were once answered from misaligned sketches
+    assert run_cli(["query", str(chord40[scheme]), "--fail", "0,39,40,73",
+                    "--pair", "3,30", "--pair", "0,20", "--count"]) == 0
+    assert capsys.readouterr().out.split() == ["3,30:", "connected", "0,20:",
+                                               "disconnected", "2"]
+    assert _edited_query(chord40, tmp_path, capsys, scheme, 40, 0) == 1
+    assert "but its stored length is" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("at, step", [(41, 1), (41, -1), (42, 1), (42, -1)],
+                         ids=["B+1", "B-1", "jcols+1", "jcols-1"])
+def test_scheme4_derived_header_exit_code(tmp_path, capsys, chord40, at, step):
+    # B and jcols (header bytes 41 and 42) follow from n, f and m
+    value = chord40[4].read_bytes()[at] + step
+    assert _edited_query(chord40, tmp_path, capsys, 4, at, value) == 1
+    assert "where n, f and m give 5, 9" in _one_line_error(capsys)
+
+
+def test_vertex_label_off_length_exit_code(tmp_path, capsys):
+    # aux_n (the u32 at header byte 11) sets the tour-position width of a
+    # scheme-1 vertex label; verify's seed 1 draws no fault in its first
+    # trial, so only the vertex labels are decoded there
+    gpath, out = _built_p4(tmp_path, capsys)
+    data = bytearray(out.read_bytes())
+    data[11:15] = struct.pack("<I", 64)
+    out.write_bytes(_with_crc(bytes(data)))
+    want = "vertex label 0 decodes to 8 bits, but its stored length is 4"
+    assert run_cli(["query", str(out), "--pair", "0,3", "--count"]) == 1
+    assert want in _one_line_error(capsys)
+    assert run_cli(["verify", str(gpath), str(out), "--trials", "1", "--seed", "1"]) == 1
+    assert "decodes to" in _one_line_error(capsys)
+
+
 def _share_bit(lf, offsets):
     """The file offset of a byte inside some reveal entry's share rows."""
-    for eid, payload in enumerate(lf.edge_payloads):
-        for sec in LF.decode_edge(lf, eid).sections.values():
-            for ent in sec.reveal:
-                if ent.shares:
-                    return offsets[eid] + 8 + ent.shares.at // 8
+    for eid in range(len(lf.edge_payloads)):
+        for kind, at, rows, _ in sqrt_row_spans(LF.decode_edge(lf, eid), lf.widths):
+            if kind == "shares" and rows:
+                return offsets[eid] + 8 + at // 8
     raise AssertionError("no share rows in the file")
 
 
@@ -543,19 +608,18 @@ def test_damaged_label_file_exit_code(tmp_path, capsys, sqrt_file, damage):
 def _edit_shares(lf, edit):
     """`lf` with every scheme-2 share row rewritten as `edit(share)`, in
     the row's widths; the file written from it has a valid CRC."""
+    wi, ws = lf.widths.idx, lf.widths.share
     payloads = []
     for eid, payload in enumerate(lf.edge_payloads):
         word = int.from_bytes(payload, "little")
-        for sec in LF.decode_edge(lf, eid).sections.values():
-            for ent in sec.reveal:
-                rows = ent.shares
-                wi, ws, _ = rows.widths
-                row_bits = sum(rows.widths)
-                for i, sh in enumerate(rows.values()):
-                    new = edit(sh)
-                    at = rows.at + i * row_bits
-                    word &= ~(((1 << row_bits) - 1) << at)
-                    word |= (new.index | new.a << wi | new.b << wi + ws) << at
+        for kind, start, rows, row_bits in sqrt_row_spans(LF.decode_edge(lf, eid), lf.widths):
+            if kind != "shares":
+                continue
+            for i, sh in enumerate(rows.values()):
+                new = edit(sh)
+                at = start + i * row_bits
+                word &= ~(((1 << row_bits) - 1) << at)
+                word |= (new.index | new.a << wi | new.b << wi + ws) << at
         payloads.append(word.to_bytes(len(payload), "little"))
     return dataclasses.replace(lf, edge_payloads=payloads)
 

@@ -19,7 +19,7 @@ from flbl.labels_rand import _bits
 from flbl.labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel
 from flbl.labels_sqrt import (BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection,
                               near_blocks)
-from support import share_to_bytes
+from support import share_to_bytes, sqrt_row_spans
 from test_golden import build_case
 
 
@@ -373,30 +373,12 @@ def sqrt_withheld():
     return res, to_label_file(res)
 
 
-def _row_spans(lab):
-    """(rows, bit width of their count field) of every lazily read share
-    or edge list of a decoded scheme-2 label."""
-    for sec in lab.sections.values():
-        for ent in sec.reveal:
-            yield ent.shares, "shares"
-        for per in sec.near.values():
-            for rec in per.values():
-                if rec.edges is not None:
-                    yield rec.edges, "edges"
-
-
 def test_sqrt_decoded_records_equal_built(sqrt_withheld):
     res, lf = sqrt_withheld
     for eid, built in enumerate(res.edge_labels):
         lab = LF.decode_edge(lf, eid)
         assert lab == built and built == lab
         assert repr(lab) == repr(built)
-    lab = LF.decode_edge(lf, 0)
-    spans = [rows for rows, _ in _row_spans(lab)]
-    assert spans and all(isinstance(rows, LF._Rows) for rows in spans)
-    for rows in spans:
-        assert len(rows) == rows.cnt
-        assert list(rows) == list(rows.value)
 
 
 def _set_field(payload: bytes, at: int, width: int, value: int) -> bytes:
@@ -405,25 +387,25 @@ def _set_field(payload: bytes, at: int, width: int, value: int) -> bytes:
     return (word | value << at).to_bytes(len(payload), "little")
 
 
-def _claim(payload: bytes, rows) -> int:
-    """The smallest row count that runs past the payload."""
-    return (len(payload) * 8 - rows.at) // sum(rows.widths) + 1
+def _claim(payload: bytes, at: int, row_bits: int) -> int:
+    """The smallest row count from bit `at` that runs past the payload."""
+    return (len(payload) * 8 - at) // row_bits + 1
 
 
 def _payload_spans(lf, keep, count=20):
-    """(edge id, payload, rows, kind, width of the field before the rows)
-    for the first `count` share spans and `count` edge spans that `keep`
-    accepts.  Share rows follow their entry's presence bitmap, edge rows
-    their count."""
+    """(edge id, payload, (start bit, rows, row width), kind, width of the
+    field before the rows) for the first `count` share spans and `count`
+    edge spans that `keep` accepts.  Share rows follow their entry's
+    presence bitmap, edge rows their count."""
     wd = lf.widths
     seen = {"shares": 0, "edges": 0}
     for eid, payload in enumerate(lf.edge_payloads):
-        for rows, kind in _row_spans(LF.decode_edge(lf, eid)):
+        for kind, *span in sqrt_row_spans(LF.decode_edge(lf, eid), wd):
             width = wd.present if kind == "shares" else wd.m
-            if seen[kind] < count and keep(payload, rows, kind, width):
+            if seen[kind] < count and keep(payload, span, kind, width):
                 seen[kind] += 1
-                yield eid, payload, rows, kind, width
-    assert all(seen.values())
+                yield eid, payload, span, kind, width
+    assert seen == {"shares": count, "edges": count}
 
 
 def _decode_payload(lf, eid, payload):
@@ -435,14 +417,15 @@ def _decode_payload(lf, eid, payload):
 def test_sqrt_payload_cut_in_rows_fails_at_decode(sqrt_withheld):
     _, lf = sqrt_withheld
     # rows that end the payload, so no later field can catch the cut
-    def last_rows(payload, rows, kind, width):
-        end = rows.at + rows.cnt * sum(rows.widths)
-        return end - rows.at > 8 and end > len(payload) * 8 - 8
+    def last_rows(payload, span, kind, width):
+        at, rows, row_bits = span
+        end = at + len(rows) * row_bits
+        return end - at > 8 and end > len(payload) * 8 - 8
 
-    for eid, payload, rows, _, _ in _payload_spans(lf, last_rows):
-        end = rows.at + rows.cnt * sum(rows.widths)
+    for eid, payload, (at, rows, row_bits), _, _ in _payload_spans(lf, last_rows):
+        end = at + len(rows) * row_bits
         cut = (end - 1) // 8
-        assert rows.at < cut * 8 < end
+        assert at < cut * 8 < end
         with pytest.raises(ValueError):
             _decode_payload(lf, eid, payload[:cut])
 
@@ -457,23 +440,24 @@ def test_sqrt_row_count_past_payload_fails_at_decode(sqrt_withheld):
     _, lf = sqrt_withheld
     # a bitmap or count claiming rows past the payload fits its field only
     # for spans near the payload's end
-    def fits(payload, rows, kind, width):
-        return _claim_field(kind, _claim(payload, rows)) < 1 << width
+    def fits(payload, span, kind, width):
+        at, _, row_bits = span
+        return _claim_field(kind, _claim(payload, at, row_bits)) < 1 << width
 
-    for eid, payload, rows, kind, width in _payload_spans(lf, fits):
-        claim = _claim_field(kind, _claim(payload, rows))
-        bad = _set_field(payload, rows.at - width, width, claim)
+    for eid, payload, (at, rows, row_bits), kind, width in _payload_spans(lf, fits):
+        claim = _claim_field(kind, _claim(payload, at, row_bits))
+        bad = _set_field(payload, at - width, width, claim)
         with pytest.raises(ValueError):
             _decode_payload(lf, eid, bad)
         # the field located is the bitmap or count of these rows
         r = BitReader(payload)
-        r.skip(rows.at - width)
+        r.skip(at - width)
         got = r.read(width)
         if kind == "shares":
             keys = {(bit >> 1, bit & 1) for bit in range(width) if got >> bit & 1}
             assert keys == set(rows)
         else:
-            assert got == rows.cnt
+            assert got == len(rows)
 
 
 def _shared_records(labels):
@@ -719,14 +703,14 @@ def test_packed_names_decode_like_three_field_split(scheme, pattern, data):
     names = set()
     for lab, payload in zip(labels, lf.edge_payloads):
         want = oracle(payload, LF.Widths.of(meta), meta)
-        got = decode(payload, wd, meta)
+        got = decode(BitReader(payload), wd, meta)
         assert got == want == lab
         assert repr(got) == repr(want)
         names.update(_label_names(lab))
         # the table holds each name read so far, once
         assert sorted(wd.names.values()) == sorted(names)
         # a second read is all table hits and gives the same record
-        assert decode(payload, wd, meta) == want
+        assert decode(BitReader(payload), wd, meta) == want
 
 
 @settings(deadline=None, max_examples=60)
@@ -767,9 +751,6 @@ def test_sqrt_reveal_entries_round_trip(data):
     for eid, lab in enumerate(labels):
         got = LF.decode_edge(lf, eid)
         assert got == lab == _oracle_sqrt(lf.edge_payloads[eid], lf.widths, lf.meta)
-        for ent in got.sections[meta.h].reveal:
-            assert isinstance(ent.shares, LF._Rows)
-            assert ent.shares.cnt == len(ent.shares)
 
 
 # -- payloads cut inside names and optional positions ----------------------

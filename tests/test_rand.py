@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from flbl.graph import FaultSet, Graph, UnionFind, oracle_components
+from flbl.graph import Graph, UnionFind
 from flbl.labels_rand import (
     BfsForest,
     SingletonSeed,
@@ -16,7 +16,7 @@ from flbl.labels_rand import (
     sample_bit,
     short_regime_ok,
 )
-from support import ScanBfsForest
+from support import ScanBfsForest, oracle_classes
 
 
 def random_graph(rng, n, p):
@@ -24,15 +24,6 @@ def random_graph(rng, n, p):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, tuple(edges))
-
-
-def oracle_classes(g, F):
-    comps = oracle_components(g, FaultSet.of(F, g))
-    cid = {}
-    for i, c in enumerate(comps):
-        for v in c:
-            cid[v] = i
-    return cid, len(comps)
 
 
 # sample distinguisher

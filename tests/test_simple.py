@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from flbl import labelfile as LF
 from flbl import labels_simple
+from flbl.bits import BitReader
 from flbl.build import build_scheme, to_label_file
 from flbl.euler import EulerFrame
-from flbl.graph import FaultSet, Graph, UnionFind, oracle_components
+from flbl.graph import Graph, UnionFind
 from flbl.hierarchy import build_edge_hierarchy
 from flbl.labels_simple import (
     _segment_list,
@@ -18,6 +19,7 @@ from flbl.labels_simple import (
     query_simple,
     volume_exceeds,
 )
+from support import oracle_classes
 
 
 def random_connected(rng, n, p):
@@ -32,15 +34,6 @@ def random_connected(rng, n, p):
             uf.union(u, v)
         if len(uf.groups()) == 1:
             return Graph(n, tuple(edges))
-
-
-def oracle_classes(g, F):
-    comps = oracle_components(g, FaultSet.of(F, g))
-    cid = {}
-    for i, c in enumerate(comps):
-        for v in c:
-            cid[v] = i
-    return cid, len(comps)
 
 
 def build(g, f):
@@ -215,7 +208,7 @@ def test_serializer_round_trip_random():
         lf = to_label_file(res)
         wd = LF.Widths.of(res.meta)
         for eid in range(g.m):
-            dec = LF.decode_simple_edge(lf.edge_payloads[eid], wd, res.meta)
+            dec = LF.decode_simple_edge(BitReader(lf.edge_payloads[eid]), wd, res.meta)
             assert dec == res.edge_labels[eid]
 
 

@@ -7,7 +7,7 @@ import pytest
 from flbl import labelfile as LF
 from flbl.build import build_scheme, to_label_file
 from flbl.euler import EulerFrame, WeightedTour, radius_scale, tours_for_level
-from flbl.graph import FaultSet, Graph, UnionFind, oracle_components, reduce_degree3
+from flbl.graph import Graph, UnionFind, reduce_degree3
 from flbl.hierarchy import EdgeLevelAssignment, build_edge_hierarchy
 from flbl.labels_sqrt import (
     LGESet,
@@ -18,7 +18,7 @@ from flbl.labels_sqrt import (
 )
 from flbl.labels_simple import NameTable
 from flbl import codeshares
-from support import ball_edge, ball_element, block_range
+from support import ball_edge, ball_element, block_range, oracle_classes
 from test_acceptance import random_connected_sparse
 from test_golden import build_case
 
@@ -37,15 +37,6 @@ def random_connected(rng, n, p):
             uf.union(u, v)
         if len(uf.groups()) == 1:
             return Graph(n, tuple(edges))
-
-
-def oracle_classes(g, F):
-    comps = oracle_components(g, FaultSet.of(F, g))
-    cid = {}
-    for i, c in enumerate(comps):
-        for v in c:
-            cid[v] = i
-    return cid, len(comps)
 
 
 def crafted_chord_graph(k=160, a=37):
