@@ -1,5 +1,10 @@
 """Level-minimum spanning forest, Euler tours of level trees, and the
-weighted-tour machinery (weights, distances, balls, dyadic intervals)."""
+weighted-tour machinery (weights, distances, balls, dyadic intervals).
+
+`EulerFrame.trees_at(l)` is the one place that splits a level into its
+trees: each `TreeTour` carries the tree's tour positions, its vertex
+positions, its edges of level <= l, its level-l non-tree edges and their
+endpoint events, and the label builders read all of them from there."""
 
 from __future__ import annotations
 
@@ -31,17 +36,18 @@ def padded_scales(w_real: int, j_max: int) -> tuple[int, int]:
 
 @dataclass
 class TreeTour:
-    """Euler tour of one level-l tree as a subsequence of Euler(T*)."""
+    """One level-l tree: its Euler tour as a subsequence of Euler(T*), and
+    the edges the label builders read from it."""
 
     level: int
     tree_id: int                      # master position of the first element
-    positions: list[int]              # ascending master positions
-    vertices: set[int]
+    positions: list[int] = field(default_factory=list)         # ascending
+    vertex_positions: list[int] = field(default_factory=list)  # ascending
+    edges: list[int] = field(default_factory=list)        # level <= l, by id
+    level_edges: list[int] = field(default_factory=list)  # level-l non-tree, by id
+    # (position, edge id) per endpoint of a level edge, ascending
+    events: list[tuple[int, int]] = field(default_factory=list)
     local_of: dict[int, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.local_of:
-            self.local_of = {p: i for i, p in enumerate(self.positions)}
 
     @property
     def span(self) -> tuple[int, int]:
@@ -67,13 +73,8 @@ class EulerFrame:
         self.parent: list[int] = [-1] * g.n
         self.parent_edge: list[int] = [-1] * g.n
         self.comp_roots: list[int] = []
-        self.comp_of: list[int] = [-1] * g.n
         self._build_tour()
         self._tree_cache: dict[int, dict[int, TreeTour]] = {}
-        self._tree_of_cache: dict[int, list[int]] = {}
-        self._level_edge_cache: dict[int, list[int]] = {}
-        self._level_edges_by_tree_cache: dict[int, dict[int, list[int]]] = {}
-        self._edges_upto_cache: dict[int, dict[int, list[int]]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -95,14 +96,12 @@ class EulerFrame:
             adj_tree[u].append((v, eid))
             adj_tree[v].append((u, eid))
         seen = [False] * g.n
-        comp_idx = 0
         for root in range(g.n):
             if seen[root]:
                 continue
             self.comp_roots.append(root)
             # iterative DFS, children in ascending vertex id order
             seen[root] = True
-            self.comp_of[root] = comp_idx
             self.pos_vertex[root] = len(self.tour)
             self.tour.append(("v", root))
             stack = [(root, iter(sorted(adj_tree[root])))]
@@ -113,7 +112,6 @@ class EulerFrame:
                     if seen[v]:
                         continue
                     seen[v] = True
-                    self.comp_of[v] = comp_idx
                     self.parent[v] = u
                     self.parent_edge[v] = eid
                     self.pos_oedge[(u, v)] = len(self.tour)
@@ -129,92 +127,56 @@ class EulerFrame:
                         p = stack[-1][0]
                         self.pos_oedge[(u, p)] = len(self.tour)
                         self.tour.append(("e", u, p))
-            comp_idx += 1
 
     # -- level trees ---------------------------------------------------
 
     def tree_assignment(self, ell: int) -> list[int]:
-        """For each vertex, the id (root tour position) of its level-l tree."""
-        got = self._tree_of_cache.get(ell)
-        if got is not None:
-            return got
-        g = self.graph
-        uf = UnionFind(g.n)
-        for eid in self.tstar:
-            if self.levels.level[eid] <= ell:
-                u, v = g.edges[eid]
-                uf.union(u, v)
-        tree_of = [0] * g.n
-        rep_pos: dict[int, int] = {}
-        for v in range(g.n):
-            r = uf.find(v)
-            p = rep_pos.get(r)
-            if p is None or self.pos_vertex[v] < p:
-                rep_pos[r] = min(self.pos_vertex[v], p) if p is not None else self.pos_vertex[v]
-        for v in range(g.n):
-            tree_of[v] = rep_pos[uf.find(v)]
-        self._tree_of_cache[ell] = tree_of
+        """For each vertex, the id of its level-l tree: the tour position of
+        the tree's top vertex, which the tour reaches first."""
+        level, parent, parent_edge = self.levels.level, self.parent, self.parent_edge
+        tree_of = [0] * self.graph.n
+        for pos, elem in enumerate(self.tour):
+            if elem[0] == "v":
+                v = elem[1]
+                p = parent[v]
+                tree_of[v] = tree_of[p] if p != -1 and level[parent_edge[v]] <= ell else pos
         return tree_of
 
     def trees_at(self, ell: int) -> dict[int, TreeTour]:
+        """The level-l trees by id, each with its tour, vertex positions,
+        edges, level edges and events; computed once per level."""
         got = self._tree_cache.get(ell)
         if got is not None:
             return got
+        level = self.levels.level
         tree_of = self.tree_assignment(ell)
-        groups: dict[int, TreeTour] = {}
+        trees: dict[int, TreeTour] = {}
         for pos, elem in enumerate(self.tour):
-            if elem[0] == "v":
-                tid = tree_of[elem[1]]
-            else:
-                eid = self.parent_edge[elem[2]] if self.parent[elem[2]] == elem[1] else self.parent_edge[elem[1]]
-                if self.levels.level[eid] > ell:
+            if elem[0] == "e":
+                u, v = elem[1], elem[2]
+                eid = self.parent_edge[v] if self.parent[v] == u else self.parent_edge[u]
+                if level[eid] > ell:
                     continue
-                tid = tree_of[elem[1]]
-            t = groups.get(tid)
+            tid = tree_of[elem[1]]
+            t = trees.get(tid)
             if t is None:
-                t = TreeTour(level=ell, tree_id=tid, positions=[], vertices=set(), local_of={})
-                groups[tid] = t
+                t = trees[tid] = TreeTour(level=ell, tree_id=tid)
             t.positions.append(pos)
             if elem[0] == "v":
-                t.vertices.add(elem[1])
-        for t in groups.values():
+                t.vertex_positions.append(pos)
+        # an edge of level <= l joins two vertices of one level-l tree
+        for eid, (u, v) in enumerate(self.graph.edges):
+            if level[eid] <= ell:
+                t = trees[tree_of[u]]
+                t.edges.append(eid)
+                if level[eid] == ell and eid not in self.tstar:
+                    t.level_edges.append(eid)
+                    t.events += ((self.pos_vertex[u], eid), (self.pos_vertex[v], eid))
+        for t in trees.values():
+            t.events.sort()
             t.local_of = {p: i for i, p in enumerate(t.positions)}
-        self._tree_cache[ell] = groups
-        return groups
-
-    def level_nontree_edges(self, ell: int) -> list[int]:
-        got = self._level_edge_cache.get(ell)
-        if got is None:
-            got = [
-                e
-                for e in range(self.graph.m)
-                if self.levels.level[e] == ell and e not in self.tstar
-            ]
-            self._level_edge_cache[ell] = got
-        return got
-
-    def level_edges_by_tree(self, ell: int) -> dict[int, list[int]]:
-        """Level-l non-tree edges grouped by their level tree."""
-        got = self._level_edges_by_tree_cache.get(ell)
-        if got is None:
-            tree_of = self.tree_assignment(ell)
-            got = {}
-            for e in self.level_nontree_edges(ell):
-                got.setdefault(tree_of[self.graph.edges[e][0]], []).append(e)
-            self._level_edges_by_tree_cache[ell] = got
-        return got
-
-    def edges_upto_by_tree(self, ell: int) -> dict[int, list[int]]:
-        """All edges of level <= l grouped by their level-l tree."""
-        got = self._edges_upto_cache.get(ell)
-        if got is None:
-            tree_of = self.tree_assignment(ell)
-            got = {}
-            for e in range(self.graph.m):
-                if self.levels.level[e] <= ell:
-                    got.setdefault(tree_of[self.graph.edges[e][0]], []).append(e)
-            self._edges_upto_cache[ell] = got
-        return got
+        self._tree_cache[ell] = trees
+        return trees
 
 
 class WeightedTour:
@@ -228,20 +190,8 @@ class WeightedTour:
     def __init__(self, frame: EulerFrame, tree: TreeTour, f: int, phi: Fraction):
         self.frame = frame
         self.tree = tree
-        ell = tree.level
-        g = frame.graph
-        incident: set[int] = set()
-        self.level_edges: list[int] = list(
-            frame.level_edges_by_tree(ell).get(tree.tree_id, ())
-        )
-        for e in self.level_edges:
-            u, v = g.edges[e]
-            incident.add(u)
-            incident.add(v)
-        self.wt: list[int] = []
-        for pos in tree.positions:
-            elem = frame.tour[pos]
-            self.wt.append(1 if elem[0] == "v" and elem[1] in incident else 0)
+        incident = {p for p, _ in tree.events}
+        self.wt: list[int] = [1 if p in incident else 0 for p in tree.positions]
         # prefix[i] = total weight of elements strictly before local index i
         self.prefix: list[int] = [0]
         for w in self.wt:
@@ -249,6 +199,9 @@ class WeightedTour:
         self.W_real = self.prefix[-1]
         self.r, self.j_max = radius_scale(f, phi)
         self.W, self.j_top = padded_scales(self.W_real, self.j_max)
+        # unit of each endpoint of a level edge
+        self.units: dict[int, int] = {v: self.vertex_unit(v)
+                                      for e in tree.level_edges for v in frame.graph.edges[e]}
 
     # units ------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 Vertex labels are tour positions; tree-edge labels carry, per level, the
 tour-segment descriptors around the edge's two oriented occurrences plus
 capped lists of level-l non-tree edges incident to each segment.  The
-query rebuilds interval partitions per level from fault labels alone,
+build reads each level tree's vertex positions, edges and level-edge
+events from `EulerFrame.trees_at`, and `edge_label` makes the
+section-less label that scheme 2 starts from too.  The query rebuilds interval partitions per level from fault labels alone,
 applying the four uniting rules (tour adjacency, replay from the previous
 level, revealed surviving edges, and volume-threshold merging).
 """
@@ -154,13 +156,30 @@ class SchemeMeta:
         return field_for(2 * self.pos_bits + self.par_bits)
 
 
-def vertex_bounds(vert_positions: list[int], pos: int) -> tuple[int | None, int | None]:
-    """(first vertex position after pos, last vertex position before pos)
-    in a tree's ascending vertex positions, None where there is none."""
-    i = bisect_left(vert_positions, pos)
-    after = vert_positions[i] if i < len(vert_positions) else None
-    before = vert_positions[i - 1] if i > 0 else None
-    return after, before
+def vertex_bounds(vert_positions: list[int], lab: SimpleEdgeLabel):
+    """A tree edge's (after_v, before_v): per oriented occurrence (down,
+    up), the first vertex position after it and the last before it among a
+    tree's ascending vertex positions, None where there is none."""
+    after, before = [], []
+    for pos in (lab.pos_down, lab.pos_up):
+        i = bisect_left(vert_positions, pos)
+        after.append(vert_positions[i] if i < len(vert_positions) else None)
+        before.append(vert_positions[i - 1] if i > 0 else None)
+    return tuple(after), tuple(before)
+
+
+def edge_label(cls, frame: EulerFrame, names: list[EdgeName], eid: int, level: int):
+    """The section-less label of edge `eid` as a `cls`: its end positions
+    and parallel rank, and for a tree edge the positions of its two
+    oriented occurrences."""
+    u, v = frame.graph.edges[eid]
+    lab = cls(pos_u=frame.pos_vertex[u], pos_v=frame.pos_vertex[v], par=names[eid][2],
+              is_tree=eid in frame.tstar, level=level)
+    if lab.is_tree:
+        child = v if frame.parent[v] == u else u
+        lab.pos_down = frame.pos_oedge[(frame.parent[child], child)]
+        lab.pos_up = frame.pos_oedge[(child, frame.parent[child])]
+    return lab
 
 
 def scheme_meta(g: Graph, hier: EdgeLevelAssignment, frame: EulerFrame, f: int,
@@ -174,29 +193,11 @@ def scheme_meta(g: Graph, hier: EdgeLevelAssignment, frame: EulerFrame, f: int,
     )
 
 
-def _incident_events(frame: EulerFrame, ell: int, names: list[EdgeName]):
-    """Per level tree: the positions and edge names of its level-l non-tree
-    edge events, one per incident endpoint, in (position, edge id) order."""
-    g = frame.graph
-    by_tree: dict[int, list[tuple[int, int]]] = {}
-    tree_of = frame.tree_assignment(ell)
-    for eid in frame.level_nontree_edges(ell):
-        u, v = g.edges[eid]
-        tid = tree_of[u]
-        evs = by_tree.setdefault(tid, [])
-        evs.append((frame.pos_vertex[u], eid))
-        evs.append((frame.pos_vertex[v], eid))
-    out = {}
-    for tid, evs in by_tree.items():
-        evs.sort()
-        out[tid] = ([p for p, _ in evs], [names[e] for _, e in evs])
-    return out
-
-
 def _segment_list(ev_pos, ev_name, lo, hi, cap) -> SegmentList:
     """First-incidence capped edge list for tour range (lo, hi).
 
-    ev_pos / ev_name are one tree's events from _incident_events.
+    ev_pos / ev_name are the positions and edge names of one tree's
+    `TreeTour.events`.
     An edge's first event sits at its name's min position, so the event
     at p repeats an edge already listed exactly when lo < name[0] < p.
     cap + 1 distinct edges have at most 2(cap + 1) events, so no event
@@ -213,62 +214,41 @@ def _segment_list(ev_pos, ev_name, lo, hi, cap) -> SegmentList:
 def build_simple_labels(
     g: Graph, hier: EdgeLevelAssignment, frame: EulerFrame, f: int
 ) -> tuple[list[int], list[SimpleEdgeLabel], SchemeMeta]:
-    phi = hier.phi
-    cap = cap_edges(f, phi)
+    """Vertex labels, edge labels and header facts of scheme 1.  Per level
+    tree (`frame.trees_at`), each tree edge of level <= l gets a section:
+    vertex bounds from the tree's `vertex_positions` and three capped
+    segment lists cut from its `events`."""
+    cap = cap_edges(f, hier.phi)
     names = edge_names(g, frame.pos_vertex)
-    vertex_labels = list(frame.pos_vertex)
-    labels: list[SimpleEdgeLabel] = []
-    for eid in range(g.m):
-        u, v = g.edges[eid]
-        _, _, k = names[eid]
-        if eid not in frame.tstar:
-            labels.append(
-                SimpleEdgeLabel(
-                    pos_u=frame.pos_vertex[u], pos_v=frame.pos_vertex[v], par=k,
-                    is_tree=False,
-                )
-            )
-            continue
-        child = v if frame.parent[v] == u else u
-        par_v = frame.parent[child]
-        lab = SimpleEdgeLabel(
-            pos_u=frame.pos_vertex[u], pos_v=frame.pos_vertex[v], par=k,
-            is_tree=True, level=hier.level[eid],
-            pos_down=frame.pos_oedge[(par_v, child)],
-            pos_up=frame.pos_oedge[(child, par_v)],
-        )
-        labels.append(lab)
+    # the file stores no level for a non-tree edge
+    labels = [edge_label(SimpleEdgeLabel, frame, names, eid,
+                         hier.level[eid] if eid in frame.tstar else 0)
+              for eid in range(g.m)]
     # per-level sections, computed tree by tree over each tree's own edges
-    tree_edges = sorted(frame.tstar)
     for ell in range(1, hier.h + 1):
-        events_by_tree = _incident_events(frame, ell, names)
-        tree_of = frame.tree_assignment(ell)
-        edges_by_tree: dict[int, list[int]] = {}
-        for eid in tree_edges:
-            if hier.level[eid] <= ell:
-                edges_by_tree.setdefault(tree_of[g.edges[eid][0]], []).append(eid)
         for tid, tree in frame.trees_at(ell).items():
-            vert_positions = [p for p in tree.positions if frame.tour[p][0] == "v"]
-            ev_pos, ev_name = events_by_tree.get(tid, ([], []))
+            ev_pos = [p for p, _ in tree.events]
+            ev_name = [names[e] for _, e in tree.events]
             span_start, span_end = tree.span
-            for eid in edges_by_tree.get(tid, ()):
+            for eid in tree.edges:
                 lab = labels[eid]
-                a_d, b_d = vertex_bounds(vert_positions, lab.pos_down)
-                a_u, b_u = vertex_bounds(vert_positions, lab.pos_up)
+                if not lab.is_tree:
+                    continue
                 segs = (
                     _segment_list(ev_pos, ev_name, span_start - 1, lab.pos_down, cap),
                     _segment_list(ev_pos, ev_name, lab.pos_down, lab.pos_up, cap),
                     _segment_list(ev_pos, ev_name, lab.pos_up, span_end + 1, cap),
                 )
+                after_v, before_v = vertex_bounds(tree.vertex_positions, lab)
                 lab.sections[ell] = LevelSection(
                     tree_root=tid,
                     span_end=span_end,
-                    last_vertex=vert_positions[-1],
-                    after_v=(a_d, a_u),
-                    before_v=(b_d, b_u),
+                    last_vertex=tree.vertex_positions[-1],
+                    after_v=after_v,
+                    before_v=before_v,
                     segments=segs,
                 )
-    return vertex_labels, labels, scheme_meta(g, hier, frame, f, names)
+    return list(frame.pos_vertex), labels, scheme_meta(g, hier, frame, f, names)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +277,6 @@ class TreePartition:
         self.uf = UnionFind(k + 1)
         # interval i spans (left_i, right_i) with fault positions as bounds
         self.first_vertex: list[int | None] = []
-        self.last_vertex: list[int | None] = []
         for i in range(k + 1):
             left = self.qs[i - 1] if i > 0 else tree_root - 1
             right = self.qs[i] if i < k else span_end + 1
@@ -318,7 +297,6 @@ class TreePartition:
             if (fv is None) != (lv is None):
                 fv = lv = None  # descriptor pair disagrees only when empty
             self.first_vertex.append(fv)
-            self.last_vertex.append(lv)
         # R1: stitch across each fault's two orientations, and tour ends
         # (each fault position q is in qs: it ends interval locate(q) and
         # starts locate(q) + 1)

@@ -7,6 +7,10 @@ shares across the labels of nearby edges.  A query
 recovers adjacencies from stored or reconstructed large-gap lists and
 revealed edges, and infers giant components from certified interval
 weights when lists are unavailable.
+
+The build walks the trees of `EulerFrame.trees_at` that hold an edge: a
+`WeightedTour` per tree gives units, the large-gap sets and the reveal
+windows, which bisect the units of the tree's `events`.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from functools import partial
 
 from . import codeshares
 from .codeshares import CodeShare, Field
-from .euler import (
-    EulerFrame, WeightedTour, dyadic_cover, padded_scales, radius_scale, tours_for_level,
-)
+from .euler import EulerFrame, WeightedTour, dyadic_cover, padded_scales, radius_scale
 from .graph import Graph
 from .hierarchy import EdgeLevelAssignment
 from .labels_simple import (
@@ -29,6 +31,7 @@ from .labels_simple import (
     SchemeMeta,
     SimpleEdgeLabel,
     TreePartition,
+    edge_label,
     edge_names,
     query_levels,
     scheme_meta,
@@ -58,15 +61,11 @@ def compute_lge(frame: EulerFrame, wtour: WeightedTour) -> dict[tuple[int, int],
     ball radius are large-gap edges.  A block absent from the dict has no
     boundary edge."""
     g = frame.graph
-    units = {}
-    for eid in wtour.level_edges:
-        for vv in g.edges[eid]:
-            if vv not in units:
-                units[vv] = wtour.vertex_unit(vv)
+    units = wtour.units
     out: dict[tuple[int, int], LGESet] = {}
     for j in range(wtour.j_top + 1):
         per: dict[int, list[tuple[int, int, int, int]]] = {}
-        for eid in wtour.level_edges:
+        for eid in wtour.tree.level_edges:
             u, v = g.edges[eid]
             bu, bv = units[u] >> j, units[v] >> j
             if bu == bv:
@@ -166,6 +165,11 @@ class SqrtEdgeLabel(SimpleEdgeLabel):
 def build_sqrt_labels(
     g: Graph, hier: EdgeLevelAssignment, frame: EulerFrame, f: int
 ) -> tuple[list[int], list[SqrtEdgeLabel], SchemeMeta]:
+    """Vertex labels, edge labels and header facts of scheme 2 on a graph
+    of max degree 3.  Every edge of level <= l gets a section per level:
+    the reveal entries of the level edges in the balls around its ends
+    and, for a tree edge, its vertex bounds, units and near-block
+    records."""
     if any(d > 3 for d in g.degrees()):
         raise ValueError("sqrt scheme requires max degree 3; reduce the graph first")
     phi = hier.phi
@@ -174,29 +178,14 @@ def build_sqrt_labels(
     table = meta.name_table()
     symbols = [table.pack(nm) for nm in names]
     field = meta.field
-    vertex_labels = list(frame.pos_vertex)
-    labels: list[SqrtEdgeLabel] = []
-    for eid in range(g.m):
-        u, v = g.edges[eid]
-        _, _, k = names[eid]
-        lab = SqrtEdgeLabel(
-            pos_u=frame.pos_vertex[u], pos_v=frame.pos_vertex[v], par=k,
-            is_tree=eid in frame.tstar, level=hier.level[eid],
-        )
-        if lab.is_tree:
-            child = v if frame.parent[v] == u else u
-            par_v = frame.parent[child]
-            lab.pos_down = frame.pos_oedge[(par_v, child)]
-            lab.pos_up = frame.pos_oedge[(child, par_v)]
-        labels.append(lab)
+    labels = [edge_label(SqrtEdgeLabel, frame, names, eid, hier.level[eid])
+              for eid in range(g.m)]
 
     for ell in range(1, hier.h + 1):
-        edges_here = frame.edges_upto_by_tree(ell)
-        wtours = tours_for_level(frame, ell, f, phi)
-        for tid, wt in wtours.items():
-            if not edges_here.get(tid):
+        for tid, tree in frame.trees_at(ell).items():
+            if not tree.edges:
                 continue
-            tree = wt.tree
+            wt = WeightedTour(frame, tree, f, phi)
             r = wt.r
             # large-gap structure of every block at every scale; only a
             # block whose record withholds its list needs shares
@@ -208,24 +197,10 @@ def build_sqrt_labels(
             for ls in lge_sets.values():
                 meta.share_index_bits = max(meta.share_index_bits, ls.lge.bit_length())
 
-            # per-vertex unit index for reveal windows
-            unit_of_vertex = {
-                vv: wt.vertex_unit(vv)
-                for eid2 in wt.level_edges
-                for vv in g.edges[eid2]
-            }
-            events = sorted(
-                (unit_of_vertex[vv], eid2)
-                for eid2 in wt.level_edges
-                for vv in g.edges[eid2]
-            )
-            event_units = [t[0] for t in events]
-
             def bundle_for(eid2: int) -> RevealEntry:
-                u2, v2 = g.edges[eid2]
-                pa, pb = sorted((frame.pos_vertex[u2], frame.pos_vertex[v2]))
-                ua = unit_of_vertex[u2] if frame.pos_vertex[u2] == pa else unit_of_vertex[v2]
-                ub = unit_of_vertex[v2] if frame.pos_vertex[v2] == pb else unit_of_vertex[u2]
+                # units rise along the tour, so the smaller one is the
+                # smaller-position endpoint's
+                ua, ub = sorted(wt.units[vv] for vv in g.edges[eid2])
                 shares: dict[tuple[int, int], CodeShare] = {}
                 for j in range(wt.j_top + 1):
                     for side, unit in ((0, ua), (1, ub)):
@@ -235,13 +210,15 @@ def build_sqrt_labels(
                 return RevealEntry(name=names[eid2], unit_a=ua, unit_b=ub, shares=shares)
 
             entry_cache: dict[int, RevealEntry] = {}
+            # units rise along the tour, so the events' units ascend too
+            event_units = [wt.unit_of_pos(p) for p, _ in tree.events]
 
             def window_entries(windows: list[tuple[int, int]]) -> list[RevealEntry]:
                 ids: set[int] = set()
                 for lo, hi in windows:
                     a = bisect_left(event_units, lo)
                     b = bisect_right(event_units, hi)
-                    ids.update(eid2 for _, eid2 in events[a:b])
+                    ids.update(eid2 for _, eid2 in tree.events[a:b])
                 out = []
                 for eid2 in sorted(ids):
                     ent = entry_cache.get(eid2)
@@ -251,7 +228,6 @@ def build_sqrt_labels(
                     out.append(ent)
                 return out
 
-            vert_positions = [p for p in tree.positions if frame.tour[p][0] == "v"]
             span_end = tree.span[1]
 
             def block_record(j: int, blk: int) -> BlockRecord:
@@ -266,30 +242,27 @@ def build_sqrt_labels(
             recs = [[block_record(j, blk) for blk in range(wt.blocks_at(j))]
                     for j in range(wt.j_top + 1)]
 
-            for eid in edges_here[tid]:
-                u, v = g.edges[eid]
+            for eid in tree.edges:
                 lab = labels[eid]
-                ends = (frame.pos_vertex[u], frame.pos_vertex[v])
+                ends = (lab.pos_u, lab.pos_v)
                 if lab.is_tree:
                     if lab.pos_down not in tree.local_of:
                         raise AssertionError("tree edge not on its level tour")
                     ends = (lab.pos_down, lab.pos_up)
                 sec = SqrtLevelSection(
                     tree_root=tid, span_end=span_end,
-                    last_vertex=vert_positions[-1], w_real=wt.W_real,
+                    last_vertex=tree.vertex_positions[-1], w_real=wt.W_real,
                     reveal=window_entries([wt.ball_units(p, r) for p in ends]),
                 )
                 if lab.is_tree:
-                    a_d, b_d = vertex_bounds(vert_positions, lab.pos_down)
-                    a_u, b_u = vertex_bounds(vert_positions, lab.pos_up)
-                    sec.after_v, sec.before_v = (a_d, a_u), (b_d, b_u)
+                    sec.after_v, sec.before_v = vertex_bounds(tree.vertex_positions, lab)
                     sec.unit_down = wt.unit_of_pos(lab.pos_down)
                     sec.unit_up = wt.unit_of_pos(lab.pos_up)
                     # new dicts per label, records shared
                     sec.near = {j: {blk: recs[j][blk] for blk in blocks}
                                 for j, blocks in near_blocks(sec, wt.j_max)}
                 lab.sections[ell] = sec
-    return vertex_labels, labels, meta
+    return list(frame.pos_vertex), labels, meta
 
 
 # ---------------------------------------------------------------------------

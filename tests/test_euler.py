@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flbl.euler import EulerFrame, WeightedTour, dyadic_cover
-from flbl.graph import Graph
+from flbl.graph import Graph, UnionFind
 from flbl.hierarchy import EdgeLevelAssignment, build_edge_hierarchy
 from support import ball_element, block_range, dist
 
@@ -81,6 +81,9 @@ def test_tstar_is_level_minimum():
         hier = build_edge_hierarchy(g)
         frame = EulerFrame(g, hier)
         parent, pedge = frame.parent, frame.parent_edge
+        comp = UnionFind(n)
+        for eid in frame.tstar:
+            comp.union(*g.edges[eid])
 
         def path_edges(u, v):
             au = []
@@ -100,7 +103,7 @@ def test_tstar_is_level_minimum():
             if eid in frame.tstar:
                 continue
             u, v = g.edges[eid]
-            if frame.comp_of[u] != frame.comp_of[v]:
+            if comp.find(u) != comp.find(v):
                 continue
             pmax = max(hier.level[e] for e in path_edges(u, v))
             assert hier.level[eid] >= pmax
@@ -136,8 +139,8 @@ def test_level_tree_tours_are_valid_euler_tours():
                     else:
                         assert elem[1] == cur
                         cur = elem[2]
-                assert first_seen == tree.vertices
-                nv = len(tree.vertices)
+                assert first_seen == {frame.tour[p][1] for p in tree.vertex_positions}
+                nv = len(tree.vertex_positions)
                 assert len(tree.positions) == nv + 2 * (nv - 1)
 
 
@@ -195,8 +198,8 @@ def test_ball_rejects_foreign_element():
     levels = EdgeLevelAssignment(level=(1, 1, 1, 2), h=2, phi=HALF, certified=True)
     frame = EulerFrame(g, levels)
     trees = frame.trees_at(1)
-    small = min(trees.values(), key=lambda t: len(t.vertices))
-    big = max(trees.values(), key=lambda t: len(t.vertices))
+    small = min(trees.values(), key=lambda t: len(t.vertex_positions))
+    big = max(trees.values(), key=lambda t: len(t.vertex_positions))
     wt = WeightedTour(frame, small, f=1, phi=HALF)
     with pytest.raises((ValueError, KeyError)):
         ball_element(wt, big.positions[0], 1)
@@ -273,3 +276,61 @@ def test_dyadic_cover_random_ranges_exact_partition():
         # anchored count bound: ends contribute < 2(j_top+1), middle at top scale
         non_top = [p for p in cover if p[0] < wt.j_top]
         assert len(non_top) < 2 * (wt.j_top + 1)
+
+
+def _multigraph(rng, n):
+    """Random multigraph on n vertices: a few random components, some
+    vertices left isolated, some edges doubled."""
+    verts = list(range(n))
+    rng.shuffle(verts)
+    edges = []
+    at = rng.randrange(1, 4)  # the first few vertices stay isolated
+    while at < n:
+        size = rng.randrange(2, 17)
+        comp = verts[at:at + size]
+        at += size
+        edges += [(comp[rng.randrange(i)], comp[i]) for i in range(1, len(comp))]
+        for _ in range(rng.randrange(0, 2 * len(comp))):
+            if len(comp) > 1:
+                edges.append(tuple(rng.sample(comp, 2)))
+        if edges and rng.random() < 0.5:
+            edges.append(edges[-1][::-1])
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_tree_tour_fields_match_definitions(mode):
+    # every TreeTour field against a recomputation from the graph, the
+    # levels, T* and the tour alone
+    rng = random.Random(12)
+    for _ in range(8):
+        g = _multigraph(rng, rng.randrange(16, 41))
+        hier = build_edge_hierarchy(g, mode=mode)
+        frame = EulerFrame(g, hier)
+        level = hier.level
+        for ell in range(1, hier.h + 1):
+            uf = UnionFind(g.n)
+            for eid in frame.tstar:
+                if level[eid] <= ell:
+                    uf.union(*g.edges[eid])
+            # a tree's id is the tour position of its first vertex
+            tid_of = {}
+            for v in sorted(range(g.n), key=lambda x: frame.pos_vertex[x]):
+                tid_of.setdefault(uf.find(v), frame.pos_vertex[v])
+            trees = frame.trees_at(ell)
+            assert set(trees) == set(tid_of.values())
+            for tid, tree in trees.items():
+                verts = [v for v in range(g.n) if tid_of[uf.find(v)] == tid]
+                edges = [e for e in range(g.m)
+                         if level[e] <= ell and tid_of[uf.find(g.edges[e][0])] == tid]
+                level_edges = [e for e in edges
+                               if level[e] == ell and e not in frame.tstar]
+                assert tree.level == ell and tree.tree_id == tid
+                assert tree.vertex_positions == sorted(frame.pos_vertex[v] for v in verts)
+                assert all(frame.tour[p] == ("v", frame.tour[p][1])
+                           for p in tree.vertex_positions)
+                assert tree.edges == edges
+                assert tree.level_edges == level_edges
+                assert tree.events == sorted((frame.pos_vertex[x], e)
+                                             for e in level_edges for x in g.edges[e])

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
 import random
+import struct
 import tempfile
+import zlib
 from fractions import Fraction
 from itertools import chain
 
@@ -13,7 +15,7 @@ from flbl import codeshares
 from flbl import labelfile as LF
 from flbl.bits import BitReader, BitWriter, pack_fields, read_runs
 from flbl.build import build_scheme, to_label_file
-from flbl.cli import main
+from flbl.cli import _run_query, main
 from flbl.graph import Graph, UnionFind
 from flbl.labels_rand import _bits
 from flbl.labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel
@@ -847,3 +849,71 @@ def test_payload_cut_in_names_or_opts_fails_at_decode(tmp_path, capsys, where,
         if tried == 3:
             break
     assert tried == 3
+
+
+# The 18 fixed header fields after the magic, in file order, as struct codes.
+HEADER_FIELDS = (("version", "H"), ("scheme", "B"), ("n", "I"), ("aux_n", "I"),
+                 ("m", "I"), ("aux_m", "I"), ("f", "I"), ("h", "H"), ("phi_num", "I"),
+                 ("phi_den", "I"), ("certified", "B"), ("par_bits", "B"),
+                 ("idx_bits", "B"), ("c", "B"), ("B", "B"), ("jcols", "B"),
+                 ("seed", "Q"), ("nroots", "I"))
+
+
+def _file_answers(path, fault_sets):
+    """Per fault set, the component count and the class index of every
+    vertex; "rejected" where reading, decoding or querying the file raises
+    ValueError or makes the query exit 1."""
+    try:
+        lf = LF.read_label_file(str(path))
+        verts = [LF.decode_vertex_label(lf, v) for v in range(lf.meta.n)]
+        out = []
+        for faults in fault_sets:
+            res = _run_query(lf, faults)
+            cls: dict = {}
+            out.append((res.component_count(),
+                        [cls.setdefault(res.class_of(x), len(cls)) for x in verts]))
+        return out
+    except ValueError:
+        return "rejected"
+    except SystemExit as exc:
+        assert exc.code == 1
+        return "rejected"
+
+
+@pytest.mark.parametrize("case", ["s1-cubic60", "s2-sparse40", "s2-sparse80-withheld",
+                                  "s3-n10", "s4-n24"])
+def test_header_field_edits_rejected_or_harmless(tmp_path, capsys, case):
+    # every fixed header field set to v - 1, v + 1 and 0 under a recomputed
+    # CRC: the file is rejected (exit 1), or it answers 10 seeded fault sets
+    # as the unedited file does; a silently wrong answer is the third outcome
+    res = build_case(case)
+    path = tmp_path / "a.flbl"
+    LF.write_label_file(str(path), LF.make_label_file(
+        res.scheme, res.meta, res.vertex_labels, res.edge_labels))
+    data = path.read_bytes()
+    rng = random.Random(9)
+    m, f = res.meta.m, res.meta.f
+    fault_sets = [rng.sample(range(m), rng.randint(1, min(f, m))) for _ in range(10)]
+    base = _file_answers(path, fault_sets)
+    assert base != "rejected"
+    outcome = {}
+    at = len(LF.MAGIC)
+    for name, code in HEADER_FIELDS:
+        fmt = "<" + code
+        (v,) = struct.unpack_from(fmt, data, at)
+        for w in sorted({v - 1, v + 1, 0} - {v}):
+            if w < 0:
+                continue
+            edited = bytearray(data)
+            struct.pack_into(fmt, edited, at, w)
+            edited[-4:] = struct.pack("<I", zlib.crc32(edited[:-4]))
+            path.write_bytes(bytes(edited))
+            got = _file_answers(path, fault_sets)
+            assert got == "rejected" or got == base, (name, v, w)
+            outcome[name, w - v] = got == "rejected"
+        at += struct.calcsize(fmt)
+    capsys.readouterr()
+    if case == "s1-cubic60":
+        # f 4 -> 5 and phi_den 2 -> 3 are read (R4's volume threshold) and
+        # still answer these sets alike
+        assert not outcome["f", 1] and not outcome["phi_den", 1]

@@ -109,7 +109,7 @@ def test_compute_lge_matches_naive_ball_oracle():
                         # naive: sort boundary by outside position, apply
                         # the definition with the exact Ball oracle
                         naive = []
-                        for eid in wt.level_edges:
+                        for eid in wt.tree.level_edges:
                             u, v = g.edges[eid]
                             bu = wt.vertex_unit(u) >> j
                             bv = wt.vertex_unit(v) >> j
@@ -347,9 +347,8 @@ def test_case3_volume_bound():
         wt = wts[tree_root]
         lo, hi = block_range(j, blk)
         inside = [
-            v for v in wt.tree.vertices
-            if wt.wt[wt.tree.local_of[frame.pos_vertex[v]]]
-            and lo <= wt.vertex_unit(v) < hi
+            frame.tour[p][1] for p in wt.tree.vertex_positions
+            if wt.wt[wt.tree.local_of[p]] and lo <= wt.unit_of_pos(p) < hi
         ]
         assert inside
         comp = cid[inside[0]]
