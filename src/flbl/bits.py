@@ -18,8 +18,6 @@ within that byte and masked.
 
 from __future__ import annotations
 
-import numpy as np
-
 # A writer flushes whole bytes once this many bits are pending.
 _CHUNK = 1024
 # Both sides pack or split at most this many fields in one int.
@@ -152,6 +150,8 @@ def read_runs(data: bytes, starts, counts, width: int) -> list[int]:
             r.pos = start
             out += r.read_fields((width,) * cnt)
         return out
+    import numpy as np  # only schemes 1-2 gather, so only they load NumPy
+
     start = np.asarray(starts, np.int64)
     cnt = np.asarray(counts, np.int64)
     if len(cnt) and (start + cnt * width).max() > len(data) * 8:

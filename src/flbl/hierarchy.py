@@ -7,6 +7,8 @@ Exact mode certifies expansion by enumerating all cuts (small n only);
 heuristic mode runs the same improvement loop but searches for violating
 cuts with a spectral sweep plus randomized local search and cannot
 certify the result.
+NumPy and SciPy are imported inside the functions that use them, so
+that the randomized schemes, which build no hierarchy, never load them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .graph import Graph, UnionFind
 
@@ -38,6 +38,8 @@ class DisconnectedError(ValueError):
 def _cut_crossings(g: Graph) -> np.ndarray:
     """crossing[mask] for all cuts S with vertex 0 in S (masks over
     vertices 1..n-1; vertex 0 implicit)."""
+    import numpy as np
+
     n = g.n
     nmasks = 1 << (n - 1)
     masks = np.arange(nmasks, dtype=np.int64)
@@ -54,6 +56,8 @@ def _cut_crossings(g: Graph) -> np.ndarray:
 
 def _violating_masks(crossing: np.ndarray, degx: list[int], phi: Fraction) -> np.ndarray:
     """bad[mask]: the cut violates phi-expansion of the X-degrees degx."""
+    import numpy as np
+
     # X-volume of every S, indexed as in _cut_crossings: appending vertex v
     # (bit v - 1, the highest so far) doubles the table, O(2^n) in all
     vol_s = np.array(degx[:1], dtype=np.int64)
@@ -83,6 +87,8 @@ def verify_edge_expanding(
     Enumerates every cut (S, V\\S); returns (True, None) or
     (False, witness S) for a violating cut.  Requires n <= cap.
     """
+    import numpy as np
+
     n = g.n
     if n > N_EXACT_CAP:
         raise SizeCapError(f"verify_edge_expanding needs n <= {N_EXACT_CAP}, got {n}")
@@ -113,6 +119,8 @@ def _violating_cut_exact(g: Graph, degx: list[int], phi: Fraction,
     then lexicographically smallest, or None when X is phi-expanding.
     crossing is _cut_crossings(g), computed once per separator.
     """
+    import numpy as np
+
     n = g.n
     if n <= 1:
         return None
@@ -167,6 +175,7 @@ class _HeuristicCutFinder:
         if n <= 3:
             return list(range(n))
         try:
+            import numpy as np
             import scipy.sparse as sp
             import scipy.sparse.linalg as spl
 

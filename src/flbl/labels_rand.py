@@ -99,6 +99,10 @@ class SingletonSeed:
     w: int
     pairs: list[tuple[int, int]]  # (a odd, t)
 
+    def __post_init__(self):
+        if any(a % 2 == 0 for a, _ in self.pairs):
+            raise ValueError("distinguisher multiplier must be odd")
+
     @staticmethod
     def generate(seed: int, n: int, c: int = SIG_C_DEFAULT) -> "SingletonSeed":
         w = 2 * _bits(n)
@@ -115,9 +119,15 @@ class SingletonSeed:
         return len(self.pairs)
 
     def sig(self, x: int) -> int:
+        """Bit i is sample_bit(a_i, t_i, x, w), inlined: a query tests
+        thousands of signatures."""
+        mask = (1 << self.w) - 1
         out = 0
-        for i, (a, t) in enumerate(self.pairs):
-            out |= sample_bit(a, t, x, self.w) << i
+        bit = 1
+        for a, t in self.pairs:
+            if a * x & mask < t:
+                out |= bit
+            bit <<= 1
         return out
 
     def uid(self, x: int) -> int:
@@ -270,47 +280,62 @@ def build_rand_short(g: Graph, f: int, seed: int, c: int = SIG_C_DEFAULT):
 
 
 class _Regions:
-    """Fault-split regions of the spanning forest, from fault labels."""
+    """Fault-split regions of the spanning forest, from fault labels.
+
+    Region ids: 0..k-1 for the child-subtree ranges of the k tree faults in
+    edge-id order, k + ci for the root region of component ci.  Subtree
+    ranges of one forest are laminar, so one sweep over them sorted by
+    (lo, -hi) gives each range's parent and the deepest range over each
+    elementary segment of preorder: a lookup is one bisect."""
 
     def __init__(self, records: dict[int, RandEdgeLabel], comp_starts: list[int]):
-        self.ranges: list[tuple[int, int]] = []   # child-subtree ranges
-        for eid, lab in sorted(records.items()):
-            if lab.is_tree:
-                self.ranges.append((lab.lo, lab.hi))
+        self.ranges: list[tuple[int, int]] = [
+            (lab.lo, lab.hi) for _, lab in sorted(records.items()) if lab.is_tree]
         self.comp_starts = comp_starts
-        # region ids: 0..len(ranges)-1 for subtree regions; component roots
-        # get ids len(ranges) + ci
         self.k = len(self.ranges)
+        self.parent: list[int] = [0] * self.k   # region just above range i
+        # elementary segments of preorder, ascending, and the deepest range
+        # over each (-1 for none); of equal starts the last one holds
+        self.seg_starts: list[int] = []
+        self.seg_owner: list[int] = []
+        stack: list[int] = []   # the open ranges, deepest last
+
+        def segment(start: int) -> None:
+            self.seg_starts.append(start)
+            self.seg_owner.append(stack[-1] if stack else -1)
+
+        for i in sorted(range(self.k), key=lambda i: (self.ranges[i][0], -self.ranges[i][1])):
+            lo, hi = self.ranges[i]
+            if lo > hi:
+                raise ValueError(f"tree fault range {lo}..{hi} is reversed")
+            while stack and self.ranges[stack[-1]][1] < lo:
+                segment(self.ranges[stack.pop()][1] + 1)
+            if stack:
+                top_lo, top_hi = self.ranges[stack[-1]]
+                if (top_lo, top_hi) == (lo, hi) or hi > top_hi:
+                    raise ValueError(f"tree fault ranges {top_lo}..{top_hi} and "
+                                     f"{lo}..{hi} are not nested or disjoint")
+                self.parent[i] = stack[-1]
+            else:
+                self.parent[i] = self.k + self.comp_of_pre(lo)
+            stack.append(i)
+            segment(lo)
+        while stack:
+            segment(self.ranges[stack.pop()][1] + 1)
 
     def comp_of_pre(self, pre: int) -> int:
         return bisect_right(self.comp_starts, pre) - 1
 
     def region_of(self, pre: int) -> int:
-        best = None
-        for i, (a, b) in enumerate(self.ranges):
-            if a <= pre <= b:
-                if best is None or b - a < self.ranges[best][1] - self.ranges[best][0]:
-                    best = i
-        if best is None:
+        j = bisect_right(self.seg_starts, pre) - 1
+        if j < 0 or self.seg_owner[j] < 0:
             return self.k + self.comp_of_pre(pre)
-        return best
-
-    def parent_region(self, i: int) -> int:
-        """Region just above subtree-range i (its surrounding region)."""
-        a, b = self.ranges[i]
-        best = None
-        for j, (a2, b2) in enumerate(self.ranges):
-            if j != i and a2 <= a and b <= b2:
-                if best is None or b2 - a2 < self.ranges[best][1] - self.ranges[best][0]:
-                    best = j
-        if best is None:
-            return self.k + self.comp_of_pre(a)
-        return best
+        return self.seg_owner[j]
 
     def all_region_ids(self, records) -> list[int]:
         ids = set(range(self.k))
         for i in range(self.k):
-            ids.add(self.parent_region(i))
+            ids.add(self.parent[i])
         for eid, lab in records.items():
             if not lab.is_tree:
                 ids.add(self.region_of(lab.lo))
@@ -384,7 +409,7 @@ def _region_aggregates(records, regions: _Regions, attr: str) -> dict[int, int]:
         if lab.is_tree:
             sk = getattr(lab, attr)
             agg[i] ^= sk
-            agg[regions.parent_region(i)] ^= sk
+            agg[regions.parent[i]] ^= sk
             i += 1
         else:
             ra = regions.region_of(lab.lo)
@@ -419,27 +444,21 @@ def query_rand_short(records: dict[int, RandEdgeLabel], meta: RandMeta) -> RandQ
         cell = sig.uid_bits
         cellmask = (1 << cell) - 1
         nb = _bits(meta.n)
-        fault_name_set = set()
-        for eid, lab in records.items():
-            if not lab.is_tree:
-                a, b = sorted((lab.lo, lab.hi))
-                fault_name_set.add((a << nb) | b)
     history = []
     for step in range(meta.B):
-        parts = {}
-        for i in ids:
-            parts.setdefault(find(i), None)
-        live = [p for p in parts if sk0[p] != 0]
-        history.append(len(live))
-        if len(live) <= 1:
+        # every part takes part: a closed one has all-zero cells and cannot
+        # merge, and an sk0 of few bits can read 0 on an open cut
+        parts = list(dict.fromkeys(find(i) for i in ids))
+        history.append(len(parts))
+        if len(parts) <= 1:
             break
         merges = []
-        for p in live:
+        for p in parts:
             row = mat[p] >> (step * meta.jcols * cell)
             for j in range(meta.jcols):
                 agg = (row >> (j * cell)) & cellmask
                 x = sig.singleton(agg)
-                if x is None or x in fault_name_set:
+                if x is None:
                     continue
                 pa, pb = x >> nb, x & ((1 << nb) - 1)
                 ra, rb = regions.region_of(pa), regions.region_of(pb)

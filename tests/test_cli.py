@@ -548,6 +548,49 @@ def test_scheme4_derived_header_exit_code(tmp_path, capsys, chord40, at, step):
     assert "where n, f and m give 5, 9" in _one_line_error(capsys)
 
 
+def test_crossing_tree_ranges_exit_code(tmp_path, capsys, chord40):
+    # subtree ranges of one forest are nested or disjoint; a file whose two
+    # tree-edge ranges cross is rejected when both edges fail
+    lf = LF.read_label_file(str(chord40[4]))
+    labels = [LF.decode_edge(lf, e) for e in range(lf.meta.m)]
+    tree = [e for e, lab in enumerate(labels) if lab.is_tree]
+    e1 = next(e for e in tree if labels[e].lo < labels[e].hi < lf.meta.n - 1)
+    e2 = next(e for e in tree if e != e1)
+    fail = f"{min(e1, e2)},{max(e1, e2)}"
+    assert run_cli(["query", str(chord40[4]), "--fail", fail, "--count"]) == 0
+    labels[e2] = dataclasses.replace(labels[e2], lo=labels[e1].lo + 1, hi=labels[e1].hi + 1)
+    out = tmp_path / "crossing.flbl"
+    LF.write_label_file(str(out), LF.make_label_file(
+        lf.scheme, lf.meta, [LF.decode_vertex_label(lf, v) for v in range(lf.meta.n)], labels))
+    capsys.readouterr()
+    assert run_cli(["query", str(out), "--fail", fail, "--count"]) == 1
+    assert "are not nested or disjoint" in _one_line_error(capsys)
+
+
+def test_randomized_schemes_run_without_numpy(tmp_path):
+    # schemes 3-4 build no hierarchy and gather no lists, so neither a
+    # build nor a query of theirs loads NumPy
+    gpath = tmp_path / "chord40.txt"
+    edges = [(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(40)]
+    gpath.write_text("40 80\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    script = "\n".join([
+        "import sys",
+        "import flbl, flbl.cli",
+        "for scheme, f in (('3', '4'), ('4', '80')):",
+        f"    out = {str(tmp_path)!r} + f'/s{{scheme}}.flbl'",
+        f"    assert flbl.cli.main(['build', {str(gpath)!r}, '--scheme', scheme, "
+        "'--f', f, '-o', out]) == 0",
+        "    assert flbl.cli.main(['query', out, '--fail', '0,39,40,73', "
+        "'--pair', '3,30', '--count']) == 0",
+        "print(sorted(name for name in ('numpy', 'scipy') if name in sys.modules))",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    got = subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                         capture_output=True, text=True)
+    assert got.stdout.split("\n")[-2:] == ["[]", ""]
+
+
 def test_vertex_label_off_length_exit_code(tmp_path, capsys):
     # aux_n (the u32 at header byte 11) sets the tour-position width of a
     # scheme-1 vertex label; verify's seed 1 draws no fault in its first

@@ -6,7 +6,9 @@ import pytest
 from flbl.graph import Graph, UnionFind
 from flbl.labels_rand import (
     BfsForest,
+    RandEdgeLabel,
     SingletonSeed,
+    _Regions,
     _bits,
     build_rand_long,
     build_rand_short,
@@ -92,6 +94,23 @@ def test_singleton_false_positive_rate():
         elif got is not None:
             fp += 1  # multi-aggregate reported as a singleton at all
     assert fp / trials <= 1e-3
+
+
+def test_sig_matches_sample_bit_reference():
+    rng = random.Random(3)
+    for s in range(30):
+        seed = SingletonSeed.generate(s, n=rng.randrange(2, 5000))
+        for _ in range(40):
+            x = rng.randrange(1 << seed.w)
+            want = 0
+            for i, (a, t) in enumerate(seed.pairs):
+                want |= sample_bit(a, t, x, seed.w) << i
+            assert seed.sig(x) == want
+
+
+def test_singleton_seed_rejects_even_multiplier():
+    with pytest.raises(ValueError):
+        SingletonSeed(w=4, pairs=[(3, 5), (6, 1)])
 
 
 # spanning forest
@@ -252,6 +271,66 @@ def test_exact_zero_identity_on_component_unions():
             acc[cid[v]] = acc.get(cid[v], 0) ^ agg[rid]
         for comp, x in acc.items():
             assert x == 0
+
+
+# fault-split regions
+
+
+def _scan_region_of(regions, pre):
+    """Reference: the narrowest fault range holding pre, by a scan of all
+    ranges, else the root region of pre's component."""
+    best = None
+    for i, (a, b) in enumerate(regions.ranges):
+        if a <= pre <= b and (best is None or b - a < regions.ranges[best][1] - regions.ranges[best][0]):
+            best = i
+    return regions.k + regions.comp_of_pre(pre) if best is None else best
+
+
+def _scan_parent_region(regions, i):
+    """Reference: the narrowest other fault range holding range i, by a
+    scan of all ranges, else the root region of its component."""
+    a, b = regions.ranges[i]
+    best = None
+    for j, (a2, b2) in enumerate(regions.ranges):
+        if j != i and a2 <= a and b <= b2 and \
+                (best is None or b2 - a2 < regions.ranges[best][1] - regions.ranges[best][0]):
+            best = j
+    return regions.k + regions.comp_of_pre(a) if best is None else best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_region_index_matches_linear_scan(seed):
+    rng = random.Random(40 + seed)
+    for _ in range(25):
+        g = random_multigraph(rng, rng.randrange(1, 120))
+        vl, labs, meta = build_rand_long(g, 1, seed=rng.randrange(10**6))
+        tree = [e for e in range(g.m) if labs[e].is_tree]
+        other = [e for e in range(g.m) if not labs[e].is_tree]
+        for _ in range(8):
+            # from no tree fault to all of them: deep nesting and many regions
+            F = rng.sample(tree, rng.randrange(len(tree) + 1)) + \
+                rng.sample(other, rng.randrange(min(len(other), 5) + 1))
+            regions = _Regions({e: labs[e] for e in F}, meta.comp_roots)
+            for pre in range(g.n):
+                assert regions.region_of(pre) == _scan_region_of(regions, pre)
+            for i in range(regions.k):
+                assert regions.parent[i] == _scan_parent_region(regions, i)
+
+
+@pytest.mark.parametrize("ranges", [
+    [(5, 3)],
+    [(2, 6), (2, 6)],
+    [(0, 9), (2, 6), (2, 6)],
+    [(1, 4), (3, 7)],
+    [(0, 9), (3, 7), (5, 8)],
+    [(1, 4), (2, 3), (4, 6)],
+], ids=["reversed", "duplicate", "nested-duplicate", "crossing",
+        "nested-crossing", "crossing-after-a-closed-range"])
+def test_region_index_rejects_malformed_ranges(ranges):
+    records = {eid: RandEdgeLabel(is_tree=True, lo=lo, hi=hi, sk0=0)
+               for eid, (lo, hi) in enumerate(ranges)}
+    with pytest.raises(ValueError):
+        _Regions(records, [0])
 
 
 # short scheme
@@ -417,3 +496,44 @@ def test_cut_sketch_validity():
                             good += 1
     assert returned > 50
     assert good / returned >= 0.95
+
+
+def _wrong_pairs(g, vl, labs, meta, F):
+    """Pairs (and the component count) answered differently from the
+    union-find oracle after failing F."""
+    cid, cnt = oracle_classes(g, F)
+    res = query_rand_short({e: labs[e] for e in F}, meta)
+    wrong = res.component_count() != cnt
+    for s, t in itertools.combinations(range(g.n), 2):
+        wrong += res.connected(vl[s], vl[t]) != (cid[s] == cid[t])
+    return wrong
+
+
+def test_short_two_vertices_parallel_edges():
+    # at n = 2 sk0 is one bit, so two surviving parallel edges can cancel
+    # in it; the Boruvka rounds must still merge the two vertices
+    g = Graph(2, ((0, 1), (0, 1), (0, 1)))
+    for seed in range(6):
+        vl, labs, meta = build_rand_short(g, 2, seed=seed)
+        for k in range(3):
+            for F in itertools.combinations(range(g.m), k):
+                assert _wrong_pairs(g, vl, labs, meta, F) == 0, (seed, F)
+
+
+def test_short_small_multigraph_sweep():
+    # every fault set of size <= 3 on small multigraphs with parallel
+    # edges, isolated vertices and several components
+    rng = random.Random(50)
+    wrong = checked = 0
+    for _ in range(30):
+        n = rng.randrange(2, 9)
+        g = random_multigraph(rng, n)
+        f = 2 * _bits(n) ** 2
+        for seed in range(4):
+            vl, labs, meta = build_rand_short(g, f, seed=seed)
+            for k in range(min(3, f) + 1):
+                for F in itertools.combinations(range(g.m), k):
+                    wrong += _wrong_pairs(g, vl, labs, meta, F)
+                    checked += 1
+    assert checked > 10000
+    assert wrong == 0
