@@ -94,7 +94,16 @@ class BitReader:
         self.nbits = len(data) * 8
 
     def read(self, width: int) -> int:
-        return self.read_fields((width,))[0]
+        """The next `width` bits as one int: `read_fields((width,))[0]`
+        without its loop, bounds-checked the same way."""
+        pos = self.pos
+        end = pos + width
+        if end > self.nbits:
+            raise ValueError(f"read of {width} bits at bit {pos} runs past "
+                             f"the {self.nbits}-bit payload")
+        self.pos = end
+        return int.from_bytes(self.data[pos >> 3:(end + 7) >> 3],
+                              "little") >> (pos & 7) & ((1 << width) - 1)
 
     def peek(self, width: int) -> int:
         """The next `width` bits as one int, without moving; bits past the

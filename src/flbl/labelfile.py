@@ -28,23 +28,33 @@ fields.  Scheme-2 labels share their reveal entries and block records
 (the build makes each once per tree), and an edge name recurs in many
 lists; `make_label_file` packs each shared record and each edge name
 once per file and writes that field into every label that holds it.
-The decoders mirror the name memo: they read each edge name back as the
+The decoders mirror both memos.  They read each edge name back as the
 one field of width 2·pos + par it was written as, and map it through the
 per-file table `Widths.names`, which splits a name into its (a, b, k)
-tuple on first sight.
+tuple on first sight.  The scheme-2 decoder keeps the per-file tables
+`Widths.entries` and `Widths.blocks`, which map a reveal entry's or block
+record's exact bits (value | 1 << bit count) to one decoded record, so
+decoded labels share their records as built labels do.  Shared records,
+built or decoded, are read-only.  A table holds at most one record per
+distinct record of the file.
 
 The scheme-1 and scheme-2 decoders read a label in two passes.  The
-first reads the fixed-width heads with `BitReader.read_fields` or splits
-them from one `BitReader.peek` window (the optional positions, a reveal
-entry's head, a block record's head), and moves past each run of
-segment-list names, share rows or block-list names with the
-bounds-checked `BitReader.skip`, keeping the run's (start, count); a
-payload cut short, or a count or presence bitmap that claims more rows
-than remain, fails here.  The second reads all runs of one kind in one
+first reads the fixed-width heads with `BitReader.read_fields` or
+`BitReader.read`, or splits them from one `BitReader.peek` window (the
+optional positions, a block record's head), and moves past each run of
+segment-list names, share rows or block-list names with a
+bounds-checked `BitReader.skip` or `BitReader.read`, keeping the run's
+(start, count); a payload cut short, or a count or presence bitmap that
+claims more rows than remain, fails here.  The second reads all runs of one kind in one
 `bits.read_runs` gather and slices them back (`_gather`): the names of a
 scheme-1 label, mapped through `Widths.names`, and in scheme 2 the
 block-list names and then the share rows, each one field of
-idx + 2·share bits split into (index, a, b).
+idx + 2·share bits split into (index, a, b).  The scheme-2 first pass
+reads each reveal entry, and each block record with a list, whole as its
+key with the bounds-checked `BitReader.read`, looks every record up in
+the tables, and keeps the runs of only the records they miss.  Those
+enter the tables once the second pass has filled them, so a label that
+raises leaves no record half built.
 """
 
 from __future__ import annotations
@@ -89,6 +99,9 @@ class Widths:
     idx: int                   # scheme 2: share index
     rand: tuple[int, ...]      # scheme-3/4 edge fields after the flag
     names: NameTable = field(repr=False, compare=False)
+    # scheme 2: a decoded record's bits | 1 << their count -> the record
+    entries: dict[int, RevealEntry] = field(default_factory=dict, repr=False, compare=False)
+    blocks: dict[int, BlockRecord] = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def of(meta: SchemeMeta) -> "Widths":
@@ -300,9 +313,9 @@ def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabe
     names = wd.names
     width = names.width
     sec_w = (wd.pos, wd.pos, wd.pos, wd.unit, wd.m)
-    # A reveal entry's head (name, unit_a, unit_b, presence bitmap) and a
-    # block record's head (lge, has-list flag, list length) are each split
-    # from one peeked window.
+    # A reveal entry's head (name, unit_a, unit_b, presence bitmap) is read
+    # as one field, and a block record's head (lge, has-list flag, list
+    # length) is split from one peeked window.
     name_mask = (1 << width) - 1
     unit_mask = (1 << wd.unit) - 1
     ub_at = width + wd.unit
@@ -310,6 +323,9 @@ def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabe
     head_bits = present_at + wd.present
     m_mask = (1 << wd.m) - 1
     blk_bits = 2 * wd.m + 1
+    # the key bit above a record with no share rows or no list
+    head_key = 1 << head_bits
+    no_list_key = 1 << wd.m + 1
     # A share row is one field of idx + 2·share bits: (index, a, b).
     row_bits = wd.idx + 2 * wd.share
     idx_mask = (1 << wd.idx) - 1
@@ -319,24 +335,40 @@ def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabe
     def share_rows(vals):
         return [CodeShare(v & idx_mask, v >> wd.idx & share_mask, v >> b_at) for v in vals]
 
-    # Pass 1: every head; each run of share rows or of block-list names is
-    # skipped, bounds-checked, and its (start, count) kept.
+    # A record is keyed by its bits | 1 << their count.  A key in the
+    # file's table (`Widths.entries`, `Widths.blocks`) gives the shared
+    # record; a new one is built here, filled in pass 2, and enters the
+    # table only then, so a label that raises leaves no record half built.
+    entry_table, block_table = wd.entries, wd.blocks
+    new_entries, new_blocks = {}, {}
+    # Pass 1: every head.  A reveal entry is read whole as its key, and so
+    # is a block record with a list; one without is skipped past its head.
+    # Each move is bounds-checked, and a new record's run keeps its
+    # (start, count).
     held, row_starts, row_counts = [], [], []      # held: (shares, bitmap)
     listed, name_starts, name_counts = [], [], []  # listed: block records
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex, w_real, nrev = r.read_fields(sec_w)
         reveal = []
         for _ in range(nrev):
-            head = r.peek(head_bits)
+            head = r.read(head_bits)
             present = head >> present_at
             cnt = present.bit_count()
-            ent = RevealEntry(name=names[head & name_mask], unit_a=head >> width & unit_mask,
-                              unit_b=head >> ub_at & unit_mask, shares={})
-            at = r.skip(head_bits + row_bits * cnt) + head_bits
+            at = r.pos
             if cnt:
-                held.append((ent.shares, present))
-                row_starts.append(at)
-                row_counts.append(cnt)
+                rows = row_bits * cnt
+                key = (r.read(rows) | 1 << rows) << head_bits | head
+            else:
+                key = head | head_key
+            ent = entry_table.get(key) or new_entries.get(key)
+            if ent is None:
+                ent = new_entries[key] = RevealEntry(
+                    name=names[head & name_mask], unit_a=head >> width & unit_mask,
+                    unit_b=head >> ub_at & unit_mask, shares={})
+                if cnt:
+                    held.append((ent.shares, present))
+                    row_starts.append(at)
+                    row_counts.append(cnt)
             reveal.append(ent)
         sec = SqrtLevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
@@ -349,24 +381,40 @@ def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabe
                 per = sec.near[j] = {}
                 for blk in blocks:
                     head = r.peek(blk_bits)
-                    rec = per[blk] = BlockRecord(lge=head & m_mask, edges=None)
-                    if head >> wd.m & 1:
+                    has_list = head >> wd.m & 1
+                    at = r.pos + blk_bits
+                    if has_list:
                         cnt = head >> wd.m + 1
-                        name_starts.append(r.skip(blk_bits + cnt * width) + blk_bits)
-                        name_counts.append(cnt)
-                        listed.append(rec)
+                        nbits = blk_bits + cnt * width
+                        key = r.read(nbits) | 1 << nbits
                     else:
                         r.skip(wd.m + 1)
+                        key = head & m_mask | no_list_key
+                    rec = block_table.get(key) or new_blocks.get(key)
+                    if rec is None:
+                        rec = new_blocks[key] = BlockRecord(lge=head & m_mask, edges=None)
+                        if has_list:
+                            name_starts.append(at)
+                            name_counts.append(cnt)
+                            listed.append(rec)
+                    per[blk] = rec
         lab.sections[ell] = sec
-    # Pass 2: the block-list names in one gather and the share rows in one
-    # more, each sliced back per run; a row's (scale, side) keys are the set
-    # bits of its entry's bitmap, in ascending order.
-    for rec, edges in zip(listed, _gather(r.data, name_starts, name_counts, width, names.of)):
-        rec.edges = edges
-    for (shares, present), rows in zip(held, _gather(r.data, row_starts, row_counts,
-                                                     row_bits, share_rows)):
-        keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length()) if present >> bit & 1]
-        shares.update(zip(keys, rows))
+    # Pass 2: the block-list names of the new records in one gather and
+    # their share rows in one more, each sliced back per run; a row's
+    # (scale, side) keys are the set bits of its entry's bitmap, in
+    # ascending order.
+    if listed:
+        for rec, edges in zip(listed, _gather(r.data, name_starts, name_counts, width,
+                                              names.of)):
+            rec.edges = edges
+    if held:
+        for (shares, present), rows in zip(held, _gather(r.data, row_starts, row_counts,
+                                                         row_bits, share_rows)):
+            keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length())
+                    if present >> bit & 1]
+            shares.update(zip(keys, rows))
+    entry_table.update(new_entries)
+    block_table.update(new_blocks)
     return lab
 
 

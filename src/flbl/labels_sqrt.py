@@ -280,28 +280,41 @@ def query_sqrt(
     lists each case-3 firing as (level, tree, scale, block, lge)."""
     case3_fired: list[tuple] = []
     step = partial(_sqrt_tree_step, j_max=radius_scale(meta.f, meta.phi)[1],
-                   field=meta.field, names=meta.name_table(), case3_fired=case3_fired)
+                   field=meta.field, names=meta.name_table(), case3_fired=case3_fired,
+                   reveal_at={})
     res = query_levels(records, meta, keep_levels, step)
     res.case3_fired = case3_fired
     return res
 
 
+def _reveal_by_tree(records, ell: int) -> dict[int, dict[EdgeName, RevealEntry]]:
+    """tree root -> name -> reveal entry, over every fault's level-l
+    section, in fault order."""
+    out: dict[int, dict[EdgeName, RevealEntry]] = {}
+    for lab in records.values():
+        sec = lab.sections.get(ell)
+        if sec is not None:
+            reveal = out.setdefault(sec.tree_root, {})
+            for ent in sec.reveal:
+                reveal[ent.name] = ent
+    return out
+
+
 def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int, field: Field,
-                    names: NameTable, case3_fired: list[tuple]):
+                    names: NameTable, case3_fired: list[tuple], reveal_at: dict):
     """R3 pool: the edges revealed by any fault's level section in this
     tree, plus, over the dyadic cover of each interval J in J(T, F), the
     stored list of each block or its list decoded from revealed shares.
     A block with too few shares (case 3) marks its interval giant.  R4
-    evidence: the certified tour weight of each part."""
+    evidence: the certified tour weight of each part.  `reveal_at` keeps
+    each level's `_reveal_by_tree` for the query's other trees."""
     faults = grp.faults
     w_real = faults[0][2].w_real
     W, j_top = padded_scales(w_real, j_max)
-    reveal: dict[EdgeName, RevealEntry] = {}
-    for lab in records.values():
-        sec = lab.sections.get(ell)
-        if sec is not None and sec.tree_root == grp.tree_root:
-            for ent in sec.reveal:
-                reveal[ent.name] = ent
+    by_tree = reveal_at.get(ell)
+    if by_tree is None:
+        by_tree = reveal_at[ell] = _reveal_by_tree(records, ell)
+    reveal = by_tree[grp.tree_root]
     block_recs = {(j, blk): rec for (_, _, sec) in faults
                   for j, per in sec.near.items() for blk, rec in per.items()}
     pool = dict.fromkeys(reveal)

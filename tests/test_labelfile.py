@@ -1,11 +1,11 @@
 import copy
 import dataclasses
+import functools
 import random
 import struct
 import tempfile
 import zlib
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from flbl.labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdge
 from flbl.labels_sqrt import (BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection,
                               near_blocks)
 from support import share_to_bytes, sqrt_row_spans
+from test_acceptance import tree_plus_chords
 from test_golden import build_case
 
 
@@ -462,14 +463,21 @@ def test_sqrt_row_count_past_payload_fails_at_decode(sqrt_withheld):
             assert got == len(rows)
 
 
+def _records(lab):
+    """The reveal entries and block records of a scheme-2 label, in order."""
+    for sec in lab.sections.values():
+        yield from sec.reveal
+        for per in sec.near.values():
+            yield from per.values()
+
+
 def _shared_records(labels):
     """The reveal entries and block records that more than one scheme-2
     label holds."""
     holders = {}
     for i, lab in enumerate(labels):
-        for sec in lab.sections.values():
-            for rec in chain(sec.reveal, *(per.values() for per in sec.near.values())):
-                holders.setdefault(id(rec), (rec, set()))[1].add(i)
+        for rec in _records(lab):
+            holders.setdefault(id(rec), (rec, set()))[1].add(i)
     return [rec for rec, held in holders.values() if len(held) > 1]
 
 
@@ -505,6 +513,88 @@ def test_make_label_file_rejects_oversized_shared_field(where):
         rec.edges[0] = (a, b, 1 << res.meta.par_bits)
     with pytest.raises(ValueError, match="does not fit"):
         to_label_file(res)
+
+
+def _sqrt_case(name):
+    """(build, label file, repr of every edge label each decoded from a
+    fresh copy of the file) of a golden scheme-2 case, or of
+    "s2-chords150": a seeded 150-vertex tree plus 4n chords at f = 16,
+    the benchmark's scheme-2 graph family."""
+    if name == "s2-chords150":
+        res = build_scheme(tree_plus_chords(random.Random(1), 150, 600), 2, 16)
+    else:
+        res = build_case(name)
+    lf = to_label_file(res)
+    fresh = [repr(LF.decode_edge(dataclasses.replace(lf), eid)) for eid in range(lf.meta.m)]
+    return res, lf, fresh
+
+
+@pytest.fixture(scope="module")
+def sqrt_case():
+    """`_sqrt_case`, built once per case in this module; read-only."""
+    return functools.cache(_sqrt_case)
+
+
+@pytest.mark.parametrize("case", ["s2-sparse40", "s2-sparse80-withheld", "s2-multi30",
+                                  "s2-chords150"])
+def test_sqrt_decoded_records_shared_per_file(sqrt_case, case):
+    # every edge of one file decoded forward, in reverse and shuffled gives
+    # the labels that a fresh file per label gives; the records the build
+    # shares come back shared, and each distinct record is one object,
+    # held once in the file's tables
+    res, lf, fresh = sqrt_case(case)
+    m = lf.meta.m
+    shared = {id(rec) for rec in _shared_records(res.edge_labels)}
+    assert shared
+    for order in (range(m), range(m - 1, -1, -1), random.Random(m).sample(range(m), m)):
+        one = dataclasses.replace(lf)
+        labs = {eid: LF.decode_edge(one, eid) for eid in order}
+        assert [repr(labs[eid]) for eid in range(m)] == fresh
+        got = {}
+        for eid, built in enumerate(res.edge_labels):
+            for rec, dec in zip(_records(built), _records(labs[eid]), strict=True):
+                got.setdefault(id(rec), set()).add(id(dec))
+        assert all(len(got[i]) == 1 for i in shared)
+        objs = {id(dec): dec for lab in labs.values() for dec in _records(lab)}
+        assert len({(type(dec), repr(dec)) for dec in objs.values()}) == len(objs)
+        assert len(one.widths.entries) + len(one.widths.blocks) == len(objs)
+
+
+@pytest.mark.parametrize("kind", ["shares", "edges"])
+def test_sqrt_label_cut_in_rows_leaves_no_record_behind(sqrt_case, kind):
+    # A label cut inside a run of `kind` rows, after a record with rows
+    # that other labels hold, raises; the records it read before the cut
+    # do not enter the file's tables half built, so the labels that share
+    # them still decode as from a fresh file, and the cut label raises
+    # again once its records are in the tables.
+    res, lf, fresh = sqrt_case("s2-sparse80-withheld")
+    wd = lf.widths
+    holders = {}  # id of a record's rows -> the labels holding the record
+    for eid, lab in enumerate(res.edge_labels):
+        for _, _, rows, _ in sqrt_row_spans(lab, wd):
+            if rows:
+                holders.setdefault(id(rows), set()).add(eid)
+
+    def cut_points():
+        for eid, lab in enumerate(res.edge_labels):
+            sharers = set()
+            for k, at, rows, row_bits in sqrt_row_spans(lab, wd):
+                cut = at // 8 + 1
+                if k == kind and sharers and cut * 8 < at + len(rows) * row_bits:
+                    yield eid, cut, sharers
+                if rows:
+                    sharers |= holders[id(rows)] - {eid}
+
+    eid, cut, sharers = next(cut_points())
+    payloads = list(lf.edge_payloads)
+    payloads[eid] = payloads[eid][:cut]
+    bad = dataclasses.replace(lf, edge_payloads=payloads)
+    with pytest.raises(ValueError):
+        LF.decode_edge(bad, eid)
+    for other in sorted(sharers):
+        assert repr(LF.decode_edge(bad, other)) == fresh[other], other
+    with pytest.raises(ValueError):
+        LF.decode_edge(bad, eid)
 
 
 def test_peek_reads_without_moving():

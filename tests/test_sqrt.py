@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from flbl.euler import EulerFrame, WeightedTour, radius_scale, tours_for_level
 from flbl.graph import Graph, UnionFind, reduce_degree3
 from flbl.hierarchy import EdgeLevelAssignment, build_edge_hierarchy
 from flbl.labels_sqrt import (
+    BlockRecord,
     LGESet,
     build_sqrt_labels,
     compute_lge,
@@ -268,6 +270,55 @@ def test_case3_fires_and_matches_oracle():
     for s in range(0, g.n, 3):
         for t in range(s + 1, g.n, 3):
             assert res.connected(vl[s], vl[t]) == (cid[s] == cid[t])
+
+
+def block_chain_graph(rng, nblk, nlong):
+    """A path of 4·nblk vertices (edge ids 0..4·nblk - 2, so T* is the
+    path), a chord (4k, 4k + 3) closing each block of four, and `nlong`
+    seeded chords between the blocks' free middle vertices.  Cutting the
+    path between blocks leaves parts that only the long chords join."""
+    n = 4 * nblk
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(4 * k, 4 * k + 3) for k in range(nblk)]
+    ends = rng.sample([4 * k + o for k in range(nblk) for o in (1, 2)], 2 * nlong)
+    edges += [tuple(sorted(ends[2 * i:2 * i + 2])) for i in range(nlong)]
+    return Graph(n, tuple(edges))
+
+
+def _answers_right(labels, vl, meta, g, F):
+    q = query_sqrt({e: labels[e] for e in F}, None, None, meta)
+    cid, cnt = oracle_classes(g, F)
+    return q.component_count() == cnt and all(
+        q.connected(vl[s], vl[t]) == (cid[s] == cid[t])
+        for s in range(g.n) for t in range(s + 1, g.n))
+
+
+def test_block_lists_unite_what_reveal_misses():
+    # One level of tour weight 64 with f = 64 (r = 12, f/phi = 128), so no
+    # part is giant and R4 never fires.  A long chord whose ends lie more
+    # than r units inside their parts is revealed by no fault; only the
+    # stored list of a block in its part's dyadic cover names it.  Every
+    # answer equals the oracle's, and with every stored list emptied some
+    # answers do not, so the case depends on the block-list unites.
+    g = block_chain_graph(random.Random(4), 30, 2)
+    hier = EdgeLevelAssignment(level=tuple([1] * g.m), h=1, phi=HALF, certified=False)
+    vl, labels, meta = build_sqrt_labels(g, hier, EulerFrame(g, hier), 64)
+    assert labels[0].sections[1].w_real <= meta.f / meta.phi
+    emptied = copy.deepcopy(labels)
+    for lab in emptied:
+        for sec in lab.sections.values():
+            for per in sec.near.values():
+                for blk, rec in per.items():
+                    if rec.edges is not None:
+                        per[blk] = BlockRecord(lge=rec.lge, edges=[])
+    cuts = [4 * k + 3 for k in range(29)]  # the path edges between blocks
+    rng = random.Random(81)
+    missed = 0
+    for _ in range(60):
+        F = rng.sample(cuts, rng.randint(1, 3))
+        assert _answers_right(labels, vl, meta, g, F), F
+        missed += not _answers_right(emptied, vl, meta, g, F)
+    assert missed == 9
 
 
 def _stored_blocks(labels):
