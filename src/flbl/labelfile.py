@@ -24,37 +24,39 @@ of the share field's prime p, the first prime above 2^(2·pos + par).
 Each edge encoder writes its label as one `BitWriter.write_fields`
 group.  The stream is LSB-first, so a record written as the one (value,
 width) field `bits.pack_fields` makes of it gives the same bits as its
-fields.  Scheme-2 labels share their reveal entries and block records
-(the build makes each once per tree), and an edge name recurs in many
-lists; `make_label_file` packs each shared record and each edge name
-once per file and writes that field into every label that holds it.
+fields.  Labels share records: scheme-1 labels their segment lists (the
+build makes one per event slice of a tree) and scheme-2 labels their
+reveal entries and block records (one per tree), and an edge name recurs
+in many lists.  `make_label_file` packs each shared record, head and
+names together, and each edge name once per file (`_packed`,
+`_name_fields`), and writes that field into every label that holds it.
 The decoders mirror both memos.  They read each edge name back as the
 one field of width 2·pos + par it was written as, and map it through the
 per-file table `Widths.names`, which splits a name into its (a, b, k)
-tuple on first sight.  The scheme-2 decoder keeps the per-file tables
-`Widths.entries` and `Widths.blocks`, which map a reveal entry's or block
-record's exact bits (value | 1 << bit count) to one decoded record, so
-decoded labels share their records as built labels do.  Shared records,
-built or decoded, are read-only.  A table holds at most one record per
-distinct record of the file.
+tuple on first sight.  The per-file tables `Widths.segments` (scheme 1)
+and `Widths.entries` and `Widths.blocks` (scheme 2) map a record's exact
+bits (value | 1 << bit count) to one decoded record, so decoded labels
+share their records as built labels do.  Shared records, built or
+decoded, are read-only.  A table holds at most one record per distinct
+record of the file.
 
 The scheme-1 and scheme-2 decoders read a label in two passes.  The
 first reads the fixed-width heads with `BitReader.read_fields` or
 `BitReader.read`, or splits them from one `BitReader.peek` window (the
-optional positions, a block record's head), and moves past each run of
-segment-list names, share rows or block-list names with a
-bounds-checked `BitReader.skip` or `BitReader.read`, keeping the run's
-(start, count); a payload cut short, or a count or presence bitmap that
-claims more rows than remain, fails here.  The second reads all runs of one kind in one
-`bits.read_runs` gather and slices them back (`_gather`): the names of a
-scheme-1 label, mapped through `Widths.names`, and in scheme 2 the
-block-list names and then the share rows, each one field of
-idx + 2·share bits split into (index, a, b).  The scheme-2 first pass
-reads each reveal entry, and each block record with a list, whole as its
-key with the bounds-checked `BitReader.read`, looks every record up in
-the tables, and keeps the runs of only the records they miss.  Those
-enter the tables once the second pass has filled them, so a label that
-raises leaves no record half built.
+optional positions, a segment list's or block record's head).  It reads
+each segment list, each reveal entry and each block record with a list
+whole as its key with the bounds-checked `BitReader.read`, looks the
+record up in the tables, and keeps the (start, count) of the runs of
+only the records they miss; a payload cut short, or a count or presence
+bitmap that claims more rows than remain, fails here, and so does a new
+segment list whose head no build writes (truncated with a count other
+than the cap f/phi + 1, or a count above it).  The second reads all runs
+of one kind in one `bits.read_runs` gather and slices them back
+(`_gather`): the segment-list names of scheme 1, mapped through
+`Widths.names`, and in scheme 2 the block-list names and then the share
+rows, each one field of idx + 2·share bits split into (index, a, b).
+New records enter the tables once the second pass has filled them, so a
+label that raises leaves no record half built.
 """
 
 from __future__ import annotations
@@ -94,11 +96,14 @@ class Widths:
     par: int
     m: int
     pre: int
-    cap: int                   # scheme-1 segment-list count
+    cap: int                   # scheme 1: width of a segment list's count
+    list_cap: int              # scheme 1: the cap f/phi + 1 on that count
     j_max: int                 # scheme 2: largest scale of a share
     idx: int                   # scheme 2: share index
     rand: tuple[int, ...]      # scheme-3/4 edge fields after the flag
     names: NameTable = field(repr=False, compare=False)
+    # scheme 1: a decoded segment list's bits | 1 << their count -> the list
+    segments: dict[int, SegmentList] = field(default_factory=dict, repr=False, compare=False)
     # scheme 2: a decoded record's bits | 1 << their count -> the record
     entries: dict[int, RevealEntry] = field(default_factory=dict, repr=False, compare=False)
     blocks: dict[int, BlockRecord] = field(default_factory=dict, repr=False, compare=False)
@@ -108,6 +113,7 @@ class Widths:
         pos = meta.pos_bits
         pre = _bits(meta.aux_n)
         _, j_max = radius_scale(meta.f, meta.phi)
+        cap = cap_edges(meta.f, meta.phi)
         rand = ()
         if isinstance(meta, RandMeta):
             rand = (pre, pre, meta.sk0_bits)
@@ -120,7 +126,8 @@ class Widths:
             par=meta.par_bits,
             m=max(1, meta.width_m.bit_length()),
             pre=pre,
-            cap=max(1, cap_edges(meta.f, meta.phi).bit_length()),
+            cap=max(1, cap.bit_length()),
+            list_cap=cap,
             j_max=j_max,
             idx=meta.share_index_bits,
             rand=rand,
@@ -203,6 +210,11 @@ def _gather(data: bytes, starts, counts, width: int, make) -> list[list]:
 # -- scheme 1 ---------------------------------------------------------------
 
 
+def _segment_fields(seg: SegmentList, wd: Widths, memo: dict) -> list[tuple[int, int]]:
+    return [(1 if seg.truncated else 0, 1), (len(seg.entries), wd.cap)] + _name_fields(
+        seg.entries, wd, memo)
+
+
 def encode_simple_edge(lab: SimpleEdgeLabel, wd: Widths, meta: SchemeMeta,
                        memo: dict) -> BitWriter:
     w = BitWriter()
@@ -215,9 +227,7 @@ def encode_simple_edge(lab: SimpleEdgeLabel, wd: Widths, meta: SchemeMeta,
             fields += [(sec.tree_root, wd.pos), (sec.span_end, wd.pos),
                        (sec.last_vertex, wd.pos)]
             fields += _opt_fields(sec.after_v, sec.before_v, wd.pos)
-            for seg in sec.segments:
-                fields += [(1 if seg.truncated else 0, 1), (len(seg.entries), wd.cap)]
-                fields += _name_fields(seg.entries, wd, memo)
+            fields += [_packed(memo, seg, _segment_fields, wd) for seg in sec.segments]
     w.write_fields(fields)
     return w
 
@@ -234,27 +244,47 @@ def decode_simple_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SimpleEdge
     names = wd.names
     width = names.width
     seg_head = 1 + wd.cap
-    # Pass 1: the section heads and each segment's (truncated, count) head;
-    # each name run is skipped, bounds-checked, and its (start, count) kept.
-    starts, counts, truncs = [], [], []
+    cap = wd.list_cap
+    # A segment list is keyed by its bits | 1 << their count.  A key in the
+    # file's table `Widths.segments` gives the shared list; a new one is
+    # built here, filled in pass 2, and enters the table only then, so a
+    # label that raises leaves no list half built.
+    table = wd.segments
+    new = {}
+    # Pass 1: the section heads, and each segment read whole as its key,
+    # bounds-checked; a new list's head is checked against the cap and its
+    # name run keeps its (start, count).
+    starts, counts, pending = [], [], []
+    peek, read = r.peek, r.read
     for ell in range(level, meta.h + 1):
         tree_root, span_end, last_vertex = r.read_fields((wd.pos, wd.pos, wd.pos))
         after_v, before_v = _read_opts(r, wd.pos)
+        segs = []
+        for _ in range(3):
+            cnt = peek(seg_head) >> 1
+            nbits = seg_head + cnt * width
+            key = read(nbits) | 1 << nbits
+            seg = table.get(key) or new.get(key)
+            if seg is None:
+                truncated = key & 1
+                if cnt > cap or truncated and cnt < cap:
+                    marked = "marked truncated " if truncated else ""
+                    raise ValueError(f"bad label file: a segment list {marked}holds {cnt} "
+                                     f"names, where the list cap is {cap}")
+                seg = new[key] = SegmentList(entries=None, truncated=bool(truncated))
+                pending.append(seg)
+                starts.append(r.pos - cnt * width)
+                counts.append(cnt)
+            segs.append(seg)
         lab.sections[ell] = LevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
-            after_v=after_v, before_v=before_v, segments=(),
+            after_v=after_v, before_v=before_v, segments=tuple(segs),
         )
-        for _ in range(3):
-            head = r.peek(seg_head)
-            cnt = head >> 1
-            starts.append(r.skip(seg_head + cnt * width) + seg_head)
-            counts.append(cnt)
-            truncs.append(bool(head & 1))
-    # Pass 2: every name of the label in one gather, sliced back per segment.
-    segs = [SegmentList(entries=entries, truncated=truncated) for entries, truncated
-            in zip(_gather(r.data, starts, counts, width, names.of), truncs)]
-    for i, sec in enumerate(lab.sections.values()):
-        sec.segments = tuple(segs[3 * i:3 * i + 3])
+    # Pass 2: every name of the new lists in one gather, sliced back per list.
+    if pending:
+        for seg, entries in zip(pending, _gather(r.data, starts, counts, width, names.of)):
+            seg.entries = entries
+    table.update(new)
     return lab
 
 

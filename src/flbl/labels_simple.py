@@ -193,7 +193,7 @@ def scheme_meta(g: Graph, hier: EdgeLevelAssignment, frame: EulerFrame, f: int,
     )
 
 
-def _segment_list(ev_pos, ev_name, lo, hi, cap) -> SegmentList:
+def _segment_list(ev_pos, ev_name, lo, hi, cap, memo=None) -> SegmentList:
     """First-incidence capped edge list for tour range (lo, hi).
 
     ev_pos / ev_name are the positions and edge names of one tree's
@@ -202,13 +202,21 @@ def _segment_list(ev_pos, ev_name, lo, hi, cap) -> SegmentList:
     at p repeats an edge already listed exactly when lo < name[0] < p.
     cap + 1 distinct edges have at most 2(cap + 1) events, so no event
     past those can enter the list.
+
+    The list depends only on the event slice [i, j): every name[0] is an
+    event position, so lo < name[0] holds alike for each lo that leaves
+    the same events at or below it.  A `memo` dict, one per tree, keeps
+    one list per slice, shared by every range that cuts that slice.
     """
     i = bisect_right(ev_pos, lo)
     j = min(bisect_left(ev_pos, hi), i + 2 * cap + 2)
+    if memo is not None and (i, j) in memo:
+        return memo[i, j]
     out = [nm for p, nm in zip(ev_pos[i:j], ev_name[i:j]) if not lo < nm[0] < p]
-    if len(out) > cap:
-        return SegmentList(entries=out[:cap], truncated=True)
-    return SegmentList(entries=out, truncated=False)
+    seg = SegmentList(entries=out[:cap], truncated=len(out) > cap)
+    if memo is not None:
+        memo[i, j] = seg
+    return seg
 
 
 def build_simple_labels(
@@ -217,7 +225,8 @@ def build_simple_labels(
     """Vertex labels, edge labels and header facts of scheme 1.  Per level
     tree (`frame.trees_at`), each tree edge of level <= l gets a section:
     vertex bounds from the tree's `vertex_positions` and three capped
-    segment lists cut from its `events`."""
+    segment lists cut from its `events`.  Labels share a tree's lists
+    (one `SegmentList` per event slice), so the lists are read-only."""
     cap = cap_edges(f, hier.phi)
     names = edge_names(g, frame.pos_vertex)
     # the file stores no level for a non-tree edge
@@ -230,14 +239,16 @@ def build_simple_labels(
             ev_pos = [p for p, _ in tree.events]
             ev_name = [names[e] for _, e in tree.events]
             span_start, span_end = tree.span
+            # the tree's lists by event slice, shared by the labels that cut it
+            seg = partial(_segment_list, ev_pos, ev_name, cap=cap, memo={})
             for eid in tree.edges:
                 lab = labels[eid]
                 if not lab.is_tree:
                     continue
                 segs = (
-                    _segment_list(ev_pos, ev_name, span_start - 1, lab.pos_down, cap),
-                    _segment_list(ev_pos, ev_name, lab.pos_down, lab.pos_up, cap),
-                    _segment_list(ev_pos, ev_name, lab.pos_up, span_end + 1, cap),
+                    seg(span_start - 1, lab.pos_down),
+                    seg(lab.pos_down, lab.pos_up),
+                    seg(lab.pos_up, span_end + 1),
                 )
                 after_v, before_v = vertex_bounds(tree.vertex_positions, lab)
                 lab.sections[ell] = LevelSection(

@@ -3,9 +3,9 @@ class and a BFS connectivity oracle, an exact check and a text export of an
 edge hierarchy, induced subgraphs, weighted distances and balls on a
 `WeightedTour` walked element by element, dyadic block ranges, a
 standalone 160-bit wire format for code shares, GF(p^2) arithmetic
-for the Reed-Solomon oracle, the bit spans of a decoded scheme-2 label's
-share rows and edge lists, and a BFS forest whose preorder scans all
-vertices per component."""
+for the Reed-Solomon oracle, the bit spans of a scheme-1 label's segment
+lists and of a scheme-2 label's share rows and edge lists, and a BFS
+forest whose preorder scans all vertices per component."""
 
 from __future__ import annotations
 
@@ -170,6 +170,20 @@ def share_to_bytes(sh: CodeShare) -> bytes:
 
 def share_from_bytes(raw: bytes) -> CodeShare:
     return CodeShare(*struct.unpack("<IQQ", raw))
+
+
+def simple_segment_spans(lab, wd):
+    """(head bit, segment list) of every segment list of a scheme-1 tree
+    edge label, in file order, located from the label and the file's
+    `Widths`: a list's (truncated, count) head of 1 + cap bits is
+    followed by its names."""
+    at = 1 + 2 * wd.pos + wd.par + wd.h + 2 * wd.pos
+    for sec in lab.sections.values():
+        at += 3 * wd.pos
+        at += sum(1 + (wd.pos if v is not None else 0) for v in (*sec.after_v, *sec.before_v))
+        for seg in sec.segments:
+            yield at, seg
+            at += 1 + wd.cap + len(seg.entries) * wd.names.width
 
 
 def sqrt_row_spans(lab, wd):

@@ -12,8 +12,9 @@ from flbl import codeshares
 from flbl import labelfile as LF
 from flbl.build import to_label_file
 from flbl.cli import _run_query, main
+from flbl.labels_simple import SegmentList
 from test_acceptance import random_regular3
-from support import dump_graph, sqrt_row_spans
+from support import dump_graph, simple_segment_spans, sqrt_row_spans
 from test_golden import _sparse80, build_case
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
@@ -734,3 +735,43 @@ def test_changed_share_value_exit_code(tmp_path, capsys, monkeypatch):
         lf, lambda sh: dataclasses.replace(sh, a=sh.a ^ 1) if sh == target else sh))
     assert run_cli(["query", str(out)] + args) == 1
     assert f"share {target.index} is off the interpolated polynomial" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("edit", ["flag", "over-cap", "flag-over-cap"])
+def test_segment_head_off_cap_exit_code(tmp_path, capsys, edit):
+    # scheme-1 files written with a valid CRC in which one segment list's
+    # head is one no build writes: the truncated flag on a list shorter
+    # than the cap, or a list of cap + 1 names, flagged or not; a query
+    # that decodes that label exits 1 with one error line
+    lf = to_label_file(build_case("s1-cubic60"))
+    wd = lf.widths
+    cap = wd.list_cap
+    labels = [LF.decode_edge(lf, e) for e in range(lf.meta.m)]
+    payloads = list(lf.edge_payloads)
+    if edit == "flag":
+        eid, at = next((e, at) for e, lab in enumerate(labels) if lab.is_tree
+                       for at, seg in simple_segment_spans(lab, wd)
+                       if 0 < len(seg.entries) < cap)
+        word = int.from_bytes(payloads[eid], "little") | 1 << at
+        payloads[eid] = word.to_bytes(len(payloads[eid]), "little")
+        edited = dataclasses.replace(lf, edge_payloads=payloads)
+        want = "a segment list marked truncated holds"
+    else:
+        eid, sec = next((e, sec) for e, lab in enumerate(labels) if lab.is_tree
+                        for sec in lab.sections.values()
+                        if any(seg.truncated for seg in sec.segments))
+        sec.segments = tuple(
+            SegmentList(seg.entries + seg.entries[:1], edit == "flag-over-cap")
+            if seg.truncated else seg for seg in sec.segments)
+        edited = LF.make_label_file(lf.scheme, lf.meta, [LF.decode_vertex_label(lf, v)
+                                                         for v in range(lf.meta.n)], labels)
+        want = f"holds {cap + 1} names"
+    good, bad = tmp_path / "good.flbl", tmp_path / "bad.flbl"
+    LF.write_label_file(str(good), lf)
+    LF.write_label_file(str(bad), edited)
+    args = ["--fail", str(eid), "--pair", "0,1", "--count"]
+    assert run_cli(["query", str(good)] + args) == 0
+    capsys.readouterr()
+    assert run_cli(["query", str(bad)] + args) == 1
+    err = _one_line_error(capsys)
+    assert want in err and f"where the list cap is {cap}" in err

@@ -21,9 +21,9 @@ from flbl.labels_rand import _bits
 from flbl.labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel
 from flbl.labels_sqrt import (BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection,
                               near_blocks)
-from support import share_to_bytes, sqrt_row_spans
-from test_acceptance import tree_plus_chords
-from test_golden import build_case
+from support import oracle_classes, share_to_bytes, simple_segment_spans, sqrt_row_spans
+from test_acceptance import random_regular3, tree_plus_chords
+from test_golden import CASES, build_case
 
 
 def random_connected(rng, n, p):
@@ -597,6 +597,117 @@ def test_sqrt_label_cut_in_rows_leaves_no_record_behind(sqrt_case, kind):
         LF.decode_edge(bad, eid)
 
 
+def _segments(lab):
+    """The segment lists of a scheme-1 label, in order."""
+    for sec in lab.sections.values():
+        yield from sec.segments
+
+
+def _shared_segments(labels):
+    """The segment lists that more than one scheme-1 label holds."""
+    holders = {}
+    for i, lab in enumerate(labels):
+        for seg in _segments(lab):
+            holders.setdefault(id(seg), (seg, set()))[1].add(i)
+    return [seg for seg, held in holders.values() if len(held) > 1]
+
+
+def _simple_case(name):
+    """(graph, build, label file, repr of every edge label each decoded
+    from a fresh copy of the file) of a golden scheme-1 case, or of
+    "s1-cubic400-f1024": a seeded 400-vertex cubic graph at f = 1024, the
+    benchmark's scheme-1 graph family and budget."""
+    if name == "s1-cubic400-f1024":
+        g = random_regular3(400, 1)
+        res = build_scheme(g, 1, 1024)
+    else:
+        g = CASES[name][0]()
+        res = build_case(name)
+    lf = to_label_file(res)
+    fresh = [repr(LF.decode_edge(dataclasses.replace(lf), eid)) for eid in range(lf.meta.m)]
+    return g, res, lf, fresh
+
+
+@pytest.fixture(scope="module")
+def simple_case():
+    """`_simple_case`, built once per case in this module; read-only."""
+    return functools.cache(_simple_case)
+
+
+@pytest.mark.parametrize("case", ["s1-cubic60", "s1-cubic200-auto", "s1-multi30",
+                                  "s1-exact-n14", "s1-cubic400-f1024"])
+def test_simple_decoded_lists_shared_per_file(simple_case, case):
+    # every edge of one file decoded forward, in reverse and shuffled gives
+    # the labels that a fresh file per label gives; the segment lists the
+    # build shares come back shared, and each distinct list is one object,
+    # held once in the file's table
+    g, res, lf, fresh = simple_case(case)
+    m = lf.meta.m
+    shared = {id(seg) for seg in _shared_segments(res.edge_labels)}
+    assert shared
+    for order in (range(m), range(m - 1, -1, -1), random.Random(m).sample(range(m), m)):
+        one = dataclasses.replace(lf)
+        labs = {eid: LF.decode_edge(one, eid) for eid in order}
+        assert [repr(labs[eid]) for eid in range(m)] == fresh
+        got = {}
+        for eid, built in enumerate(res.edge_labels):
+            for seg, dec in zip(_segments(built), _segments(labs[eid]), strict=True):
+                got.setdefault(id(seg), set()).add(id(dec))
+        assert all(len(got[i]) == 1 for i in shared)
+        objs = {id(dec): dec for lab in labs.values() for dec in _segments(lab)}
+        assert len({repr(dec) for dec in objs.values()}) == len(objs)
+        assert len(one.widths.segments) == len(objs)
+    if case == "s1-multi30":
+        # the warm file answers as the oracle does, with no fault and with f
+        rng = random.Random(3)
+        f = lf.meta.f
+        verts = [LF.decode_vertex_label(one, v) for v in range(g.n)]
+        for faults in [[]] + [rng.sample(range(m), f) for _ in range(40)]:
+            cid, cnt = oracle_classes(g, faults)
+            res_q = _run_query(one, faults)
+            assert res_q.component_count() == cnt, faults
+            for s in range(g.n):
+                for t in range(s + 1, g.n):
+                    assert res_q.connected(verts[s], verts[t]) == (cid[s] == cid[t])
+
+
+def test_simple_label_cut_in_names_leaves_no_list_behind(simple_case):
+    # A label cut inside a name run, after segment lists with names that
+    # other labels hold, raises; the lists it read before the cut do not
+    # enter the file's table half built, so the labels that share them
+    # still decode as from a fresh file, and the cut label raises again
+    # once its lists are in the table.
+    _, res, lf, fresh = simple_case("s1-cubic60")
+    wd = lf.widths
+    holders = {}  # id of a list -> the labels holding it
+    for eid, lab in enumerate(res.edge_labels):
+        for seg in _segments(lab):
+            holders.setdefault(id(seg), set()).add(eid)
+
+    def cut_points():
+        for eid, lab in enumerate(res.edge_labels):
+            sharers = set()
+            for at, seg in simple_segment_spans(lab, wd):
+                start = at + 1 + wd.cap
+                cut = start // 8 + 1
+                if sharers and cut * 8 < start + len(seg.entries) * wd.names.width:
+                    yield eid, cut, sharers
+                if seg.entries:
+                    sharers |= holders[id(seg)] - {eid}
+
+    eid, cut, sharers = next(cut_points())
+    payloads = list(lf.edge_payloads)
+    payloads[eid] = payloads[eid][:cut]
+    bad = dataclasses.replace(lf, edge_payloads=payloads)
+    with pytest.raises(ValueError, match="runs past"):
+        LF.decode_edge(bad, eid)
+    for other in sorted(sharers):
+        assert repr(LF.decode_edge(bad, other)) == fresh[other], other
+    assert all(seg.entries is not None for seg in bad.widths.segments.values())
+    with pytest.raises(ValueError, match="runs past"):
+        LF.decode_edge(bad, eid)
+
+
 def test_peek_reads_without_moving():
     r = BitReader(b"\xa5\x1f")
     r.skip(3)
@@ -702,12 +813,12 @@ def _opts(draw, wd, pattern):
     return (av0, av1), (bv0, bv1)
 
 
-def _name_lists(draw, wd, max_size):
+def _name_lists(draw, wd, max_size, min_size=0):
     # names drawn at random match no edge of any graph, and repeat often
     # enough that most lists mix table misses and hits
     pool = draw(st.lists(st.tuples(_below(wd.pos), _below(wd.pos), _below(wd.par)),
                          min_size=1, max_size=6))
-    return st.lists(st.sampled_from(pool), max_size=max_size)
+    return st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size)
 
 
 @st.composite
@@ -718,10 +829,14 @@ def _simple_labels(draw, meta, wd, pattern, tree):
         return lab
     lab.level = draw(st.integers(0, meta.h))
     lab.pos_down, lab.pos_up = draw(_below(wd.pos)), draw(_below(wd.pos))
-    names = _name_lists(draw, wd, min((1 << wd.cap) - 1, 5))
+    # lists a build can write: a truncated one holds exactly cap names, any
+    # other at most cap (the decoder rejects every other head)
+    names = _name_lists(draw, wd, min(wd.list_cap, 5))
+    full = _name_lists(draw, wd, wd.list_cap, wd.list_cap)
     for ell in range(lab.level, meta.h + 1):
         after_v, before_v = _opts(draw, wd, pattern)
-        segs = tuple(SegmentList(draw(names), draw(st.booleans())) for _ in range(3))
+        segs = tuple(SegmentList(draw(full), True) if draw(st.booleans())
+                     else SegmentList(draw(names), False) for _ in range(3))
         lab.sections[ell] = LevelSection(draw(_below(wd.pos)), draw(_below(wd.pos)),
                                          draw(_below(wd.pos)), after_v, before_v, segs)
     return lab
@@ -1004,6 +1119,7 @@ def test_header_field_edits_rejected_or_harmless(tmp_path, capsys, case):
         at += struct.calcsize(fmt)
     capsys.readouterr()
     if case == "s1-cubic60":
-        # f 4 -> 5 and phi_den 2 -> 3 are read (R4's volume threshold) and
-        # still answer these sets alike
-        assert not outcome["f", 1] and not outcome["phi_den", 1]
+        # f 4 -> 5 and phi_den 2 -> 3 set R4's volume threshold and no width,
+        # but they raise the list cap 9 to 11 and 13, so a truncated list of
+        # 9 names no longer fits its head and the file is rejected
+        assert outcome["f", 1] and outcome["phi_den", 1]

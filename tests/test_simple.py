@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from flbl.labels_simple import (
     volume_exceeds,
 )
 from support import oracle_classes
+from test_golden import build_case
 
 
 def random_connected(rng, n, p):
@@ -243,6 +245,55 @@ def test_segment_list_matches_seen_set_scan(data):
     cap = data.draw(st.integers(1, 8))
     got = _segment_list([p for p, _ in events], [names[e] for _, e in events], lo, hi, cap)
     assert (got.entries, got.truncated) == _segment_list_reference(events, lo, hi, cap, names)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_segment_list_memo_keys_on_event_slice(data):
+    # two ranges that cut the same event slice, with different lo: the
+    # second is a memo hit, and it is still the list of its own range
+    npos = data.draw(st.integers(2, 30))
+    names, events = [], []
+    for eid in range(data.draw(st.integers(0, 25))):
+        a = data.draw(st.integers(0, npos - 2))
+        b = data.draw(st.integers(a + 1, min(a + 2, npos - 1)) | st.integers(a + 1, npos - 1))
+        names.append((a, b, eid))
+        events += [(a, eid), (b, eid)]
+    events.sort()
+    ev_pos, ev_name = [p for p, _ in events], [names[e] for _, e in events]
+    lo = data.draw(st.integers(-1, npos))
+    # every lo2 in [ev_pos[i - 1], ev_pos[i]) leaves the same events at or below it
+    i = bisect.bisect_right(ev_pos, lo)
+    lo2 = data.draw(st.integers(ev_pos[i - 1] if i else -1,
+                                ev_pos[i] - 1 if i < len(ev_pos) else npos))
+    hi = data.draw(st.integers(max(lo, lo2), npos + 1))
+    cap = data.draw(st.integers(1, 8))
+    memo = {}
+    first = _segment_list(ev_pos, ev_name, lo, hi, cap, memo)
+    second = _segment_list(ev_pos, ev_name, lo2, hi, cap, memo)
+    assert second is first and len(memo) == 1
+    for x in (lo, lo2):
+        assert (first.entries, first.truncated) == _segment_list_reference(
+            events, x, hi, cap, names)
+
+
+@pytest.mark.parametrize("case", ["s1-cubic60", "s1-cubic200-auto", "s1-multi30",
+                                  "s1-exact-n14"])
+def test_memoised_build_equals_unmemoised(monkeypatch, case):
+    # the build shares one list per event slice of a tree; with the memo
+    # ignored every range gets a list of its own, and the labels are equal
+    shared = build_case(case)
+    segment_list = labels_simple._segment_list
+    monkeypatch.setattr(labels_simple, "_segment_list",
+                        lambda *args, memo=None, **kw: segment_list(*args, **kw))
+    alone = build_case(case)
+    assert [repr(lab) for lab in shared.edge_labels] == [repr(lab) for lab in alone.edge_labels]
+
+    def lists(res):
+        return [seg for lab in res.edge_labels for sec in lab.sections.values()
+                for seg in sec.segments]
+    assert len({id(seg) for seg in lists(shared)}) < len({id(seg) for seg in lists(alone)})
+    assert len({id(seg) for seg in lists(alone)}) == len(lists(alone))
 
 
 def test_segment_list_adjacent_event_pairs():
