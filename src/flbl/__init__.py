@@ -24,7 +24,6 @@ from .euler import (
     EulerFrame,
     WeightedTour,
     dyadic_cover,
-    tours_for_level,
 )
 from .codeshares import CodeShare, decode, encode
 from .labels_simple import SchemeMeta, build_simple_labels, query_simple

@@ -248,11 +248,3 @@ def dyadic_cover(a: int, b: int, j_top: int) -> list[tuple[int, int]]:
         cur += 1 << j
     return out
 
-
-def tours_for_level(
-    frame: EulerFrame, ell: int, f: int, phi: Fraction
-) -> dict[int, WeightedTour]:
-    return {
-        tid: WeightedTour(frame, tree, f, phi)
-        for tid, tree in frame.trees_at(ell).items()
-    }

@@ -13,12 +13,9 @@ level, revealed surviving edges, and volume-threshold merging).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import chain
-from operator import itemgetter
+from functools import cached_property, partial
 
 from .bits import pack_fields
 from .codeshares import Field, field_for
@@ -286,28 +283,8 @@ class TreePartition:
         self.qs = [b[0] for b in bounds]
         k = len(bounds)
         self.uf = UnionFind(k + 1)
-        # interval i spans (left_i, right_i) with fault positions as bounds
-        self.first_vertex: list[int | None] = []
-        for i in range(k + 1):
-            left = self.qs[i - 1] if i > 0 else tree_root - 1
-            right = self.qs[i] if i < k else span_end + 1
-            if i > 0:
-                pos, fi, o = bounds[i - 1]
-                fv = faults[fi][2].after_v[o]
-            else:
-                fv = tree_root  # the root vertex opens the tour
-            if fv is not None and not (left < fv < right):
-                fv = None
-            if i < k:
-                pos, fi, o = bounds[i]
-                lv = faults[fi][2].before_v[o]
-            else:
-                lv = last_vertex
-            if lv is not None and not (left < lv < right):
-                lv = None
-            if (fv is None) != (lv is None):
-                fv = lv = None  # descriptor pair disagrees only when empty
-            self.first_vertex.append(fv)
+        self.span_end = span_end
+        self.last_vertex = last_vertex
         # R1: stitch across each fault's two orientations, and tour ends
         # (each fault position q is in qs: it ends interval locate(q) and
         # starts locate(q) + 1)
@@ -317,6 +294,37 @@ class TreePartition:
             self.uf.union(down, up + 1)
             self.uf.union(up, down + 1)
         self.uf.union(0, k)
+
+    @cached_property
+    def first_vertex(self) -> list[int | None]:
+        """Per interval, its smallest vertex position, or None if it holds
+        no vertex; built on first read (only R4 merges and the component
+        count read it)."""
+        bounds, faults, qs = self.bounds, self.faults, self.qs
+        k = len(qs)
+        out: list[int | None] = []
+        # interval i spans (left_i, right_i) with fault positions as bounds
+        for i in range(k + 1):
+            left = qs[i - 1] if i > 0 else self.tree_root - 1
+            right = qs[i] if i < k else self.span_end + 1
+            if i > 0:
+                _, fi, o = bounds[i - 1]
+                fv = faults[fi][2].after_v[o]
+            else:
+                fv = self.tree_root  # the root vertex opens the tour
+            if fv is not None and not (left < fv < right):
+                fv = None
+            if i < k:
+                _, fi, o = bounds[i]
+                lv = faults[fi][2].before_v[o]
+            else:
+                lv = self.last_vertex
+            if lv is not None and not (left < lv < right):
+                lv = None
+            if (fv is None) != (lv is None):
+                fv = None  # descriptor pair disagrees only when empty
+            out.append(fv)
+        return out
 
     def locate(self, pos: int) -> int:
         """Interval containing a vertex position known to lie in V(T)."""
@@ -395,8 +403,15 @@ def query_levels(records: dict, meta: SchemeMeta, keep_levels: bool, tree_step) 
     lower levels, routed via the recording fault), R3 (unite the ends of
     every edge named in the pool that is not a fault) and R4 (merge the
     giant parts).  `tree_step(records, ell, grp)` returns the pool of
-    edge names and a callable that, once the R3 unites are done, gives
-    the volume evidence per part and the parts marked giant outright.
+    distinct edge names and a callable that, once the R3 unites are done,
+    takes the count of pool ends in each interval and gives the volume
+    evidence per part and the parts marked giant outright.
+
+    R3 locates each end of a pool name once and unites each distinct
+    interval pair once, recording the first name that merges it.  Any
+    name of the pair is as good a record: the vertices of one level-l
+    interval are connected in T_l - F, hence in every higher level's
+    tree minus F.
     """
     if len(records) > meta.f:
         raise ValueError(f"fault set of size {len(records)} exceeds f={meta.f}")
@@ -424,10 +439,20 @@ def query_levels(records: dict, meta: SchemeMeta, keep_levels: bool, tree_step) 
         for grp in groups.values():
             route = grp.faults[0][0]
             pool, evidence = tree_step(records, ell, grp)
+            qs, union = grp.qs, grp.uf.union
+            ends = [0] * (len(qs) + 1)
+            united = set()
             for nm in pool:
-                if nm not in fault_names and grp.unite(nm[0], nm[1]):
-                    new_records.append((nm[0], nm[1], route))
-            volume, marked = evidence()
+                a, b, _ = nm
+                x = bisect_left(qs, a)
+                y = bisect_left(qs, b)
+                ends[x] += 1
+                ends[y] += 1
+                if x != y and (x, y) not in united and nm not in fault_names:
+                    united.add((x, y))
+                    if union(x, y):
+                        new_records.append((a, b, route))
+            volume, marked = evidence(ends)
             _merge_giants(grp, volume, marked, meta, new_records, route)
         recorded.extend(new_records)
         if keep_levels:
@@ -436,21 +461,32 @@ def query_levels(records: dict, meta: SchemeMeta, keep_levels: bool, tree_step) 
 
 
 def _simple_tree_step(records, ell: int, grp: TreePartition):
-    """R3 pool: the segment-list entries of the tree's faults.  R4
-    evidence: distinct-edge endpoint incidences per part, from the pool
-    plus the faulted level-l tree edges; no part is marked."""
-    pool = dict.fromkeys(chain.from_iterable(seg.entries for (_, _, sec) in grp.faults
-                                             for seg in sec.segments))
+    """R3 pool: the level-l non-tree edges that the tree's faults name.  A
+    fault's lists X, Y and Z cover the whole tour, so when none of them is
+    truncated they name every such edge of the tree: the first fault with
+    three complete lists gives the pool alone.  Otherwise the pool is the
+    union of the tree's distinct lists.  R4 evidence: distinct-edge
+    endpoint incidences per part, from the pool plus the faulted level-l
+    tree edges; no part is marked."""
+    for _, _, sec in grp.faults:
+        segs = sec.segments
+        if not (segs[0].truncated or segs[1].truncated or segs[2].truncated):
+            break
+    else:
+        segs = {id(seg): seg for (_, _, sec) in grp.faults for seg in sec.segments}.values()
+    pool = set().union(*(seg.entries for seg in segs))
 
-    def evidence():
-        # incidences per interval (`grp.locate` of each endpoint), then per
-        # part over the at most 2|F| + 1 intervals
-        ends = chain(map(itemgetter(0), pool), map(itemgetter(1), pool),
-                     *((lab.pos_u, lab.pos_v) for (_, lab, _) in grp.faults if lab.level == ell))
+    def evidence(ends):
+        qs = grp.qs
+        for (_, lab, _) in grp.faults:
+            if lab.level == ell:
+                ends[bisect_left(qs, lab.pos_u)] += 1
+                ends[bisect_left(qs, lab.pos_v)] += 1
         incid: dict[int, int] = {}
-        for i, c in Counter(map(partial(bisect_left, grp.qs), ends)).items():
-            r = grp.uf.find(i)
-            incid[r] = incid.get(r, 0) + c
+        for i, c in enumerate(ends):
+            if c:
+                r = grp.uf.find(i)
+                incid[r] = incid.get(r, 0) + c
         return incid, ()
 
     return pool, evidence

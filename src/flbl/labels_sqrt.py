@@ -340,7 +340,7 @@ def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int, field: Fi
                 marked.add(i)
                 case3_fired.append((ell, grp.tree_root, j, blk, rec.lge))
 
-    def evidence():
+    def evidence(_ends):
         weight: dict[int, int] = {}
         for i in range(len(cuts) - 1):
             wgt = max(0, min(cuts[i + 1], w_real) - min(cuts[i], w_real))

@@ -4,14 +4,23 @@ edge hierarchy, induced subgraphs, weighted distances and balls on a
 `WeightedTour` walked element by element, dyadic block ranges, a
 standalone 160-bit wire format for code shares, GF(p^2) arithmetic
 for the Reed-Solomon oracle, the bit spans of a scheme-1 label's segment
-lists and of a scheme-2 label's share rows and edge lists, and a BFS
-forest whose preorder scans all vertices per component."""
+lists and of a scheme-2 label's share rows and edge lists, a BFS
+forest whose preorder scans all vertices per component, the weighted
+tours of one level, and the scheme-1 R3/R4 tree step that pools every
+name of every fault's lists."""
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
+from collections import Counter
+from fractions import Fraction
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 
 from flbl.codeshares import CodeShare, Field
+from flbl.euler import EulerFrame, WeightedTour
 from flbl.graph import FaultSet, Graph, UnionFind, oracle_components
 from flbl.hierarchy import EdgeLevelAssignment, verify_edge_expanding
 
@@ -296,3 +305,31 @@ class ScanBfsForest:
             for y in sorted(kids.get(x, ()), reverse=True):
                 stack.append(y)
         return out
+
+
+def tours_for_level(frame: EulerFrame, ell: int, f: int,
+                    phi: Fraction) -> dict[int, WeightedTour]:
+    """tree root -> weighted tour of each level-`ell` tree."""
+    return {tid: WeightedTour(frame, tree, f, phi)
+            for tid, tree in frame.trees_at(ell).items()}
+
+
+def pooled_simple_tree_step(records, ell: int, grp):
+    """Reference for `labels_simple._simple_tree_step`: the R3 pool is
+    every name of every list of every fault of the tree, in first-seen
+    order, and the R4 evidence bisects each pool endpoint and each
+    faulted level-l tree edge's ends again, ignoring the counts that the
+    R3 loop hands it."""
+    pool = dict.fromkeys(chain.from_iterable(seg.entries for (_, _, sec) in grp.faults
+                                             for seg in sec.segments))
+
+    def evidence(_ends):
+        ends = chain(map(itemgetter(0), pool), map(itemgetter(1), pool),
+                     *((lab.pos_u, lab.pos_v) for (_, lab, _) in grp.faults if lab.level == ell))
+        incid: dict[int, int] = {}
+        for i, c in Counter(map(partial(bisect_left, grp.qs), ends)).items():
+            r = grp.uf.find(i)
+            incid[r] = incid.get(r, 0) + c
+        return incid, ()
+
+    return pool, evidence

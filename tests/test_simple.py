@@ -20,7 +20,7 @@ from flbl.labels_simple import (
     query_simple,
     volume_exceeds,
 )
-from support import oracle_classes
+from support import oracle_classes, pooled_simple_tree_step
 from test_golden import build_case
 
 
@@ -365,3 +365,120 @@ def test_r4_merges_giants_where_lists_truncate(monkeypatch):
                     for t in range(s + 1, g.n):
                         assert res.connected(vl[s], vl[t]) == (cid[s] == cid[t])
     assert merges > 0
+
+
+def _r3_cases():
+    """(name, vertex labels, edge labels, meta) of two golden scheme-1
+    builds and of a build whose segment lists truncate (f = 1, as in the
+    R4 gate)."""
+    for case in ("s1-cubic200-auto", "s1-multi30"):
+        res = build_case(case)
+        yield case, res.vertex_labels, res.edge_labels, res.meta
+    vl, labels, meta = build(_halves_first_complete(random.Random(3), 13), 1)
+    yield "halves13-f1", vl, labels, meta
+
+
+def _fault_sets(labels, meta, count, seed):
+    rng = random.Random(seed)
+    tree = [e for e, lab in enumerate(labels) if lab.is_tree]
+    for i in range(count):
+        # every other set is tree edges only, so that trees hold several faults
+        ids = tree if i % 2 else range(len(labels))
+        yield rng.sample(ids, rng.randint(1, min(meta.f, len(ids))))
+
+
+def _answers(res, vl):
+    return res.component_count(), [res.connected(a, b) for a in vl for b in vl]
+
+
+def _set_partitions(res):
+    return {key: {frozenset(p) for p in grp.parts().values()}
+            for key, grp in res.levels.items()}
+
+
+def _query_r4_inputs(monkeypatch, records, meta, step):
+    """The query with `step` as the scheme-1 tree step, and per R4 call
+    the tree and its volume evidence keyed by the intervals of each part."""
+    merge_giants = labels_simple._merge_giants
+    seen = []
+
+    def recording(grp, volume, *args):
+        parts = grp.parts()
+        seen.append((grp.tree_root, {frozenset(parts[r]): c for r, c in volume.items()}))
+        merge_giants(grp, volume, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(labels_simple, "_simple_tree_step", step)
+        mp.setattr(labels_simple, "_merge_giants", recording)
+        res = query_simple(records, None, None, meta, keep_levels=True)
+    return res, seen
+
+
+def test_r3_step_equals_pooled_reference(monkeypatch):
+    # the one-fault pool and the R4 counts from the R3 bisects give, at
+    # every level, the partition and the R4 evidence of the step that pools
+    # every list of every fault and bisects again for its evidence
+    complete = fallback = 0
+    for case, vl, labels, meta in _r3_cases():
+        for F in _fault_sets(labels, meta, 40, 7):
+            records = {e: labels[e] for e in F}
+            ref, ref_r4 = _query_r4_inputs(monkeypatch, records, meta, pooled_simple_tree_step)
+            got, got_r4 = _query_r4_inputs(monkeypatch, records, meta,
+                                           labels_simple._simple_tree_step)
+            assert got_r4 == ref_r4, (case, F)
+            assert _set_partitions(got) == _set_partitions(ref), (case, F)
+            assert _answers(got, vl) == _answers(ref, vl), (case, F)
+            for grp in got.levels.values():
+                if any(not any(seg.truncated for seg in sec.segments)
+                       for (_, _, sec) in grp.faults):
+                    complete += 1
+                else:
+                    fallback += 1
+    assert complete > 0 and fallback > 0
+
+
+def test_r3_answers_ignore_fault_order():
+    # the pool comes from the first complete fault met in record order;
+    # any order gives the same answers
+    for case, vl, labels, meta in _r3_cases():
+        rng = random.Random(11)
+        for F in _fault_sets(labels, meta, 15, 13):
+            want = _answers(query_simple({e: labels[e] for e in F}, None, None, meta), vl)
+            for _ in range(3):
+                rng.shuffle(F)
+                res = query_simple({e: labels[e] for e in F}, None, None, meta)
+                assert _answers(res, vl) == want, (case, F)
+
+
+def test_r3_unites_each_interval_pair_once(monkeypatch):
+    # per tree, R3 calls union at most once per distinct pair of
+    # intervals that a non-fault pool name joins
+    step = labels_simple._simple_tree_step
+    trees = []  # per tree: [R3 union calls, distinct non-fault interval pairs]
+
+    def counting_step(records, ell, grp):
+        pool, evidence = step(records, ell, grp)
+        faults = {lab.name for lab in records.values() if not lab.is_tree}
+        pairs = {(grp.locate(a), grp.locate(b)) for (a, b, k) in pool
+                 if (a, b, k) not in faults and grp.locate(a) != grp.locate(b)}
+        tally = [0, len(pairs)]
+        trees.append(tally)
+        union = grp.uf.union
+
+        def counted(x, y):
+            tally[0] += 1
+            return union(x, y)
+
+        def done(ends):
+            del grp.uf.union  # R4 unions are not counted
+            return evidence(ends)
+
+        grp.uf.union = counted
+        return pool, done
+
+    monkeypatch.setattr(labels_simple, "_simple_tree_step", counting_step)
+    res = build_case("s1-cubic200-auto")
+    for F in _fault_sets(res.edge_labels, res.meta, 20, 17):
+        query_simple({e: res.edge_labels[e] for e in F}, None, None, res.meta)
+    assert trees and all(calls <= pairs for calls, pairs in trees)
+    assert sum(calls for calls, _ in trees) > 0

@@ -7,7 +7,7 @@ import pytest
 
 from flbl import labelfile as LF
 from flbl.build import build_scheme, to_label_file
-from flbl.euler import EulerFrame, WeightedTour, radius_scale, tours_for_level
+from flbl.euler import EulerFrame, WeightedTour, radius_scale
 from flbl.graph import Graph, UnionFind, reduce_degree3
 from flbl.hierarchy import EdgeLevelAssignment, build_edge_hierarchy
 from flbl.labels_sqrt import (
@@ -20,7 +20,7 @@ from flbl.labels_sqrt import (
 )
 from flbl.labels_simple import NameTable
 from flbl import codeshares
-from support import ball_edge, ball_element, block_range, oracle_classes
+from support import ball_edge, ball_element, block_range, oracle_classes, tours_for_level
 from test_acceptance import random_connected_sparse
 from test_golden import build_case
 
