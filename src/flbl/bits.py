@@ -3,17 +3,17 @@
 `BitWriter.write_fields` packs a group of (value, width) fields in one
 call and `BitReader.read_fields` is its mirror: it reads the same group
 of widths back in one call.  Both work on bounded chunks of the stream,
-so a group of any length costs time linear in its bits.  `BitReader.skip`
-moves past a span that is read later from its start position.
+so a group of any length costs time linear in its bits.  A read that
+runs past the payload raises the ValueError `runs_past` makes.
 
 The stream is LSB-first, so the pair `pack_fields(fields)` written as one
 field gives the same bits as writing `fields`: a group that recurs can be
 packed once and written many times.
 
-`read_runs` reads many runs of equal-width fields (the skipped spans of
-a decoder's first pass) in one NumPy gather: each field is the
-little-endian 64-bit word at its first byte, shifted by its bit offset
-within that byte and masked.
+`read_runs` reads many runs of equal-width fields (the name and share
+runs of the records new to a decoder's tables) in one NumPy gather:
+each field is the little-endian 64-bit word at its first byte, shifted
+by its bit offset within that byte and masked.
 """
 
 from __future__ import annotations
@@ -87,6 +87,13 @@ class BitWriter:
         return bytes(self.buf) + self.cur.to_bytes((self.curbits + 7) >> 3, "little")
 
 
+def runs_past(width: int, pos: int, nbits: int) -> ValueError:
+    """The error of a read of `width` bits at bit `pos` that ends past an
+    `nbits`-bit payload."""
+    return ValueError(f"read of {width} bits at bit {pos} runs past "
+                      f"the {nbits}-bit payload")
+
+
 class BitReader:
     def __init__(self, data: bytes):
         self.data = data
@@ -99,29 +106,10 @@ class BitReader:
         pos = self.pos
         end = pos + width
         if end > self.nbits:
-            raise ValueError(f"read of {width} bits at bit {pos} runs past "
-                             f"the {self.nbits}-bit payload")
+            raise runs_past(width, pos, self.nbits)
         self.pos = end
         return int.from_bytes(self.data[pos >> 3:(end + 7) >> 3],
                               "little") >> (pos & 7) & ((1 << width) - 1)
-
-    def peek(self, width: int) -> int:
-        """The next `width` bits as one int, without moving; bits past the
-        payload read as 0, so a caller that keeps fewer of them moves on
-        with `skip`, which checks the bounds."""
-        pos = self.pos
-        return int.from_bytes(self.data[pos >> 3:(pos + width + 7) >> 3],
-                              "little") >> (pos & 7) & ((1 << width) - 1)
-
-    def skip(self, width: int) -> int:
-        """Move past `width` bits without reading them and return the
-        position they start at.  Bounds-checked like `read_fields`."""
-        pos = self.pos
-        if pos + width > self.nbits:
-            raise ValueError(f"skip of {width} bits at bit {pos} runs past "
-                             f"the {self.nbits}-bit payload")
-        self.pos = pos + width
-        return pos
 
     def read_fields(self, widths) -> list[int]:
         """Read back, in one call, the group of fields one `write_fields`
@@ -129,8 +117,7 @@ class BitReader:
         pos = self.pos
         end = pos + sum(widths)
         if end > self.nbits:
-            raise ValueError(f"read of {end - pos} bits at bit {pos} runs past "
-                             f"the {self.nbits}-bit payload")
+            raise runs_past(end - pos, pos, self.nbits)
         data = self.data
         out = []
         append = out.append

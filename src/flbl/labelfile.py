@@ -41,22 +41,27 @@ decoded, are read-only.  A table holds at most one record per distinct
 record of the file.
 
 The scheme-1 and scheme-2 decoders read a label in two passes.  The
-first reads the fixed-width heads with `BitReader.read_fields` or
-`BitReader.read`, or splits them from one `BitReader.peek` window (the
-optional positions, a segment list's or block record's head).  It reads
-each segment list, each reveal entry and each block record with a list
-whole as its key with the bounds-checked `BitReader.read`, looks the
-record up in the tables, and keeps the (start, count) of the runs of
-only the records they miss; a payload cut short, or a count or presence
-bitmap that claims more rows than remain, fails here, and so does a new
-segment list whose head no build writes (truncated with a count other
-than the cap f/phi + 1, or a count above it).  The second reads all runs
-of one kind in one `bits.read_runs` gather and slices them back
-(`_gather`): the segment-list names of scheme 1, mapped through
-`Widths.names`, and in scheme 2 the block-list names and then the share
-rows, each one field of idx + 2·share bits split into (index, a, b).
-New records enter the tables once the second pass has filled them, so a
-label that raises leaves no record half built.
+first is one loop over a local bit cursor on the payload: each step
+takes one slice of the payload bytes as an int, holding its own bits
+and the head of the next step.  One window gives a section's fixed
+fields and optional positions (and in scheme 1 its first segment
+list's head), and each segment list, reveal entry and block record is
+read whole as its key in one slice, whose bits also give the next
+record's head.  Every step checks that it ends inside the payload and
+fails with the "runs past" ValueError of `BitReader.read`, so a
+payload cut short, or a count or presence bitmap that claims more rows
+than remain, fails here, and so does a new segment list whose head no
+build writes (truncated with a count other than the cap f/phi + 1, or
+a count above it).  The record found in the tables is taken as it is;
+of a record they miss, only the (start, count) of its run is kept.  A
+tree section's `near_blocks` depend only on its (w_real, unit_down,
+unit_up), so the file keeps them per triple (`Widths.near`).  The
+second pass reads all runs of one kind in one `bits.read_runs` gather
+and slices them back (`_gather`): the segment-list names of scheme 1,
+mapped through `Widths.names`, and in scheme 2 the block-list names
+and then the share rows, each one field of idx + 2·share bits split
+into (index, a, b).  New records enter the tables once the second pass
+has filled them, so a label that raises leaves no record half built.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 
-from .bits import BitReader, BitWriter, pack_fields, read_runs
+from .bits import BitReader, BitWriter, pack_fields, read_runs, runs_past
 from .codeshares import CodeShare, field_for
 from .euler import radius_scale
 from .labels_rand import RandEdgeLabel, RandMeta, _bits, _boruvka_params, _jcols
@@ -107,6 +112,10 @@ class Widths:
     # scheme 2: a decoded record's bits | 1 << their count -> the record
     entries: dict[int, RevealEntry] = field(default_factory=dict, repr=False, compare=False)
     blocks: dict[int, BlockRecord] = field(default_factory=dict, repr=False, compare=False)
+    # scheme 2: a tree section's (w_real, unit_down, unit_up) -> its
+    # `near_blocks`, as a tuple of (scale, block ids)
+    near: dict[tuple[int, int, int], tuple] = field(default_factory=dict, repr=False,
+                                                     compare=False)
 
     @staticmethod
     def of(meta: SchemeMeta) -> "Widths":
@@ -155,21 +164,20 @@ def _opt_fields(after_v, before_v, bits: int) -> list[tuple[int, int]]:
     return out
 
 
-def _read_opts(r: BitReader, bits: int):
-    """Mirror of `_opt_fields`: the (after_v, before_v) pair, split from
-    one window as wide as all four positions present.  The bits used are
-    then skipped, with the bounds check of `BitReader.skip`."""
-    window = r.peek(4 * (bits + 1))
+def _opts_at(window: int, at: int, bits: int):
+    """Mirror of `_opt_fields`: the (after_v, before_v) pair split from a
+    window at bit `at`, and the bit just past them."""
     mask = (1 << bits) - 1
     vals = []
-    at = 0
     for _ in range(4):
-        present = window >> at & 1
-        vals.append(window >> at + 1 & mask if present else None)
-        at += 1 + bits * present
-    r.skip(at)
+        if window >> at & 1:
+            vals.append(window >> at + 1 & mask)
+            at += 1 + bits
+        else:
+            vals.append(None)
+            at += 1
     av0, bv0, av1, bv1 = vals
-    return (av0, av1), (bv0, bv1)
+    return (av0, av1), (bv0, bv1), at
 
 
 def _name_fields(names, wd: Widths, memo: dict) -> list[tuple[int, int]]:
@@ -196,7 +204,7 @@ def _packed(memo: dict, rec, fields_of, wd: Widths) -> tuple[int, int]:
 
 def _gather(data: bytes, starts, counts, width: int, make) -> list[list]:
     """The runs of `counts[i]` fields of `width` bits at bit `starts[i]`
-    that a decoder's first pass skipped, read in one `read_runs` gather,
+    that a decoder's first pass found new, read in one `read_runs` gather,
     passed through `make` as one flat list and sliced back into runs."""
     flat = make(read_runs(data, starts, counts, width))
     runs = []
@@ -233,18 +241,39 @@ def encode_simple_edge(lab: SimpleEdgeLabel, wd: Widths, meta: SchemeMeta,
 
 
 def decode_simple_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SimpleEdgeLabel:
-    is_tree, pos_u, pos_v, par = r.read_fields((1, wd.pos, wd.pos, wd.par))
-    if not is_tree:
-        return SimpleEdgeLabel(pos_u=pos_u, pos_v=pos_v, par=par, is_tree=False)
-    level, pos_down, pos_up = r.read_fields((wd.h, wd.pos, wd.pos))
-    lab = SimpleEdgeLabel(
-        pos_u=pos_u, pos_v=pos_v, par=par, is_tree=True, level=level,
-        pos_down=pos_down, pos_up=pos_up,
-    )
+    data, pos, nbits = r.data, r.pos, r.nbits
+    from_bytes = int.from_bytes
+    bits = wd.pos
+    mask = (1 << bits) - 1
     names = wd.names
     width = names.width
     seg_head = 1 + wd.cap
+    cnt_mask = (1 << wd.cap) - 1
     cap = wd.list_cap
+    lead = 1 + 2 * bits + wd.par           # is-tree flag, pos_u, pos_v, par
+    head = lead + wd.h + 2 * bits          # then level, pos_down, pos_up
+    # Every read takes, past its own bits, the `ahead` bits that hold a
+    # section's three positions, its optional positions and its first
+    # segment head, or the next segment head: `win` holds the bits from
+    # `pos` on.
+    ahead = 3 * bits + 4 * (1 + bits) + seg_head
+    win = from_bytes(data[pos >> 3:(pos + head + ahead + 7) >> 3], "little") >> (pos & 7)
+    pos_u, pos_v = win >> 1 & mask, win >> 1 + bits & mask
+    par = win >> 1 + 2 * bits & (1 << wd.par) - 1
+    if not win & 1:
+        if pos + lead > nbits:
+            raise runs_past(lead, pos, nbits)
+        r.pos = pos + lead
+        return SimpleEdgeLabel(pos_u=pos_u, pos_v=pos_v, par=par, is_tree=False)
+    if pos + head > nbits:
+        raise runs_past(head, pos, nbits)
+    level = win >> lead & (1 << wd.h) - 1
+    lab = SimpleEdgeLabel(
+        pos_u=pos_u, pos_v=pos_v, par=par, is_tree=True, level=level,
+        pos_down=win >> lead + wd.h & mask, pos_up=win >> lead + wd.h + bits & mask,
+    )
+    pos += head
+    win >>= head
     # A segment list is keyed by its bits | 1 << their count.  A key in the
     # file's table `Widths.segments` gives the shared list; a new one is
     # built here, filled in pass 2, and enters the table only then, so a
@@ -255,15 +284,24 @@ def decode_simple_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SimpleEdge
     # bounds-checked; a new list's head is checked against the cap and its
     # name run keeps its (start, count).
     starts, counts, pending = [], [], []
-    peek, read = r.peek, r.read
     for ell in range(level, meta.h + 1):
-        tree_root, span_end, last_vertex = r.read_fields((wd.pos, wd.pos, wd.pos))
-        after_v, before_v = _read_opts(r, wd.pos)
+        tree_root, span_end = win & mask, win >> bits & mask
+        last_vertex = win >> 2 * bits & mask
+        after_v, before_v, at = _opts_at(win, 3 * bits, bits)
+        start = pos      # a cut in the section's head fails at its first key
+        pos += at
+        win >>= at
         segs = []
         for _ in range(3):
-            cnt = peek(seg_head) >> 1
-            nbits = seg_head + cnt * width
-            key = read(nbits) | 1 << nbits
+            cnt = win >> 1 & cnt_mask
+            nb = seg_head + cnt * width
+            end = pos + nb
+            if end > nbits:
+                raise runs_past(end - start, start, nbits)
+            val = from_bytes(data[pos >> 3:(end + ahead + 7) >> 3], "little") >> (pos & 7)
+            top = 1 << nb
+            key = val & top - 1 | top
+            win = val >> nb
             seg = table.get(key) or new.get(key)
             if seg is None:
                 truncated = key & 1
@@ -273,16 +311,18 @@ def decode_simple_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SimpleEdge
                                      f"names, where the list cap is {cap}")
                 seg = new[key] = SegmentList(entries=None, truncated=bool(truncated))
                 pending.append(seg)
-                starts.append(r.pos - cnt * width)
+                starts.append(pos + seg_head)
                 counts.append(cnt)
             segs.append(seg)
+            start = pos = end
         lab.sections[ell] = LevelSection(
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
             after_v=after_v, before_v=before_v, segments=tuple(segs),
         )
+    r.pos = pos
     # Pass 2: every name of the new lists in one gather, sliced back per list.
     if pending:
-        for seg, entries in zip(pending, _gather(r.data, starts, counts, width, names.of)):
+        for seg, entries in zip(pending, _gather(data, starts, counts, width, names.of)):
             seg.entries = entries
     table.update(new)
     return lab
@@ -334,33 +374,47 @@ def encode_sqrt_edge(lab: SqrtEdgeLabel, wd: Widths, meta: SchemeMeta,
 
 
 def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabel:
-    is_tree, pos_u, pos_v, par, level = r.read_fields((1, wd.pos, wd.pos, wd.par, wd.h))
-    lab = SqrtEdgeLabel(
-        pos_u=pos_u, pos_v=pos_v, par=par, is_tree=bool(is_tree), level=level,
-    )
-    if is_tree:
-        lab.pos_down, lab.pos_up = r.read_fields((wd.pos, wd.pos))
+    data, pos, nbits = r.data, r.pos, r.nbits
+    from_bytes = int.from_bytes
+    bits, unit, m = wd.pos, wd.unit, wd.m
+    mask, unit_mask, m_mask = (1 << bits) - 1, (1 << unit) - 1, (1 << m) - 1
     names = wd.names
     width = names.width
-    sec_w = (wd.pos, wd.pos, wd.pos, wd.unit, wd.m)
-    # A reveal entry's head (name, unit_a, unit_b, presence bitmap) is read
-    # as one field, and a block record's head (lge, has-list flag, list
-    # length) is split from one peeked window.
-    name_mask = (1 << width) - 1
-    unit_mask = (1 << wd.unit) - 1
-    ub_at = width + wd.unit
-    present_at = ub_at + wd.unit
+    lead = 1 + 2 * bits + wd.par + wd.h    # is-tree flag, pos_u, pos_v, par, level
+    win = from_bytes(data[pos >> 3:(pos + lead + 2 * bits + 7) >> 3], "little") >> (pos & 7)
+    is_tree = win & 1
+    head = lead + 2 * bits if is_tree else lead    # a tree edge's pos_down, pos_up
+    if pos + head > nbits:
+        raise runs_past(head, pos, nbits)
+    level = win >> lead - wd.h & (1 << wd.h) - 1
+    lab = SqrtEdgeLabel(
+        pos_u=win >> 1 & mask, pos_v=win >> 1 + bits & mask,
+        par=win >> 1 + 2 * bits & (1 << wd.par) - 1, is_tree=bool(is_tree), level=level,
+    )
+    if is_tree:
+        lab.pos_down, lab.pos_up = win >> lead & mask, win >> lead + bits & mask
+    pos += head
+    # a section's head: three positions, w_real and the reveal count
+    sec_bits = 3 * bits + unit + m
+    # a tree section's optional positions, unit_down and unit_up, at most
+    opt_bits = 4 * (1 + bits) + 2 * unit
+    # a reveal entry's head (name, unit_a, unit_b, presence bitmap) and its
+    # share rows, each one field of idx + 2·share bits: (index, a, b)
+    ub_at = width + unit
+    present_at = ub_at + unit
     head_bits = present_at + wd.present
-    m_mask = (1 << wd.m) - 1
-    blk_bits = 2 * wd.m + 1
-    # the key bit above a record with no share rows or no list
-    head_key = 1 << head_bits
-    no_list_key = 1 << wd.m + 1
-    # A share row is one field of idx + 2·share bits: (index, a, b).
+    present_mask = (1 << wd.present) - 1
     row_bits = wd.idx + 2 * wd.share
     idx_mask = (1 << wd.idx) - 1
     share_mask = (1 << wd.share) - 1
     b_at = wd.idx + wd.share
+    # a block record's head: lge, has-list flag and, with a list, its length
+    blk_bits = 2 * m + 1
+    # Every read takes, past its own bits, the `ahead` bits that hold the
+    # next reveal entry's or block record's head: `win` holds the bits
+    # from `pos` on.
+    ahead = max(head_bits, blk_bits)
+    near_memo, j_max = wd.near, wd.j_max
 
     def share_rows(vals):
         return [CodeShare(v & idx_mask, v >> wd.idx & share_mask, v >> b_at) for v in vals]
@@ -371,74 +425,98 @@ def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabe
     # table only then, so a label that raises leaves no record half built.
     entry_table, block_table = wd.entries, wd.blocks
     new_entries, new_blocks = {}, {}
-    # Pass 1: every head.  A reveal entry is read whole as its key, and so
-    # is a block record with a list; one without is skipped past its head.
-    # Each move is bounds-checked, and a new record's run keeps its
-    # (start, count).
+    # Pass 1: every head, and each record read whole as its key.  Each
+    # read is bounds-checked, and a new record's run keeps its (start,
+    # count).
     held, row_starts, row_counts = [], [], []      # held: (shares, bitmap)
     listed, name_starts, name_counts = [], [], []  # listed: block records
     for ell in range(level, meta.h + 1):
-        tree_root, span_end, last_vertex, w_real, nrev = r.read_fields(sec_w)
-        reveal = []
+        end = pos + sec_bits
+        if end > nbits:
+            raise runs_past(sec_bits, pos, nbits)
+        win = from_bytes(data[pos >> 3:(end + ahead + 7) >> 3], "little") >> (pos & 7)
+        sec = SqrtLevelSection(
+            tree_root=win & mask, span_end=win >> bits & mask,
+            last_vertex=win >> 2 * bits & mask, w_real=win >> 3 * bits & unit_mask,
+            reveal=[],
+        )
+        nrev = win >> 3 * bits + unit & m_mask
+        win >>= sec_bits
+        pos = end
+        reveal = sec.reveal
         for _ in range(nrev):
-            head = r.read(head_bits)
-            present = head >> present_at
+            present = win >> present_at & present_mask
             cnt = present.bit_count()
-            at = r.pos
-            if cnt:
-                rows = row_bits * cnt
-                key = (r.read(rows) | 1 << rows) << head_bits | head
-            else:
-                key = head | head_key
+            nb = head_bits + cnt * row_bits
+            end = pos + nb
+            if end > nbits:
+                raise runs_past(nb, pos, nbits)
+            val = from_bytes(data[pos >> 3:(end + ahead + 7) >> 3], "little") >> (pos & 7)
+            top = 1 << nb
+            key = val & top - 1 | top
+            win = val >> nb
             ent = entry_table.get(key) or new_entries.get(key)
             if ent is None:
                 ent = new_entries[key] = RevealEntry(
-                    name=names[head & name_mask], unit_a=head >> width & unit_mask,
-                    unit_b=head >> ub_at & unit_mask, shares={})
+                    name=names[key & (1 << width) - 1], unit_a=key >> width & unit_mask,
+                    unit_b=key >> ub_at & unit_mask, shares={})
                 if cnt:
                     held.append((ent.shares, present))
-                    row_starts.append(at)
+                    row_starts.append(pos + head_bits)
                     row_counts.append(cnt)
             reveal.append(ent)
-        sec = SqrtLevelSection(
-            tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
-            w_real=w_real, reveal=reveal,
-        )
-        if is_tree:
-            sec.after_v, sec.before_v = _read_opts(r, wd.pos)
-            sec.unit_down, sec.unit_up = r.read_fields((wd.unit, wd.unit))
-            for j, blocks in near_blocks(sec, wd.j_max):
-                per = sec.near[j] = {}
-                for blk in blocks:
-                    head = r.peek(blk_bits)
-                    has_list = head >> wd.m & 1
-                    at = r.pos + blk_bits
-                    if has_list:
-                        cnt = head >> wd.m + 1
-                        nbits = blk_bits + cnt * width
-                        key = r.read(nbits) | 1 << nbits
-                    else:
-                        r.skip(wd.m + 1)
-                        key = head & m_mask | no_list_key
-                    rec = block_table.get(key) or new_blocks.get(key)
-                    if rec is None:
-                        rec = new_blocks[key] = BlockRecord(lge=head & m_mask, edges=None)
-                        if has_list:
-                            name_starts.append(at)
-                            name_counts.append(cnt)
-                            listed.append(rec)
-                    per[blk] = rec
+            pos = end
         lab.sections[ell] = sec
+        if not is_tree:
+            continue
+        win = from_bytes(data[pos >> 3:(pos + opt_bits + ahead + 7) >> 3], "little") >> (pos & 7)
+        sec.after_v, sec.before_v, at = _opts_at(win, 0, bits)
+        sec.unit_down, sec.unit_up = win >> at & unit_mask, win >> at + unit & unit_mask
+        at += 2 * unit
+        if pos + at > nbits:
+            raise runs_past(at, pos, nbits)
+        pos += at
+        win >>= at
+        near_key = (sec.w_real, sec.unit_down, sec.unit_up)
+        near = near_memo.get(near_key)
+        if near is None:
+            near = near_memo[near_key] = tuple(
+                (j, tuple(blocks)) for j, blocks in near_blocks(sec, j_max))
+        for j, blocks in near:
+            per = sec.near[j] = {}
+            for blk in blocks:
+                has_list = win >> m & 1
+                if has_list:
+                    cnt = win >> m + 1 & m_mask
+                    nb = blk_bits + cnt * width
+                else:
+                    nb = m + 1
+                end = pos + nb
+                if end > nbits:
+                    raise runs_past(nb, pos, nbits)
+                val = from_bytes(data[pos >> 3:(end + ahead + 7) >> 3], "little") >> (pos & 7)
+                top = 1 << nb
+                key = val & top - 1 | top
+                win = val >> nb
+                rec = block_table.get(key) or new_blocks.get(key)
+                if rec is None:
+                    rec = new_blocks[key] = BlockRecord(lge=key & m_mask, edges=None)
+                    if has_list:
+                        name_starts.append(pos + blk_bits)
+                        name_counts.append(cnt)
+                        listed.append(rec)
+                per[blk] = rec
+                pos = end
+    r.pos = pos
     # Pass 2: the block-list names of the new records in one gather and
     # their share rows in one more, each sliced back per run; a row's
     # (scale, side) keys are the set bits of its entry's bitmap, in
     # ascending order.
     if listed:
-        for rec, edges in zip(listed, _gather(r.data, name_starts, name_counts, width,
-                                              names.of)):
+        for rec, edges in zip(listed, _gather(data, name_starts, name_counts, width, names.of)):
             rec.edges = edges
     if held:
-        for (shares, present), rows in zip(held, _gather(r.data, row_starts, row_counts,
+        for (shares, present), rows in zip(held, _gather(data, row_starts, row_counts,
                                                          row_bits, share_rows)):
             keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length())
                     if present >> bit & 1]
@@ -635,14 +713,15 @@ def _check_end(r: BitReader, bits: int, what: str):
                          f"but its stored length is {bits}")
 
 
+_DECODERS = {SCHEME_SIMPLE: decode_simple_edge, SCHEME_SQRT: decode_sqrt_edge}
+
+
 def decode_edge(lf: LabelFile, eid: int):
     m = len(lf.edge_payloads)
     if not 0 <= eid < m:
         raise ValueError(f"edge id {eid} is out of range (the file has {m} edges)")
-    decode = {SCHEME_SIMPLE: decode_simple_edge,
-              SCHEME_SQRT: decode_sqrt_edge}.get(lf.scheme, decode_rand_edge)
     r = BitReader(lf.edge_payloads[eid])
-    lab = decode(r, lf.widths, lf.meta)
+    lab = _DECODERS.get(lf.scheme, decode_rand_edge)(r, lf.widths, lf.meta)
     _check_end(r, lf.edge_bits[eid] + 1, f"edge label {eid}")  # + the is-tree flag
     return lab
 

@@ -285,15 +285,17 @@ class TreePartition:
         self.uf = UnionFind(k + 1)
         self.span_end = span_end
         self.last_vertex = last_vertex
-        # R1: stitch across each fault's two orientations, and tour ends
-        # (each fault position q is in qs: it ends interval locate(q) and
-        # starts locate(q) + 1)
-        for eid, lab, sec in faults:
-            down = self.locate(lab.pos_down)
-            up = self.locate(lab.pos_up)
-            self.uf.union(down, up + 1)
-            self.uf.union(up, down + 1)
-        self.uf.union(0, k)
+        # R1: stitch across each fault's two orientations, and tour ends.
+        # Positions are distinct within a tree, so the occurrence at index
+        # i of the sorted bounds ends interval i and starts interval i + 1.
+        at = [0] * k
+        for i, (_, fi, o) in enumerate(bounds):
+            at[2 * fi + o] = i
+        union = self.uf.union
+        for down, up in zip(at[0::2], at[1::2]):
+            union(down, up + 1)
+            union(up, down + 1)
+        union(0, k)
 
     @cached_property
     def first_vertex(self) -> list[int | None]:

@@ -300,6 +300,9 @@ def _reveal_by_tree(records, ell: int) -> dict[int, dict[EdgeName, RevealEntry]]
     return out
 
 
+_NONE: dict = {}
+
+
 def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int, field: Field,
                     names: NameTable, case3_fired: list[tuple], reveal_at: dict):
     """R3 pool: the edges revealed by any fault's level section in this
@@ -315,8 +318,8 @@ def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int, field: Fi
     if by_tree is None:
         by_tree = reveal_at[ell] = _reveal_by_tree(records, ell)
     reveal = by_tree[grp.tree_root]
-    block_recs = {(j, blk): rec for (_, _, sec) in faults
-                  for j, per in sec.near.items() for blk, rec in per.items()}
+    # a block's record is the one held by the last fault that stores it
+    nears = [sec.near for (_, _, sec) in reversed(faults)]
     pool = dict.fromkeys(reveal)
     # interval i spans units [cuts[i], cuts[i + 1]); cuts follow grp.bounds
     cuts = [0] + [faults[fi][2].unit_up if o else faults[fi][2].unit_down
@@ -324,8 +327,11 @@ def _sqrt_tree_step(records, ell: int, grp: TreePartition, j_max: int, field: Fi
     marked: set[int] = set()
     for i in range(len(cuts) - 1):
         for (j, blk) in dyadic_cover(cuts[i], cuts[i + 1], j_top):
-            rec = block_recs.get((j, blk))
-            if rec is None:
+            for near in nears:
+                rec = near.get(j, _NONE).get(blk)
+                if rec is not None:
+                    break
+            else:
                 continue  # unstored piece; interval weight covers it
             if rec.edges is not None:
                 for nm in rec.edges:

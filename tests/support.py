@@ -6,8 +6,11 @@ standalone 160-bit wire format for code shares, GF(p^2) arithmetic
 for the Reed-Solomon oracle, the bit spans of a scheme-1 label's segment
 lists and of a scheme-2 label's share rows and edge lists, a BFS
 forest whose preorder scans all vertices per component, the weighted
-tours of one level, and the scheme-1 R3/R4 tree step that pools every
-name of every fault's lists."""
+tours of one level, the scheme-1 R3/R4 tree step that pools every
+name of every fault's lists, and the two-pass scheme-1/2 edge-label
+decoders that make one reader call per field, with the reader they
+need (`PeekReader`) and the bit at which each section of a decoded
+label starts."""
 
 from __future__ import annotations
 
@@ -19,10 +22,15 @@ from functools import partial
 from itertools import chain
 from operator import itemgetter
 
+from flbl.bits import BitReader
 from flbl.codeshares import CodeShare, Field
 from flbl.euler import EulerFrame, WeightedTour
 from flbl.graph import FaultSet, Graph, UnionFind, oracle_components
 from flbl.hierarchy import EdgeLevelAssignment, verify_edge_expanding
+from flbl.labelfile import _gather
+from flbl.labels_simple import LevelSection, SegmentList, SimpleEdgeLabel
+from flbl.labels_sqrt import (BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection,
+                              near_blocks)
 
 
 def dump_graph(g: Graph) -> str:
@@ -333,3 +341,221 @@ def pooled_simple_tree_step(records, ell: int, grp):
         return incid, ()
 
     return pool, evidence
+
+
+# -- reference decoders --------------------------------------------------------
+
+
+class PeekReader(BitReader):
+    """A `BitReader` that can also look ahead without moving (`peek`) and
+    move past bits unread (`skip`)."""
+
+    def peek(self, width: int) -> int:
+        """The next `width` bits as one int, without moving; bits past the
+        payload read as 0, so a caller that keeps fewer of them moves on
+        with `skip`, which checks the bounds."""
+        pos = self.pos
+        return int.from_bytes(self.data[pos >> 3:(pos + width + 7) >> 3],
+                              "little") >> (pos & 7) & ((1 << width) - 1)
+
+    def skip(self, width: int) -> int:
+        """Move past `width` bits without reading them and return the
+        position they start at.  Bounds-checked like `read_fields`."""
+        pos = self.pos
+        if pos + width > self.nbits:
+            raise ValueError(f"skip of {width} bits at bit {pos} runs past "
+                             f"the {self.nbits}-bit payload")
+        self.pos = pos + width
+        return pos
+
+
+def read_opts(r: PeekReader, bits: int):
+    """A section's (after_v, before_v) pair, split from one window as wide
+    as all four positions present; the bits used are then skipped."""
+    window = r.peek(4 * (bits + 1))
+    mask = (1 << bits) - 1
+    vals = []
+    at = 0
+    for _ in range(4):
+        present = window >> at & 1
+        vals.append(window >> at + 1 & mask if present else None)
+        at += 1 + bits * present
+    r.skip(at)
+    av0, bv0, av1, bv1 = vals
+    return (av0, av1), (bv0, bv1)
+
+
+def reference_decode_simple_edge(r: PeekReader, wd, meta) -> SimpleEdgeLabel:
+    """Reference for `labelfile.decode_simple_edge`: the same two passes
+    and per-file table, with one reader call per head and per key."""
+    is_tree, pos_u, pos_v, par = r.read_fields((1, wd.pos, wd.pos, wd.par))
+    if not is_tree:
+        return SimpleEdgeLabel(pos_u=pos_u, pos_v=pos_v, par=par, is_tree=False)
+    level, pos_down, pos_up = r.read_fields((wd.h, wd.pos, wd.pos))
+    lab = SimpleEdgeLabel(
+        pos_u=pos_u, pos_v=pos_v, par=par, is_tree=True, level=level,
+        pos_down=pos_down, pos_up=pos_up,
+    )
+    names = wd.names
+    width = names.width
+    seg_head = 1 + wd.cap
+    cap = wd.list_cap
+    table = wd.segments
+    new = {}
+    starts, counts, pending = [], [], []
+    for ell in range(level, meta.h + 1):
+        tree_root, span_end, last_vertex = r.read_fields((wd.pos, wd.pos, wd.pos))
+        after_v, before_v = read_opts(r, wd.pos)
+        segs = []
+        for _ in range(3):
+            cnt = r.peek(seg_head) >> 1
+            nbits = seg_head + cnt * width
+            key = r.read(nbits) | 1 << nbits
+            seg = table.get(key) or new.get(key)
+            if seg is None:
+                truncated = key & 1
+                if cnt > cap or truncated and cnt < cap:
+                    marked = "marked truncated " if truncated else ""
+                    raise ValueError(f"bad label file: a segment list {marked}holds {cnt} "
+                                     f"names, where the list cap is {cap}")
+                seg = new[key] = SegmentList(entries=None, truncated=bool(truncated))
+                pending.append(seg)
+                starts.append(r.pos - cnt * width)
+                counts.append(cnt)
+            segs.append(seg)
+        lab.sections[ell] = LevelSection(
+            tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
+            after_v=after_v, before_v=before_v, segments=tuple(segs),
+        )
+    if pending:
+        for seg, entries in zip(pending, _gather(r.data, starts, counts, width, names.of)):
+            seg.entries = entries
+    table.update(new)
+    return lab
+
+
+def reference_decode_sqrt_edge(r: PeekReader, wd, meta) -> SqrtEdgeLabel:
+    """Reference for `labelfile.decode_sqrt_edge`: the same two passes
+    and per-file tables, with one reader call per head and per key, and
+    `near_blocks` run for every tree-edge section."""
+    is_tree, pos_u, pos_v, par, level = r.read_fields((1, wd.pos, wd.pos, wd.par, wd.h))
+    lab = SqrtEdgeLabel(
+        pos_u=pos_u, pos_v=pos_v, par=par, is_tree=bool(is_tree), level=level,
+    )
+    if is_tree:
+        lab.pos_down, lab.pos_up = r.read_fields((wd.pos, wd.pos))
+    names = wd.names
+    width = names.width
+    sec_w = (wd.pos, wd.pos, wd.pos, wd.unit, wd.m)
+    name_mask = (1 << width) - 1
+    unit_mask = (1 << wd.unit) - 1
+    ub_at = width + wd.unit
+    present_at = ub_at + wd.unit
+    head_bits = present_at + wd.present
+    m_mask = (1 << wd.m) - 1
+    blk_bits = 2 * wd.m + 1
+    head_key = 1 << head_bits
+    no_list_key = 1 << wd.m + 1
+    row_bits = wd.idx + 2 * wd.share
+    idx_mask = (1 << wd.idx) - 1
+    share_mask = (1 << wd.share) - 1
+    b_at = wd.idx + wd.share
+
+    def share_rows(vals):
+        return [CodeShare(v & idx_mask, v >> wd.idx & share_mask, v >> b_at) for v in vals]
+
+    entry_table, block_table = wd.entries, wd.blocks
+    new_entries, new_blocks = {}, {}
+    held, row_starts, row_counts = [], [], []
+    listed, name_starts, name_counts = [], [], []
+    for ell in range(level, meta.h + 1):
+        tree_root, span_end, last_vertex, w_real, nrev = r.read_fields(sec_w)
+        reveal = []
+        for _ in range(nrev):
+            head = r.read(head_bits)
+            present = head >> present_at
+            cnt = present.bit_count()
+            at = r.pos
+            if cnt:
+                rows = row_bits * cnt
+                key = (r.read(rows) | 1 << rows) << head_bits | head
+            else:
+                key = head | head_key
+            ent = entry_table.get(key) or new_entries.get(key)
+            if ent is None:
+                ent = new_entries[key] = RevealEntry(
+                    name=names[head & name_mask], unit_a=head >> width & unit_mask,
+                    unit_b=head >> ub_at & unit_mask, shares={})
+                if cnt:
+                    held.append((ent.shares, present))
+                    row_starts.append(at)
+                    row_counts.append(cnt)
+            reveal.append(ent)
+        sec = SqrtLevelSection(
+            tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
+            w_real=w_real, reveal=reveal,
+        )
+        if is_tree:
+            sec.after_v, sec.before_v = read_opts(r, wd.pos)
+            sec.unit_down, sec.unit_up = r.read_fields((wd.unit, wd.unit))
+            for j, blocks in near_blocks(sec, wd.j_max):
+                per = sec.near[j] = {}
+                for blk in blocks:
+                    head = r.peek(blk_bits)
+                    has_list = head >> wd.m & 1
+                    at = r.pos + blk_bits
+                    if has_list:
+                        cnt = head >> wd.m + 1
+                        nbits = blk_bits + cnt * width
+                        key = r.read(nbits) | 1 << nbits
+                    else:
+                        r.skip(wd.m + 1)
+                        key = head & m_mask | no_list_key
+                    rec = block_table.get(key) or new_blocks.get(key)
+                    if rec is None:
+                        rec = new_blocks[key] = BlockRecord(lge=head & m_mask, edges=None)
+                        if has_list:
+                            name_starts.append(at)
+                            name_counts.append(cnt)
+                            listed.append(rec)
+                    per[blk] = rec
+        lab.sections[ell] = sec
+    if listed:
+        for rec, edges in zip(listed, _gather(r.data, name_starts, name_counts, width,
+                                              names.of)):
+            rec.edges = edges
+    if held:
+        for (shares, present), rows in zip(held, _gather(r.data, row_starts, row_counts,
+                                                         row_bits, share_rows)):
+            keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length())
+                    if present >> bit & 1]
+            shares.update(zip(keys, rows))
+    entry_table.update(new_entries)
+    block_table.update(new_blocks)
+    return lab
+
+
+def section_starts(lab, wd):
+    """The bit at which each section of a decoded scheme-1 or scheme-2
+    edge label starts, in file order, located from the label and the
+    file's `Widths`."""
+    def opts(sec):
+        return sum(1 + (wd.pos if v is not None else 0) for v in (*sec.after_v, *sec.before_v))
+
+    sqrt = isinstance(lab, SqrtEdgeLabel)
+    at = 1 + 2 * wd.pos + wd.par + wd.h + (2 * wd.pos if lab.is_tree else 0)
+    row_bits = wd.idx + 2 * wd.share
+    for sec in lab.sections.values():
+        yield at
+        if not sqrt:
+            at += 3 * wd.pos + opts(sec)
+            at += sum(1 + wd.cap + len(seg.entries) * wd.names.width for seg in sec.segments)
+            continue
+        at += 3 * wd.pos + wd.unit + wd.m
+        at += sum(wd.names.width + 2 * wd.unit + wd.present + len(ent.shares) * row_bits
+                  for ent in sec.reveal)
+        if lab.is_tree:
+            at += opts(sec) + 2 * wd.unit
+            at += sum(wd.m + 1 + (0 if rec.edges is None
+                                  else wd.m + len(rec.edges) * wd.names.width)
+                      for per in sec.near.values() for rec in per.values())

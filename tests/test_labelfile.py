@@ -21,7 +21,9 @@ from flbl.labels_rand import _bits
 from flbl.labels_simple import LevelSection, SchemeMeta, SegmentList, SimpleEdgeLabel
 from flbl.labels_sqrt import (BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection,
                               near_blocks)
-from support import oracle_classes, share_to_bytes, simple_segment_spans, sqrt_row_spans
+from support import (PeekReader, oracle_classes, reference_decode_simple_edge,
+                     reference_decode_sqrt_edge, section_starts, share_to_bytes,
+                     simple_segment_spans, sqrt_row_spans)
 from test_acceptance import random_regular3, tree_plus_chords
 from test_golden import CASES, build_case
 
@@ -189,11 +191,11 @@ def test_skip_then_read_matches_one_read(group, lead, data):
     w.write_fields(group)
     raw = w.getvalue()
     widths = [wd for _, wd in group]
-    whole = BitReader(raw)
+    whole = PeekReader(raw)
     whole.skip(lead)
     values = whole.read_fields(widths)
     k = data.draw(st.integers(0, len(group)))
-    r = BitReader(raw)
+    r = PeekReader(raw)
     assert r.skip(lead) == 0
     assert r.skip(sum(widths[:k])) == lead
     assert r.read_fields(widths[k:]) == values[k:]
@@ -453,7 +455,7 @@ def test_sqrt_row_count_past_payload_fails_at_decode(sqrt_withheld):
         with pytest.raises(ValueError):
             _decode_payload(lf, eid, bad)
         # the field located is the bitmap or count of these rows
-        r = BitReader(payload)
+        r = PeekReader(payload)
         r.skip(at - width)
         got = r.read(width)
         if kind == "shares":
@@ -708,8 +710,161 @@ def test_simple_label_cut_in_names_leaves_no_list_behind(simple_case):
         LF.decode_edge(bad, eid)
 
 
+# -- the one-pass decoders against the two-pass references ------------------
+#
+# `support.reference_decode_simple_edge` and `reference_decode_sqrt_edge`
+# read a label with one reader call per head and per key, and run
+# `near_blocks` for every tree-edge section.  The decoders read the same
+# bits from a local cursor.  Both must give the same labels, share the
+# same records, fill the same tables and fail on the same cut payloads.
+
+REFERENCE = {1: reference_decode_simple_edge, 2: reference_decode_sqrt_edge}
+DIFF_CASES = sorted(name for name in CASES if name[:2] in ("s1", "s2")) + [
+    "s1-chords150", "s2-chords150"]
+
+
+def _diff_file(name):
+    """The label file of a golden scheme-1/2 case, or of "s<k>-chords150":
+    a seeded 150-vertex tree plus 4n chords at f = 16 under scheme k."""
+    if name.endswith("-chords150"):
+        g = tree_plus_chords(random.Random(1), 150, 600)
+        return to_label_file(build_scheme(g, int(name[1]), 16))
+    return to_label_file(build_case(name))
+
+
+@pytest.fixture(scope="module")
+def diff_file():
+    """`_diff_file`, built once per case in this module; read-only."""
+    return functools.cache(_diff_file)
+
+
+def _reference_labels(lf):
+    """Every edge label of a fresh copy of `lf` decoded in order by the
+    reference, which reads each to its stored length, and that copy."""
+    ref = dataclasses.replace(lf)
+    out = []
+    for payload, bits in zip(lf.edge_payloads, lf.edge_bits):
+        r = PeekReader(payload)
+        out.append(REFERENCE[lf.scheme](r, ref.widths, lf.meta))
+        assert r.pos == bits + 1
+    return out, ref
+
+
+def _label_records(lab):
+    """The shared records of a scheme-1 or scheme-2 label, in file order."""
+    for sec in lab.sections.values():
+        yield from getattr(sec, "segments", ())
+        yield from getattr(sec, "reveal", ())
+        for per in getattr(sec, "near", {}).values():
+            yield from per.values()
+
+
+def _sharing(labels):
+    """Per record of the labels, in order, the place of the first record
+    that is the same object."""
+    first = {}
+    return [first.setdefault(id(rec), (eid, k)) for eid, lab in enumerate(labels)
+            for k, rec in enumerate(_label_records(lab))]
+
+
+def _tables(wd):
+    return {name: getattr(wd, name) for name in ("segments", "entries", "blocks")}
+
+
+def _sizes(wd):
+    """The number of records in each table; a table only gains records."""
+    return [len(table) for table in _tables(wd).values()]
+
+
+@pytest.mark.parametrize("case", DIFF_CASES)
+def test_decoder_equals_two_pass_reference(diff_file, case):
+    # every edge of one file decoded forward, in reverse and shuffled gives
+    # the reference's labels, with the same records shared and the same
+    # keys in the file's tables
+    lf = diff_file(case)
+    m = lf.meta.m
+    want, ref = _reference_labels(lf)
+    want_repr, want_sharing = [repr(lab) for lab in want], _sharing(want)
+    assert len(set(want_sharing)) < len(want_sharing)
+    for order in (range(m), range(m - 1, -1, -1), random.Random(m).sample(range(m), m)):
+        one = dataclasses.replace(lf)
+        labs = {eid: LF.decode_edge(one, eid) for eid in order}
+        got = [labs[eid] for eid in range(m)]
+        assert [repr(lab) for lab in got] == want_repr
+        assert _sharing(got) == want_sharing
+        for name, table in _tables(one.widths).items():
+            assert table.keys() == getattr(ref.widths, name).keys(), name
+        if lf.scheme == 2:
+            assert len(one.widths.near) == len({
+                (sec.w_real, sec.unit_down, sec.unit_up)
+                for lab in got if lab.is_tree for sec in lab.sections.values()})
+
+
+def _kinds(sec):
+    """The kinds of record a section holds: scheme-1 lists empty, with
+    names and truncated; scheme-2 reveal entries with and without share
+    rows, block records with and without a list."""
+    out = {"empty list" if not seg.entries else "truncated" if seg.truncated else "names"
+           for seg in getattr(sec, "segments", ())}
+    out |= {"shares" if ent.shares else "entry" for ent in getattr(sec, "reveal", ())}
+    out |= {"no list" if rec.edges is None else "block list"
+            for per in getattr(sec, "near", {}).values() for rec in per.values()}
+    return out
+
+
+def _cut(payload, bits):
+    """The first `bits` bits of a payload, the rest of its last byte 0."""
+    data = bytearray(payload[:(bits + 7) >> 3])
+    if bits & 7:
+        data[-1] &= (1 << (bits & 7)) - 1
+    return bytes(data)
+
+
+@pytest.mark.parametrize("case", DIFF_CASES)
+def test_decoder_cut_fails_like_two_pass_reference(diff_file, case):
+    # A label cut at every bit of its head and of its last section fails
+    # with the reference's "runs past" error and adds nothing to a fresh
+    # file's tables, and to a warm file's; per kind of label (tree and
+    # non-tree edge), of those whose last section holds the most kinds of
+    # record, the one whose last section is shortest.
+    lf = diff_file(case)
+    want, _ = _reference_labels(lf)
+    warm = dataclasses.replace(lf)
+    for eid in range(lf.meta.m):
+        LF.decode_edge(warm, eid)
+    before = {name: dict(table) for name, table in _tables(warm.widths).items()}
+    sizes = _sizes(warm.widths)
+    picked = {}
+    for eid, lab in enumerate(want):
+        starts = list(section_starts(lab, lf.widths))
+        if starts:
+            size = lf.edge_bits[eid] + 1 - starts[-1]
+            kinds = len(_kinds(lab.sections[max(lab.sections)]))
+            last = (kinds, -size, eid, starts[0], starts[-1])
+            picked[lab.is_tree] = max(picked.get(lab.is_tree, last), last)
+    assert picked
+    decoders = ((LF.decode_simple_edge, LF.decode_sqrt_edge)[lf.scheme - 1],
+                REFERENCE[lf.scheme])
+    fresh = dataclasses.replace(lf)   # its tables stay empty
+    for *_, eid, first, last in picked.values():
+        end = lf.edge_bits[eid] + 1
+        for bits in [*range(first), *range(last, end)]:
+            data = _cut(lf.edge_payloads[eid], bits)
+            for decode in decoders:
+                for one in (fresh, warm):
+                    r = PeekReader(data)
+                    r.nbits = bits
+                    with pytest.raises(ValueError, match="runs past"):
+                        decode(r, one.widths, lf.meta)
+            assert _sizes(warm.widths) == sizes and not any(_sizes(fresh.widths))
+        # uncut, the label decodes as the reference's
+        assert repr(LF.decode_edge(dataclasses.replace(lf), eid)) == repr(want[eid])
+    for name, table in _tables(warm.widths).items():
+        assert all(table[key] is rec for key, rec in before[name].items())
+
+
 def test_peek_reads_without_moving():
-    r = BitReader(b"\xa5\x1f")
+    r = PeekReader(b"\xa5\x1f")
     r.skip(3)
     assert r.peek(9) == 0b111110100 == r.read(9)
     # bits past the payload read as 0; only skip and read check the bounds
@@ -1020,7 +1175,7 @@ def test_payload_cut_in_names_or_opts_fails_at_decode(tmp_path, capsys, where,
             if cut is None:
                 continue
             # the span is located right: the old split reads its fields there
-            r = BitReader(payload)
+            r = PeekReader(payload)
             r.skip(start)
             if where == "opts":
                 assert _split_opts(r, wd.pos) == want
@@ -1028,13 +1183,6 @@ def test_payload_cut_in_names_or_opts_fails_at_decode(tmp_path, capsys, where,
                 name_w = (wd.pos, wd.pos, wd.par)
                 assert _split_names(r.read_fields(name_w * len(want))) == want
             assert r.pos == end
-            if where == "opts":
-                # the window read checks its own bounds
-                r = BitReader(payload[:cut])
-                r.skip(start)
-                with pytest.raises(ValueError, match="runs past"):
-                    LF._read_opts(r, wd.pos)
-                assert r.pos == start
             with pytest.raises(ValueError, match="runs past"):
                 _decode_payload(lf, eid, payload[:cut])
             payloads = list(lf.edge_payloads)
