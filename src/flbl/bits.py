@@ -10,10 +10,9 @@ The stream is LSB-first, so the pair `pack_fields(fields)` written as one
 field gives the same bits as writing `fields`: a group that recurs can be
 packed once and written many times.
 
-`read_runs` reads many runs of equal-width fields (the name and share
-runs of the records new to a decoder's tables) in one NumPy gather:
-each field is the little-endian 64-bit word at its first byte, shifted
-by its bit offset within that byte and masked.
+`split_fields` splits a run of equal-width fields out of an int that
+already holds their bits, such as a record a decoder has read whole:
+the edge names or share rows of a record new to its tables.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from __future__ import annotations
 _CHUNK = 1024
 # Both sides pack or split at most this many fields in one int.
 _SPLIT = 64
-# The widest field a 64-bit word holds after a shift of up to 7 bits.
-GATHER_MAX = 57
 
 
 def pack_fields(fields) -> tuple[int, int]:
@@ -133,35 +130,15 @@ class BitReader:
         return out
 
 
-def read_runs(data: bytes, starts, counts, width: int) -> list[int]:
-    """The `counts[i]` fields of `width` bits that start at bit
-    `starts[i]` of `data`, for every run in order, as one flat list.  A
-    run that ends past the payload raises ValueError.  Fields of up to
-    GATHER_MAX bits are read in one NumPy gather, wider ones with
-    `BitReader.read_fields`."""
-    if width > GATHER_MAX:
-        r = BitReader(data)
-        out = []
-        for start, cnt in zip(starts, counts):
-            r.pos = start
-            out += r.read_fields((width,) * cnt)
-        return out
-    import numpy as np  # only schemes 1-2 gather, so only they load NumPy
-
-    start = np.asarray(starts, np.int64)
-    cnt = np.asarray(counts, np.int64)
-    if len(cnt) and (start + cnt * width).max() > len(data) * 8:
-        raise ValueError(f"a run of {width}-bit fields runs past "
-                         f"the {len(data) * 8}-bit payload")
-    total = int(cnt.sum())
-    if not total:
-        return []
-    # field i of the flat output starts at its run's start plus
-    # (i - index of the run's first field) * width
-    first = np.cumsum(cnt) - cnt
-    pos = np.repeat(start - first * width, cnt) + np.arange(total) * width
-    # the little-endian 64-bit word at every byte of the payload, and one
-    # past it for a 0-bit field at its end
-    words = np.ndarray(len(data) + 1, "<u8", data + bytes(8), strides=(1,))
-    vals = words[pos >> 3] >> (pos & 7).astype(np.uint64) & np.uint64((1 << width) - 1)
-    return vals.tolist()
+def split_fields(value: int, width: int, count: int) -> list[int]:
+    """The `count` fields of `width` bits that `value` holds LSB-first
+    from bit 0 on; bits above them are ignored.  Split in chunks of at
+    most _SPLIT fields, like `BitReader.read_fields`."""
+    mask = (1 << width) - 1
+    step = _SPLIT * width
+    out = []
+    for i in range(0, count, _SPLIT):
+        window = value & (1 << step) - 1
+        out += [window >> at & mask for at in range(0, min(_SPLIT, count - i) * width, width)]
+        value >>= step
+    return out

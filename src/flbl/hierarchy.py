@@ -158,12 +158,10 @@ class _HeuristicCutFinder:
         n = g.n
         cross = [0] * (n + 1)
         cur = 0
-        placed = [False] * n
         deg_in = [0] * n  # edges from v into current prefix
         adj = g.adjacency
         for i, v in enumerate(self.order):
             cur += g.degree(v) - 2 * deg_in[v]
-            placed[v] = True
             for w, _ in adj[v]:
                 deg_in[w] += 1
             cross[i + 1] = cur

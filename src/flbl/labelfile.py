@@ -40,28 +40,26 @@ share their records as built labels do.  Shared records, built or
 decoded, are read-only.  A table holds at most one record per distinct
 record of the file.
 
-The scheme-1 and scheme-2 decoders read a label in two passes.  The
-first is one loop over a local bit cursor on the payload: each step
-takes one slice of the payload bytes as an int, holding its own bits
-and the head of the next step.  One window gives a section's fixed
-fields and optional positions (and in scheme 1 its first segment
-list's head), and each segment list, reveal entry and block record is
-read whole as its key in one slice, whose bits also give the next
-record's head.  Every step checks that it ends inside the payload and
-fails with the "runs past" ValueError of `BitReader.read`, so a
-payload cut short, or a count or presence bitmap that claims more rows
-than remain, fails here, and so does a new segment list whose head no
-build writes (truncated with a count other than the cap f/phi + 1, or
-a count above it).  The record found in the tables is taken as it is;
-of a record they miss, only the (start, count) of its run is kept.  A
-tree section's `near_blocks` depend only on its (w_real, unit_down,
-unit_up), so the file keeps them per triple (`Widths.near`).  The
-second pass reads all runs of one kind in one `bits.read_runs` gather
-and slices them back (`_gather`): the segment-list names of scheme 1,
-mapped through `Widths.names`, and in scheme 2 the block-list names
-and then the share rows, each one field of idx + 2·share bits split
-into (index, a, b).  New records enter the tables once the second pass
-has filled them, so a label that raises leaves no record half built.
+The scheme-1 and scheme-2 decoders read a label in one loop over a
+local bit cursor on the payload: each step takes one slice of the
+payload bytes as an int, holding its own bits and the head of the next
+step.  One window gives a section's fixed fields and optional positions
+(and in scheme 1 its first segment list's head), and each segment list,
+reveal entry and block record is read whole as its key in one slice,
+whose bits also give the next record's head.  Every step checks that it
+ends inside the payload and fails with the "runs past" ValueError of
+`BitReader.read`, so a payload cut short, or a count or presence bitmap
+that claims more rows than remain, fails here, and so does a new
+segment list whose head no build writes (truncated with a count other
+than the cap f/phi + 1, or a count above it).  The record found in the
+tables is taken as it is; a record they miss is split from its key
+(`bits.split_fields`): the names of a segment list or block record,
+mapped through `Widths.names`, or the share rows of a reveal entry,
+each one field of idx + 2·share bits split into (index, a, b).  A tree
+section's `near_blocks` depend only on its (w_real, unit_down,
+unit_up), so the file keeps them per triple (`Widths.near`).  New
+records enter the tables once the whole label has decoded, so a label
+that raises adds no record to them.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 
-from .bits import BitReader, BitWriter, pack_fields, read_runs, runs_past
+from .bits import BitReader, BitWriter, pack_fields, runs_past, split_fields
 from .codeshares import CodeShare, field_for
 from .euler import radius_scale
 from .labels_rand import RandEdgeLabel, RandMeta, _bits, _boruvka_params, _jcols
@@ -202,19 +200,6 @@ def _packed(memo: dict, rec, fields_of, wd: Widths) -> tuple[int, int]:
     return hit[1]
 
 
-def _gather(data: bytes, starts, counts, width: int, make) -> list[list]:
-    """The runs of `counts[i]` fields of `width` bits at bit `starts[i]`
-    that a decoder's first pass found new, read in one `read_runs` gather,
-    passed through `make` as one flat list and sliced back into runs."""
-    flat = make(read_runs(data, starts, counts, width))
-    runs = []
-    at = 0
-    for cnt in counts:
-        runs.append(flat[at:at + cnt])
-        at += cnt
-    return runs
-
-
 # -- scheme 1 ---------------------------------------------------------------
 
 
@@ -274,16 +259,13 @@ def decode_simple_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SimpleEdge
     )
     pos += head
     win >>= head
-    # A segment list is keyed by its bits | 1 << their count.  A key in the
-    # file's table `Widths.segments` gives the shared list; a new one is
-    # built here, filled in pass 2, and enters the table only then, so a
-    # label that raises leaves no list half built.
+    # A segment list is read whole, bounds-checked, as its key: its bits |
+    # 1 << their count.  A key in the file's table `Widths.segments` gives
+    # the shared list; a new one has its head checked against the cap, its
+    # names split from the key, and enters the table once the label has
+    # decoded, so a label that raises adds no list.
     table = wd.segments
     new = {}
-    # Pass 1: the section heads, and each segment read whole as its key,
-    # bounds-checked; a new list's head is checked against the cap and its
-    # name run keeps its (start, count).
-    starts, counts, pending = [], [], []
     for ell in range(level, meta.h + 1):
         tree_root, span_end = win & mask, win >> bits & mask
         last_vertex = win >> 2 * bits & mask
@@ -309,10 +291,9 @@ def decode_simple_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SimpleEdge
                     marked = "marked truncated " if truncated else ""
                     raise ValueError(f"bad label file: a segment list {marked}holds {cnt} "
                                      f"names, where the list cap is {cap}")
-                seg = new[key] = SegmentList(entries=None, truncated=bool(truncated))
-                pending.append(seg)
-                starts.append(pos + seg_head)
-                counts.append(cnt)
+                seg = new[key] = SegmentList(
+                    entries=names.of(split_fields(key >> seg_head, width, cnt)),
+                    truncated=bool(truncated))
             segs.append(seg)
             start = pos = end
         lab.sections[ell] = LevelSection(
@@ -320,10 +301,6 @@ def decode_simple_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SimpleEdge
             after_v=after_v, before_v=before_v, segments=tuple(segs),
         )
     r.pos = pos
-    # Pass 2: every name of the new lists in one gather, sliced back per list.
-    if pending:
-        for seg, entries in zip(pending, _gather(data, starts, counts, width, names.of)):
-            seg.entries = entries
     table.update(new)
     return lab
 
@@ -416,20 +393,13 @@ def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabe
     ahead = max(head_bits, blk_bits)
     near_memo, j_max = wd.near, wd.j_max
 
-    def share_rows(vals):
-        return [CodeShare(v & idx_mask, v >> wd.idx & share_mask, v >> b_at) for v in vals]
-
-    # A record is keyed by its bits | 1 << their count.  A key in the
-    # file's table (`Widths.entries`, `Widths.blocks`) gives the shared
-    # record; a new one is built here, filled in pass 2, and enters the
-    # table only then, so a label that raises leaves no record half built.
+    # A record is read whole, bounds-checked, as its key: its bits | 1 <<
+    # their count.  A key in the file's table (`Widths.entries`,
+    # `Widths.blocks`) gives the shared record; a new one is split from
+    # the key and enters the table once the label has decoded, so a label
+    # that raises adds no record.
     entry_table, block_table = wd.entries, wd.blocks
     new_entries, new_blocks = {}, {}
-    # Pass 1: every head, and each record read whole as its key.  Each
-    # read is bounds-checked, and a new record's run keeps its (start,
-    # count).
-    held, row_starts, row_counts = [], [], []      # held: (shares, bitmap)
-    listed, name_starts, name_counts = [], [], []  # listed: block records
     for ell in range(level, meta.h + 1):
         end = pos + sec_bits
         if end > nbits:
@@ -457,13 +427,16 @@ def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabe
             win = val >> nb
             ent = entry_table.get(key) or new_entries.get(key)
             if ent is None:
+                # a row's (scale, side) key is a set bit of the bitmap, in
+                # ascending order
+                scales = [(bit >> 1, bit & 1) for bit in range(present.bit_length())
+                          if present >> bit & 1]
+                rows = split_fields(key >> head_bits, row_bits, cnt)
                 ent = new_entries[key] = RevealEntry(
                     name=names[key & (1 << width) - 1], unit_a=key >> width & unit_mask,
-                    unit_b=key >> ub_at & unit_mask, shares={})
-                if cnt:
-                    held.append((ent.shares, present))
-                    row_starts.append(pos + head_bits)
-                    row_counts.append(cnt)
+                    unit_b=key >> ub_at & unit_mask,
+                    shares={sc: CodeShare(v & idx_mask, v >> wd.idx & share_mask, v >> b_at)
+                            for sc, v in zip(scales, rows)})
             reveal.append(ent)
             pos = end
         lab.sections[ell] = sec
@@ -500,27 +473,13 @@ def decode_sqrt_edge(r: BitReader, wd: Widths, meta: SchemeMeta) -> SqrtEdgeLabe
                 win = val >> nb
                 rec = block_table.get(key) or new_blocks.get(key)
                 if rec is None:
-                    rec = new_blocks[key] = BlockRecord(lge=key & m_mask, edges=None)
-                    if has_list:
-                        name_starts.append(pos + blk_bits)
-                        name_counts.append(cnt)
-                        listed.append(rec)
+                    rec = new_blocks[key] = BlockRecord(
+                        lge=key & m_mask,
+                        edges=names.of(split_fields(key >> blk_bits, width, cnt))
+                        if has_list else None)
                 per[blk] = rec
                 pos = end
     r.pos = pos
-    # Pass 2: the block-list names of the new records in one gather and
-    # their share rows in one more, each sliced back per run; a row's
-    # (scale, side) keys are the set bits of its entry's bitmap, in
-    # ascending order.
-    if listed:
-        for rec, edges in zip(listed, _gather(data, name_starts, name_counts, width, names.of)):
-            rec.edges = edges
-    if held:
-        for (shares, present), rows in zip(held, _gather(data, row_starts, row_counts,
-                                                         row_bits, share_rows)):
-            keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length())
-                    if present >> bit & 1]
-            shares.update(zip(keys, rows))
     entry_table.update(new_entries)
     block_table.update(new_blocks)
     return lab

@@ -27,7 +27,6 @@ from flbl.codeshares import CodeShare, Field
 from flbl.euler import EulerFrame, WeightedTour
 from flbl.graph import FaultSet, Graph, UnionFind, oracle_components
 from flbl.hierarchy import EdgeLevelAssignment, verify_edge_expanding
-from flbl.labelfile import _gather
 from flbl.labels_simple import LevelSection, SegmentList, SimpleEdgeLabel
 from flbl.labels_sqrt import (BlockRecord, RevealEntry, SqrtEdgeLabel, SqrtLevelSection,
                               near_blocks)
@@ -385,9 +384,21 @@ def read_opts(r: PeekReader, bits: int):
     return (av0, av1), (bv0, bv1)
 
 
+def read_each_run(data: bytes, starts, counts, width: int) -> list[list[int]]:
+    """The run of `counts[i]` fields of `width` bits at bit `starts[i]`
+    of `data`, for every i, each read with `BitReader.read_fields`."""
+    r = BitReader(data)
+    runs = []
+    for start, cnt in zip(starts, counts):
+        r.pos = start
+        runs.append(r.read_fields((width,) * cnt))
+    return runs
+
+
 def reference_decode_simple_edge(r: PeekReader, wd, meta) -> SimpleEdgeLabel:
-    """Reference for `labelfile.decode_simple_edge`: the same two passes
-    and per-file table, with one reader call per head and per key."""
+    """Reference for `labelfile.decode_simple_edge`, in two passes: the
+    heads and one read per key, then the names of each new list read
+    back from its saved (start, count) run; the same per-file table."""
     is_tree, pos_u, pos_v, par = r.read_fields((1, wd.pos, wd.pos, wd.par))
     if not is_tree:
         return SimpleEdgeLabel(pos_u=pos_u, pos_v=pos_v, par=par, is_tree=False)
@@ -427,17 +438,18 @@ def reference_decode_simple_edge(r: PeekReader, wd, meta) -> SimpleEdgeLabel:
             tree_root=tree_root, span_end=span_end, last_vertex=last_vertex,
             after_v=after_v, before_v=before_v, segments=tuple(segs),
         )
-    if pending:
-        for seg, entries in zip(pending, _gather(r.data, starts, counts, width, names.of)):
-            seg.entries = entries
+    for seg, run in zip(pending, read_each_run(r.data, starts, counts, width)):
+        seg.entries = names.of(run)
     table.update(new)
     return lab
 
 
 def reference_decode_sqrt_edge(r: PeekReader, wd, meta) -> SqrtEdgeLabel:
-    """Reference for `labelfile.decode_sqrt_edge`: the same two passes
-    and per-file tables, with one reader call per head and per key, and
-    `near_blocks` run for every tree-edge section."""
+    """Reference for `labelfile.decode_sqrt_edge`, in two passes: the
+    heads and one read per key, with `near_blocks` run for every
+    tree-edge section, then the block-list names and share rows of each
+    new record read back from its saved (start, count) run; the same
+    per-file tables."""
     is_tree, pos_u, pos_v, par, level = r.read_fields((1, wd.pos, wd.pos, wd.par, wd.h))
     lab = SqrtEdgeLabel(
         pos_u=pos_u, pos_v=pos_v, par=par, is_tree=bool(is_tree), level=level,
@@ -460,9 +472,6 @@ def reference_decode_sqrt_edge(r: PeekReader, wd, meta) -> SqrtEdgeLabel:
     idx_mask = (1 << wd.idx) - 1
     share_mask = (1 << wd.share) - 1
     b_at = wd.idx + wd.share
-
-    def share_rows(vals):
-        return [CodeShare(v & idx_mask, v >> wd.idx & share_mask, v >> b_at) for v in vals]
 
     entry_table, block_table = wd.entries, wd.blocks
     new_entries, new_blocks = {}, {}
@@ -520,16 +529,14 @@ def reference_decode_sqrt_edge(r: PeekReader, wd, meta) -> SqrtEdgeLabel:
                             listed.append(rec)
                     per[blk] = rec
         lab.sections[ell] = sec
-    if listed:
-        for rec, edges in zip(listed, _gather(r.data, name_starts, name_counts, width,
-                                              names.of)):
-            rec.edges = edges
-    if held:
-        for (shares, present), rows in zip(held, _gather(r.data, row_starts, row_counts,
-                                                         row_bits, share_rows)):
-            keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length())
-                    if present >> bit & 1]
-            shares.update(zip(keys, rows))
+    for rec, run in zip(listed, read_each_run(r.data, name_starts, name_counts, width)):
+        rec.edges = names.of(run)
+    for (shares, present), run in zip(held, read_each_run(r.data, row_starts, row_counts,
+                                                          row_bits)):
+        keys = [(bit >> 1, bit & 1) for bit in range(present.bit_length())
+                if present >> bit & 1]
+        shares.update(zip(keys, (CodeShare(v & idx_mask, v >> wd.idx & share_mask, v >> b_at)
+                                 for v in run)))
     entry_table.update(new_entries)
     block_table.update(new_blocks)
     return lab

@@ -568,28 +568,51 @@ def test_crossing_tree_ranges_exit_code(tmp_path, capsys, chord40):
     assert "are not nested or disjoint" in _one_line_error(capsys)
 
 
+def _numpy_modules_after(lines) -> str:
+    """What of NumPy and SciPy a fresh Python process has loaded after it
+    runs the script `lines`, as the printed sorted list."""
+    script = "\n".join(["import sys", "import flbl, flbl.cli", *lines,
+                        "print(sorted(name for name in ('numpy', 'scipy') if name in sys.modules))"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    got = subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                         capture_output=True, text=True)
+    return got.stdout.split("\n")[-2]
+
+
 def test_randomized_schemes_run_without_numpy(tmp_path):
     # schemes 3-4 build no hierarchy and gather no lists, so neither a
     # build nor a query of theirs loads NumPy
     gpath = tmp_path / "chord40.txt"
     edges = [(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(40)]
     gpath.write_text("40 80\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    script = "\n".join([
-        "import sys",
-        "import flbl, flbl.cli",
+    assert _numpy_modules_after([
         "for scheme, f in (('3', '4'), ('4', '80')):",
         f"    out = {str(tmp_path)!r} + f'/s{{scheme}}.flbl'",
         f"    assert flbl.cli.main(['build', {str(gpath)!r}, '--scheme', scheme, "
         "'--f', f, '-o', out]) == 0",
         "    assert flbl.cli.main(['query', out, '--fail', '0,39,40,73', "
         "'--pair', '3,30', '--count']) == 0",
-        "print(sorted(name for name in ('numpy', 'scipy') if name in sys.modules))",
-    ])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    got = subprocess.run([sys.executable, "-c", script], check=True, env=env,
-                         capture_output=True, text=True)
-    assert got.stdout.split("\n")[-2:] == ["[]", ""]
+    ]) == "[]"
+
+
+def test_exact_scheme_queries_run_without_numpy(tmp_path, capsys):
+    # only the build of a scheme-1/2 file (its hierarchy) loads NumPy: a
+    # query splits each record it decodes from the bits it has read
+    gpath = tmp_path / "chord40.txt"
+    edges = [(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(40)]
+    gpath.write_text("40 80\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    outs = []
+    for scheme in ("1", "2"):
+        outs.append(str(tmp_path / f"s{scheme}.flbl"))
+        assert run_cli(["build", str(gpath), "--scheme", scheme, "--f", "4",
+                        "-o", outs[-1]]) == 0
+    capsys.readouterr()
+    assert _numpy_modules_after([
+        f"for out in {outs!r}:",
+        "    assert flbl.cli.main(['query', out, '--fail', '0,39,40,73', "
+        "'--pair', '3,30', '--count']) == 0",
+    ]) == "[]"
 
 
 def test_vertex_label_off_length_exit_code(tmp_path, capsys):

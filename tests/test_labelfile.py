@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from flbl import codeshares
 from flbl import labelfile as LF
-from flbl.bits import BitReader, BitWriter, pack_fields, read_runs
+from flbl.bits import BitReader, BitWriter, pack_fields, split_fields
 from flbl.build import build_scheme, to_label_file
 from flbl.cli import _run_query, main
 from flbl.graph import Graph, UnionFind
@@ -207,50 +207,27 @@ def test_skip_then_read_matches_one_read(group, lead, data):
     assert r.skip(spare) == lead + sum(widths)
 
 
-@st.composite
-def runs_of(draw, nbits, width):
-    """(start, count) runs of `width`-bit fields inside `nbits` bits,
-    counts 0 included."""
-    cnt = draw(st.integers(0, nbits // width))
-    return draw(st.integers(0, nbits - cnt * width)), cnt
-
-
 @settings(deadline=None, max_examples=300)
 @given(st.data())
-def test_read_runs_matches_read_fields(data):
-    # widths on both sides of the 57-bit gather limit, random payloads
-    # and runs at any bit; the reference reads each run with read_fields
-    width = data.draw(st.one_of(st.integers(1, 70), st.sampled_from([56, 57, 58, 64])))
-    payload = data.draw(st.binary(max_size=120))
-    nbits = 8 * len(payload)
-    runs = data.draw(st.lists(runs_of(nbits, width), max_size=12))
-    r = BitReader(payload)
-    want = []
-    for start, cnt in runs:
-        r.pos = start
-        want += r.read_fields((width,) * cnt)
-    got = read_runs(payload, [s for s, _ in runs], [c for _, c in runs], width)
-    assert got == want
-    assert all(type(v) is int for v in got)
-    # one run that ends a bit past the payload fails like read_fields
-    bad = max(0, nbits - width + 1)
-    runs.insert(data.draw(st.integers(0, len(runs))), (bad, 1))
-    r.pos = bad
-    with pytest.raises(ValueError):
-        r.read_fields((width,))
-    with pytest.raises(ValueError):
-        read_runs(payload, [s for s, _ in runs], [c for _, c in runs], width)
+def test_split_fields_matches_read_fields(data):
+    # widths on both sides of 57 and 64 bits and counts across the
+    # 64-field chunk, under random bits above the run; the reference
+    # reads the same bits back with read_fields
+    width = data.draw(st.one_of(st.integers(1, 80), st.sampled_from([56, 57, 58, 64])))
+    count = data.draw(st.integers(0, 150))
+    nbits = count * width + data.draw(st.integers(0, 70))
+    value = data.draw(st.integers(0, (1 << nbits) - 1))
+    want = BitReader(value.to_bytes((nbits + 7) // 8, "little")).read_fields((width,) * count)
+    assert split_fields(value, width, count) == want
 
 
-def test_read_runs_every_shift_at_the_gather_limit():
-    # a field at every bit offset within a byte, one bit each side of the
-    # 57-bit limit, with every bit set: a gathered word that lost its top
-    # bits to the shift would read short
-    payload = b"\xff" * 40
-    for width in (56, 57, 58, 63, 64, 65):
-        starts = list(range(8))
-        got = read_runs(payload, starts, [2] * 8, width)
-        assert got == [(1 << width) - 1] * 16, width
+def test_split_fields_all_ones_at_chunk_edges():
+    # every bit set, one bit to spare above the run: a field that took a
+    # bit of its neighbour, or a chunk that lost its last field, reads wrong
+    for width in (1, 56, 57, 58, 63, 64, 65, 80):
+        for count in (0, 1, 63, 64, 65, 128, 129):
+            value = (1 << count * width + 1) - 1
+            assert split_fields(value, width, count) == [(1 << width) - 1] * count, (width, count)
 
 
 def test_payload_vs_framing_accounting():

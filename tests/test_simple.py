@@ -482,3 +482,27 @@ def test_r3_unites_each_interval_pair_once(monkeypatch):
         query_simple({e: res.edge_labels[e] for e in F}, None, None, res.meta)
     assert trees and all(calls <= pairs for calls, pairs in trees)
     assert sum(calls for calls, _ in trees) > 0
+
+
+# A random cubic graph on 22 vertices whose auto hierarchy is not
+# certified: edges 11, 17 and 30 are the three edges that leave the
+# triangle {1, 13, 18}, behind a top-level separator that is not
+# 1/2-expanding.
+G22_CUBIC = Graph(22, (
+    (6, 12), (14, 15), (20, 5), (12, 17), (6, 10), (7, 8), (10, 9), (3, 17), (19, 12),
+    (4, 0), (6, 9), (11, 18), (15, 16), (5, 14), (21, 7), (20, 2), (8, 16), (13, 7),
+    (14, 11), (19, 11), (1, 13), (9, 21), (0, 3), (18, 13), (8, 21), (16, 10), (19, 5),
+    (2, 0), (15, 4), (3, 4), (2, 1), (1, 18), (17, 20),
+))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the heuristic hierarchy misses "
+                   "a cut that is not 1/2-expanding, and scheme 1 answers wrong")
+def test_uncertified_cut_off_triangle_answers_right():
+    g = G22_CUBIC
+    faults = [11, 17, 30]
+    vl, labels, meta = build(g, 3)
+    cid, cnt = oracle_classes(g, faults)
+    assert cnt == 2 and cid[1] != cid[0]
+    res = query_simple({e: labels[e] for e in faults}, None, None, meta)
+    assert (res.connected(vl[1], vl[0]), res.component_count()) == (cid[1] == cid[0], cnt)
